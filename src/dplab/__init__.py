@@ -2,8 +2,8 @@
 
 The package samples Ferguson Dirichlet processes through two exact
 representations (finite-dimensional Dirichlet marginals and truncated
-stick-breaking), builds the limiting objects (Brownian bridge, quantile-
-process covariance, bivariate Gaussian cell density), and verifies the
+stick-breaking), builds the limiting objects (Brownian-bridge and quantile-
+process covariances, bivariate Gaussian cell density), and verifies the
 convergence statements by seeded Monte Carlo against closed-form targets.
 """
 
@@ -44,23 +44,17 @@ from .harness import (
 from .processes import (
     BivariateGaussianSpec,
     Grid,
-    ProcessPath,
     QuadratureSpec,
     bb_cov,
     bivariate_density_integral,
-    brownian_bridge_path,
-    brownian_bridge_paths,
     limit_bivariate_density,
     limit_quantile_cov,
-    quantile_process_path,
     scaled_bivariate_density,
-    scaled_process_path,
     tv_distance_bivariate,
 )
 from .rvgen import (
     DirichletParams,
     RngStream,
-    dirichlet_density,
     sample_beta,
     sample_dirichlet,
     sample_gamma,
@@ -73,7 +67,6 @@ from .verify import (
     McSummary,
     cvm_deviation,
     density_convergence_study,
-    dl_inequality_check,
     donoho_liu_bounds,
     fidi_normality_check,
     gc_study,

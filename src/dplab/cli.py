@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .errors import ConfigError, DplabError
 from .harness import (
@@ -67,7 +66,7 @@ def main(argv=None) -> int:
         config.output_dir = args.out
 
     try:
-        report = run_experiment(config, config_dir=Path(args.config).resolve().parent)
+        report = run_experiment(config)
         emit_report(report, config.output_dir)
     except DplabError as exc:
         print(f"run failed: {exc}", file=sys.stderr)

@@ -156,11 +156,6 @@ def normal_base(mu: float = 0.0, sigma: float = 1.0) -> BaseMeasure:
     )
 
 
-def support_set(base: BaseMeasure) -> BorelSet:
-    """The full support of ``base`` as a single half-open interval."""
-    return BorelSet.interval(base.support[0], base.support[1])
-
-
 # ---------------------------------------------------------------------------
 # Realizations
 # ---------------------------------------------------------------------------
@@ -449,19 +444,6 @@ class PosteriorParams:
             )
             total += (a * prior_mass + count) / self.a_star
         return total
-
-    def sample_atoms(self, rng: RngStream, size: int) -> np.ndarray:
-        """Atoms from H*: with probability a/(a+n) a fresh base draw, else a
-        uniformly chosen data point.  Draw order: selector, base uniforms,
-        data indices."""
-        size = int(size)
-        pick_prior = np.atleast_1d(rng.uniform(size)) < self.prior_concentration / self.a_star
-        u = np.clip(np.atleast_1d(rng.uniform(size)), _U_LO, _U_HI)
-        from_base = np.asarray(self.base.quantile(u), dtype=float)
-        if self.n == 0:
-            return from_base
-        idx = np.atleast_1d(rng.integers(0, self.n, size))
-        return np.where(pick_prior, from_base, self.data[idx])
 
 
 def posterior_update(a: float, base: BaseMeasure, data) -> PosteriorParams:

@@ -14,6 +14,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -26,8 +27,15 @@ from .dp_core import (
     normal_base,
     uniform_base,
 )
-from .errors import ConfigError
-from .processes import Grid, QuadratureSpec, bivariate_density_integral, limit_bivariate_density, BivariateGaussianSpec
+from .errors import ConfigError, DplabError
+from .processes import (
+    BivariateGaussianSpec,
+    Grid,
+    QuadratureSpec,
+    TvEstimate,
+    bivariate_density_integral,
+    limit_bivariate_density,
+)
 
 SCHEMA_VERSION = 1
 
@@ -37,8 +45,8 @@ FAMILIES = ("moments", "fidi", "modulus", "gc", "quantile", "density", "posterio
 # (of leg l, where applicable) uses index base + l*replications + r.
 FAMILY_STREAM_BASE = {name: i << 40 for i, name in enumerate(FAMILIES)}
 
-# Experiment-level acceptance window for the fitted sup-norm decay rate.
-GC_RATE_WINDOW = (-0.6, -0.4)
+# A family's built run: (master seed, stream base) -> result.
+Call = Callable[[int, int], object]
 
 _DEFAULT_TOLERANCES = {
     "mean": verify.DEFAULT_MEAN_TOL,
@@ -81,13 +89,7 @@ _FAMILY_DEFAULTS: dict[str, dict] = {
         "truncation": {"epsilon": 1e-10, "max_atoms": None},
     },
     "density": {
-        "density": {
-            "l1": _THIRD,
-            "l2": _THIRD,
-            "grid_lo": -2.5,
-            "grid_hi": 2.5,
-            "grid_points": 11,
-        },
+        "density": {"l1": _THIRD, "l2": _THIRD, "grid_lo": -2.5, "grid_hi": 2.5, "grid_points": 11},
         "a_values": [100.0, 1000.0, 10000.0],
         "quadrature": {"half_width": 8.0, "n_start": 65, "n_max": 1025, "tol": 1e-4},
     },
@@ -101,13 +103,13 @@ _FAMILY_DEFAULTS: dict[str, dict] = {
     },
 }
 
-_COMMON_KEYS = {"tolerance_overrides"}
-_FAMILY_KEYS = {name: set(params) | _COMMON_KEYS for name, params in _FAMILY_DEFAULTS.items()}
+_FAMILY_KEYS = {name: {*params, "tolerance_overrides"} for name, params in _FAMILY_DEFAULTS.items()}
 _TOP_KEYS = {"schema_version", "experiment", "seed", "output_dir", "families"}
 
 
 # ---------------------------------------------------------------------------
-# Config validation
+# Config validation: field types and shapes here; value ranges in the
+# constructors the builders below call
 # ---------------------------------------------------------------------------
 
 
@@ -124,6 +126,12 @@ def _as_number(value, path: str) -> float:
     return value
 
 
+def _as_numbers(value, path: str) -> list[float]:
+    if not isinstance(value, list) or not value:
+        _fail(path, "expected a non-empty list")
+    return [_as_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
 def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {value!r}")
@@ -136,27 +144,21 @@ def _check_keys(d: dict, allowed: set[str], path: str) -> None:
             _fail(f"{path}.{key}" if path else key, "unknown field")
 
 
+# Base-measure constructors and their numeric fields with defaults.
+_BASES = {"uniform": uniform_base, "exponential": exponential_base, "normal": normal_base}
+_BASE_FIELDS = {"uniform": {}, "exponential": {"rate": 1.0}, "normal": {"mu": 0.0, "sigma": 1.0}}
+
+
 def _validate_base_measure(value, path: str) -> dict:
     if not isinstance(value, dict):
         _fail(path, "expected an object with a 'label'")
     label = value.get("label")
-    if label == "uniform":
-        _check_keys(value, {"label"}, path)
-        return {"label": "uniform"}
-    if label == "exponential":
-        _check_keys(value, {"label", "rate"}, path)
-        rate = _as_number(value.get("rate", 1.0), f"{path}.rate")
-        if rate <= 0:
-            _fail(f"{path}.rate", "must be positive")
-        return {"label": "exponential", "rate": rate}
-    if label == "normal":
-        _check_keys(value, {"label", "mu", "sigma"}, path)
-        mu = _as_number(value.get("mu", 0.0), f"{path}.mu")
-        sigma = _as_number(value.get("sigma", 1.0), f"{path}.sigma")
-        if sigma <= 0:
-            _fail(f"{path}.sigma", "must be positive")
-        return {"label": "normal", "mu": mu, "sigma": sigma}
-    _fail(f"{path}.label", "must be one of uniform | exponential | normal")
+    if label not in _BASES:
+        _fail(f"{path}.label", "must be one of uniform | exponential | normal")
+    fields = _BASE_FIELDS[label]
+    _check_keys(value, {"label", *fields}, path)
+    numbers = {k: _as_number(value.get(k, d), f"{path}.{k}") for k, d in fields.items()}
+    return {"label": label, **numbers}
 
 
 def _validate_sets(value, path: str) -> list:
@@ -170,16 +172,13 @@ def _validate_sets(value, path: str) -> list:
         for j, pair in enumerate(s):
             if not isinstance(pair, list) or len(pair) != 2:
                 _fail(f"{path}[{i}][{j}]", "expected an interval [lo, hi]")
-            lo = _as_number(pair[0], f"{path}[{i}][{j}][0]")
-            hi = _as_number(pair[1], f"{path}[{i}][{j}][1]")
-            if not lo < hi:
-                _fail(f"{path}[{i}][{j}]", "needs lo < hi")
-            intervals.append([lo, hi])
+            intervals.append([_as_number(x, f"{path}[{i}][{j}][{k}]") for k, x in enumerate(pair)])
         out.append(intervals)
     return out
 
 
-def _validate_family_params(family: str, raw: dict, path: str) -> dict:
+def _validate_family(family: str, raw: dict, path: str, config_dir: Path | None):
+    """The family's params with defaults filled in, and its built call."""
     allowed = _FAMILY_KEYS[family]
     _check_keys(raw, allowed, path)
     params = json.loads(json.dumps(_FAMILY_DEFAULTS[family]))  # deep copy
@@ -199,20 +198,11 @@ def _validate_family_params(family: str, raw: dict, path: str) -> dict:
                 _fail(sub(key), "must be positive")
             params[key] = a
         elif key == "a_values":
-            if not isinstance(value, list) or len(value) < 1:
-                _fail(sub(key), "expected a non-empty list")
-            vals = [_as_number(v, f"{sub(key)}[{i}]") for i, v in enumerate(value)]
-            if any(v <= 0 for v in vals) or any(
-                b <= a for a, b in zip(vals, vals[1:])
-            ):
+            vals = _as_numbers(value, sub(key))
+            if any(v <= 0 for v in vals) or any(b <= a for a, b in zip(vals, vals[1:])):
                 _fail(sub(key), "must be positive and strictly increasing")
             params[key] = vals
-        elif key == "replications":
-            r = _as_int(value, sub(key))
-            if r < 2:
-                _fail(sub(key), "must be at least 2")
-            params[key] = r
-        elif key == "gc_grid_resolution":
+        elif key in ("replications", "gc_grid_resolution"):
             r = _as_int(value, sub(key))
             if r < 2:
                 _fail(sub(key), "must be at least 2")
@@ -226,9 +216,7 @@ def _validate_family_params(family: str, raw: dict, path: str) -> dict:
                 _fail(sub(key), "needs 0 <= t1 <= t <= t2 <= 1")
             params[key] = pts
         elif key == "u_points":
-            if not isinstance(value, list) or not value:
-                _fail(sub(key), "expected a non-empty list")
-            us = [_as_number(u, f"{sub(key)}[{i}]") for i, u in enumerate(value)]
+            us = _as_numbers(value, sub(key))
             if any(not 0.0 < u < 1.0 for u in us):
                 _fail(sub(key), "levels must lie strictly inside (0, 1)")
             params[key] = us
@@ -240,54 +228,30 @@ def _validate_family_params(family: str, raw: dict, path: str) -> dict:
             cap = value.get("max_atoms")
             if cap is not None:
                 cap = _as_int(cap, f"{sub(key)}.max_atoms")
-                if cap < 1:
-                    _fail(f"{sub(key)}.max_atoms", "must be at least 1")
-            if eps <= 0 and cap is None:
-                _fail(f"{sub(key)}.epsilon", "epsilon <= 0 requires max_atoms")
             params[key] = {"epsilon": eps, "max_atoms": cap}
-        elif key == "density":
+        elif key in ("density", "quadrature"):
             if not isinstance(value, dict):
                 _fail(sub(key), "expected an object")
-            _check_keys(value, {"l1", "l2", "grid_lo", "grid_hi", "grid_points"}, sub(key))
-            merged = dict(_FAMILY_DEFAULTS["density"]["density"])
+            merged = dict(_FAMILY_DEFAULTS["density"][key])
+            _check_keys(value, set(merged), sub(key))
             for k, v in value.items():
-                merged[k] = (
-                    _as_int(v, f"{sub(key)}.{k}")
-                    if k == "grid_points"
-                    else _as_number(v, f"{sub(key)}.{k}")
-                )
-            if not (0 < merged["l1"] and 0 < merged["l2"] and merged["l1"] + merged["l2"] < 1):
-                _fail(sub(key), "needs l1 > 0, l2 > 0, l1 + l2 < 1")
-            if merged["grid_points"] < 2 or not merged["grid_lo"] < merged["grid_hi"]:
-                _fail(sub(key), "grid needs grid_lo < grid_hi and at least 2 points")
-            params[key] = merged
-        elif key == "quadrature":
-            if not isinstance(value, dict):
-                _fail(sub(key), "expected an object")
-            _check_keys(value, {"half_width", "n_start", "n_max", "tol"}, sub(key))
-            merged = dict(_FAMILY_DEFAULTS["density"]["quadrature"])
-            for k, v in value.items():
-                merged[k] = (
-                    _as_int(v, f"{sub(key)}.{k}")
-                    if k in ("n_start", "n_max")
-                    else _as_number(v, f"{sub(key)}.{k}")
-                )
-            try:
-                QuadratureSpec(**merged)
-            except Exception as exc:
-                _fail(sub(key), str(exc))
+                as_type = _as_int if k in ("grid_points", "n_start", "n_max") else _as_number
+                merged[k] = as_type(v, f"{sub(key)}.{k}")
+            if key == "density" and merged["grid_points"] < 2:
+                _fail(sub(key), "grid needs at least 2 points")
             params[key] = merged
         elif key == "data":
-            if value is None:
-                params[key] = None
-                continue
-            if not isinstance(value, list):
+            if value is not None and not isinstance(value, list):
                 _fail(sub(key), "expected a list of numbers or null")
-            params[key] = [_as_number(v, f"{sub(key)}[{i}]") for i, v in enumerate(value)]
+            params[key] = value and _as_numbers(value, sub(key))  # None or [] as given
         elif key == "data_file":
             if value is not None and not isinstance(value, str):
                 _fail(sub(key), "expected a path string or null")
+            if value and raw.get("data") is not None:
+                _fail(sub(key), "give either data or data_file, not both")
             params[key] = value
+            if value:
+                params["data"] = None  # the file is the single source
         elif key == "tolerance_overrides":
             if not isinstance(value, dict):
                 _fail(sub(key), "expected an object")
@@ -297,21 +261,19 @@ def _validate_family_params(family: str, raw: dict, path: str) -> dict:
                 if v <= 0:
                     _fail(f"{sub(key)}.{k}", "must be positive")
                 params["tolerance_overrides"][k] = v
-    if family == "posterior" and params.get("data_file"):
-        if raw.get("data") is not None:
-            _fail(sub("data_file"), "give either data or data_file, not both")
-        params["data"] = None  # the file is the single source
-    return params
+    return params, _FAMILY_BUILDERS[family](params, sub, config_dir)
 
 
 @dataclass
 class ExperimentConfig:
-    """A fully resolved, validated experiment configuration."""
+    """A fully resolved, validated experiment configuration, with each
+    family's call built from its params."""
 
     experiment: str
     seed: int
     output_dir: str
     family_params: dict[str, dict]
+    calls: dict[str, Call] = field(default_factory=dict, repr=False, compare=False)
 
     def echo(self) -> dict:
         """The effective config: re-validates to an identical run."""
@@ -327,13 +289,11 @@ class ExperimentConfig:
             out.update(json.loads(json.dumps(self.family_params[self.experiment])))
         return out
 
-    @property
-    def families(self) -> list[str]:
-        return list(self.family_params)
 
-
-def validate_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw config dict; raises ConfigError with the field path."""
+def validate_config(raw: dict, config_dir: Path | None = None) -> ExperimentConfig:
+    """Validate a raw config dict by building every object a run would;
+    raises ConfigError with the field path.  A relative ``data_file`` is
+    read from ``config_dir`` (the working directory when None)."""
     if not isinstance(raw, dict):
         _fail("", "config must be a JSON object")
     version = raw.get("schema_version")
@@ -357,8 +317,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
         for name in families_raw:
             if name not in FAMILIES:
                 _fail(f"families.{name}", "unknown experiment family")
-        family_params = {
-            name: _validate_family_params(name, families_raw.get(name, {}), f"families.{name}")
+        built = {
+            name: _validate_family(name, families_raw.get(name, {}), f"families.{name}", config_dir)
             for name in FAMILIES
         }
     else:
@@ -366,8 +326,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
             _fail("families", "only valid when experiment is 'all'")
         _check_keys(raw, (_TOP_KEYS - {"families"}) | _FAMILY_KEYS[experiment], "")
         flat = {k: v for k, v in raw.items() if k in _FAMILY_KEYS[experiment]}
-        family_params = {experiment: _validate_family_params(experiment, flat, "")}
-    return ExperimentConfig(experiment, seed, output_dir, family_params)
+        built = {experiment: _validate_family(experiment, flat, "", config_dir)}
+    family_params = {name: params for name, (params, _) in built.items()}
+    calls = {name: call for name, (_, call) in built.items()}
+    return ExperimentConfig(experiment, seed, output_dir, family_params, calls)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -376,38 +338,137 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError("", f"not valid JSON: {exc}") from exc
-    return validate_config(raw)
+    return validate_config(raw, Path(path).resolve().parent)
 
 
 # ---------------------------------------------------------------------------
-# Builders
+# Builders: validated params -> the family's call
 # ---------------------------------------------------------------------------
 
 
-def _build_base(spec: dict) -> BaseMeasure:
-    if spec["label"] == "uniform":
-        return uniform_base()
-    if spec["label"] == "exponential":
-        return exponential_base(spec["rate"])
-    return normal_base(spec["mu"], spec["sigma"])
+def _make(path: str, build: Callable, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a rejection reported at ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except DplabError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
-def _build_sets(spec: list) -> list[BorelSet]:
-    return [BorelSet(tuple(tuple(p) for p in s)) for s in spec]
+def _base(p: dict, sub) -> BaseMeasure:
+    spec = dict(p["base_measure"])
+    return _make(sub("base_measure"), _BASES[spec.pop("label")], **spec)
 
 
-def _build_trunc(spec: dict) -> TruncationPolicy:
-    return TruncationPolicy(spec["epsilon"], spec["max_atoms"])
+def _sets(p: dict, sub) -> list[BorelSet]:
+    return [_make(f"{sub('sets')}[{i}]", BorelSet, s) for i, s in enumerate(p["sets"])]
 
 
-def _load_data(params: dict, config_dir: Path | None) -> list[float]:
-    if params.get("data_file"):
-        path = Path(params["data_file"])
-        if config_dir is not None and not path.is_absolute():
-            path = config_dir / path
-        values = [float(line) for line in path.read_text().split()]
-        return values
-    return list(params.get("data") or [])
+def _trunc(p: dict, sub) -> TruncationPolicy:
+    return _make(sub("truncation"), TruncationPolicy, **p["truncation"])
+
+
+def _load_data(p: dict, sub, config_dir: Path | None) -> list[float]:
+    if not p.get("data_file"):
+        return list(p.get("data") or [])
+    path = Path(p["data_file"])
+    if config_dir is not None and not path.is_absolute():
+        path = config_dir / path
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        _fail(sub("data_file"), f"cannot read: {exc}")
+    values = []
+    for number, line in enumerate(lines, start=1):
+        try:
+            row = [float(token) for token in line.split()]
+        except ValueError:
+            row = [np.nan]  # reported below, like a non-finite value
+        if not np.all(np.isfinite(row)):
+            _fail(sub("data_file"), f"line {number}: expected finite numbers, got {line.strip()!r}")
+        values += row
+    return values
+
+
+def _moments(p: dict, sub, config_dir) -> Call:
+    if p["replications"] < verify.MIN_MOMENT_REPLICATIONS:
+        _fail(sub("replications"), f"must be at least {verify.MIN_MOMENT_REPLICATIONS}")
+    base, sets, tol = _base(p, sub), _sets(p, sub), p["tolerance_overrides"]
+    return lambda seed, stream: verify.moment_check(
+        p["a"], base, sets, p["replications"], seed, base_stream=stream,
+        mean_tol=tol["mean"], moment_tol=tol["moment"],
+    )
+
+
+def _fidi(p: dict, sub, config_dir) -> Call:
+    sets, tol = _sets(p, sub), p["tolerance_overrides"]
+    return lambda seed, stream: verify.fidi_normality_check(
+        p["a"], sets, p["replications"], seed, base_stream=stream,
+        tol=tol["moment"], ks_level=tol["ks_level"],
+    )
+
+
+def _modulus(p: dict, sub, config_dir) -> Call:
+    t, tol = p["modulus"], p["tolerance_overrides"]
+    return lambda seed, stream: verify.modulus_check(
+        p["a"], t["t1"], t["t"], t["t2"], p["replications"], seed, base_stream=stream,
+        tol=tol["moment"],
+    )
+
+
+def _gc(p: dict, sub, config_dir) -> Call:
+    if len(p["a_values"]) < verify.MIN_GC_A_VALUES:
+        _fail(sub("a_values"), f"needs at least {verify.MIN_GC_A_VALUES} entries")
+    base, trunc = _base(p, sub), _trunc(p, sub)
+    return lambda seed, stream: verify.gc_study(
+        p["a_values"], base, p["replications"], p["gc_grid_resolution"], seed,
+        trunc=trunc, base_stream=stream,
+    )
+
+
+def _quantile(p: dict, sub, config_dir) -> Call:
+    base, trunc, tol = _base(p, sub), _trunc(p, sub), p["tolerance_overrides"]
+    return lambda seed, stream: verify.quantile_limit_study(
+        p["a_values"], base, p["u_points"], p["replications"], seed,
+        trunc=trunc, tol=tol["variance"], ks_level=tol["ks_level"], base_stream=stream,
+    )
+
+
+def _density(p: dict, sub, config_dir) -> Call:
+    d, a_values = p["density"], p["a_values"]
+    spec = _make(sub("density"), BivariateGaussianSpec.from_cell_measures, d["l1"], d["l2"])
+    grid = _make(sub("density"), Grid, np.linspace(d["grid_lo"], d["grid_hi"], d["grid_points"]))
+    quad = _make(sub("quadrature"), QuadratureSpec, **p["quadrature"])
+
+    def run(seed: int, stream: int) -> DensityFamilyResult:
+        table = verify.density_convergence_study(d["l1"], d["l2"], a_values, grid, quad)
+        integrals = {
+            f"a={a:g}": bivariate_density_integral(d["l1"], d["l2"], a, quad) for a in a_values
+        }
+        return DensityFamilyResult(table, float(limit_bivariate_density(0.0, 0.0, spec)), integrals)
+
+    return run
+
+
+def _posterior(p: dict, sub, config_dir) -> Call:
+    base, sets, tol = _base(p, sub), _sets(p, sub), p["tolerance_overrides"]
+    data = _load_data(p, sub, config_dir)
+    return lambda seed, stream: verify.posterior_check(
+        p["a"], base, data, sets, p["replications"], seed, base_stream=stream,
+        tol=tol["moment"],
+    )
+
+
+# One builder per family: (params, field-path function, config directory) ->
+# the family's call.  validate_config runs it and keeps the call for the run.
+_FAMILY_BUILDERS: dict[str, Callable[..., Call]] = {
+    "moments": _moments,
+    "fidi": _fidi,
+    "modulus": _modulus,
+    "gc": _gc,
+    "quantile": _quantile,
+    "density": _density,
+    "posterior": _posterior,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -418,21 +479,63 @@ def _load_data(params: dict, config_dir: Path | None) -> list[float]:
 @dataclass(eq=False)
 class DensityFamilyResult:
     """Density-convergence table plus the record-keeping extras: the limit
-    density at the origin and the quadrature of the exact density per a."""
+    density at the origin and the quadrature of the exact density per a.
+
+    Passes when the table does, every density integral is within 1e-3 of
+    one, and every quadrature met its tolerance."""
 
     table: verify.DensityTable
     limit_at_origin: float
-    integrals: dict[str, tuple[float, float]]
+    integrals: dict[str, TvEstimate]
+
+    def quadrature_converged(self) -> dict[str, bool]:
+        """Per TV and integral quadrature: did it meet ``tol`` before ``n_max``."""
+        out = {f"tv[a={r.a:g}]": r.converged for r in self.table.rows}
+        out.update({f"integral[{tag}]": est.converged for tag, est in self.integrals.items()})
+        return out
 
     @property
     def passed(self) -> bool:
-        ok = all(abs(v - 1.0) <= 1e-3 for v, _ in self.integrals.values())
-        return self.table.passed and ok
+        ok = all(abs(est.value - 1.0) <= 1e-3 for est in self.integrals.values())
+        return self.table.passed and ok and all(self.quadrature_converged().values())
+
+    def csv_tables(self) -> dict[str, verify.Table]:
+        """The gap table, one row per concentration, and the summary."""
+        rows = [
+            ["limit_density_at_origin", self.limit_at_origin],
+            ["gap_nonincreasing", self.table.gap_nonincreasing],
+            ["tv_nonincreasing", self.table.tv_nonincreasing],
+        ]
+        rows += [[f"integral[{tag}]", est.value] for tag, est in self.integrals.items()]
+        rows.append(["passed", self.passed])
+        return {
+            "gap": (
+                ["a", "max_gap", "tv_distance", "quad_error"],
+                [[r.a, r.max_gap, r.tv_distance, r.quad_error] for r in self.table.rows],
+            ),
+            "summary": (["name", "value"], rows),
+        }
+
+    def to_json(self) -> dict:
+        return {
+            "type": "density_table",
+            "rows": [
+                {"a": r.a, "max_gap": r.max_gap, "tv_distance": r.tv_distance,
+                 "quad_error": r.quad_error}
+                for r in self.table.rows
+            ],
+            "gap_nonincreasing": self.table.gap_nonincreasing,
+            "tv_nonincreasing": self.table.tv_nonincreasing,
+            "limit_density_at_origin": self.limit_at_origin,
+            "integrals": {tag: [est.value, est.quad_error] for tag, est in self.integrals.items()},
+            "quadrature_converged": self.quadrature_converged(),
+        }
 
 
 @dataclass(eq=False)
 class RunReport:
-    """Everything one run produced, ready for emission."""
+    """Everything one run produced, ready for emission; each result carries
+    its verdict (``passed``), ``csv_tables()`` and ``to_json()``."""
 
     config_echo: dict
     results: dict[str, object]
@@ -442,114 +545,15 @@ class RunReport:
     manifest: list[str] = field(default_factory=list)
 
 
-def _run_family(family: str, params: dict, seed: int, config_dir: Path | None):
-    base_stream = FAMILY_STREAM_BASE[family]
-    tol = params.get("tolerance_overrides", _DEFAULT_TOLERANCES)
-    if family == "moments":
-        return verify.moment_check(
-            params["a"],
-            _build_base(params["base_measure"]),
-            _build_sets(params["sets"]),
-            params["replications"],
-            seed,
-            base_stream=base_stream,
-            mean_tol=tol["mean"],
-            moment_tol=tol["moment"],
-        )
-    if family == "fidi":
-        return verify.fidi_normality_check(
-            params["a"],
-            _build_sets(params["sets"]),
-            params["replications"],
-            seed,
-            base_stream=base_stream,
-            tol=tol["moment"],
-            ks_level=tol["ks_level"],
-        )
-    if family == "modulus":
-        pts = params["modulus"]
-        return verify.modulus_check(
-            params["a"],
-            pts["t1"],
-            pts["t"],
-            pts["t2"],
-            params["replications"],
-            seed,
-            base_stream=base_stream,
-            tol=tol["moment"],
-        )
-    if family == "gc":
-        return verify.gc_study(
-            params["a_values"],
-            _build_base(params["base_measure"]),
-            params["replications"],
-            params["gc_grid_resolution"],
-            seed,
-            trunc=_build_trunc(params["truncation"]),
-            base_stream=base_stream,
-        )
-    if family == "quantile":
-        return verify.quantile_limit_study(
-            params["a_values"],
-            _build_base(params["base_measure"]),
-            params["u_points"],
-            params["replications"],
-            seed,
-            trunc=_build_trunc(params["truncation"]),
-            tol=tol["variance"],
-            ks_level=tol["ks_level"],
-            base_stream=base_stream,
-        )
-    if family == "density":
-        d = params["density"]
-        quad = QuadratureSpec(**params["quadrature"])
-        grid = Grid(np.linspace(d["grid_lo"], d["grid_hi"], d["grid_points"]))
-        table = verify.density_convergence_study(
-            d["l1"], d["l2"], params["a_values"], grid, quad
-        )
-        spec = BivariateGaussianSpec.from_cell_measures(d["l1"], d["l2"])
-        integrals = {}
-        for a in params["a_values"]:
-            est = bivariate_density_integral(d["l1"], d["l2"], a, quad)
-            integrals[f"a={a:g}"] = (est.value, est.quad_error)
-        return DensityFamilyResult(
-            table, float(limit_bivariate_density(0.0, 0.0, spec)), integrals
-        )
-    if family == "posterior":
-        return verify.posterior_check(
-            params["a"],
-            _build_base(params["base_measure"]),
-            _load_data(params, config_dir),
-            _build_sets(params["sets"]),
-            params["replications"],
-            seed,
-            base_stream=base_stream,
-            tol=tol["moment"],
-        )
-    raise ConfigError("experiment", f"unknown family {family!r}")
-
-
-def _family_passed(family: str, result) -> bool:
-    if isinstance(result, verify.McSummary):
-        return result.passed
-    if isinstance(result, verify.GcCurve):
-        decreasing = bool(np.all(np.diff(result.mean_sup) < 0.0))
-        rate_ok = GC_RATE_WINDOW[0] <= result.fitted_rate <= GC_RATE_WINDOW[1]
-        return decreasing and rate_ok and result.dl_violations == 0
-    if isinstance(result, DensityFamilyResult):
-        return result.passed
-    raise TypeError(f"no pass rule for {type(result)!r}")
-
-
-def run_experiment(config: ExperimentConfig, config_dir: Path | None = None) -> RunReport:
-    """Dispatch every configured family and collect results (no files written)."""
+def run_experiment(config: ExperimentConfig) -> RunReport:
+    """Run every configured family's call and collect results (no files
+    written)."""
     start = time.perf_counter()
-    results: dict[str, object] = {}
-    family_passed: dict[str, bool] = {}
-    for family in config.families:
-        result = _run_family(family, config.family_params[family], config.seed, config_dir)
-        results[family] = result
-        family_passed[family] = _family_passed(family, result)
+    results = {
+        family: call(config.seed, FAMILY_STREAM_BASE[family])
+        for family, call in config.calls.items()
+    }
+    family_passed = {family: result.passed for family, result in results.items()}
     return RunReport(
         config_echo=config.echo(),
         results=results,
@@ -582,152 +586,30 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _summary_rows(summary: verify.McSummary) -> list[list]:
-    rows = []
-    for name, (value, se) in summary.estimates.items():
-        rows.append(["estimate", name, value, se, None, None, None, None])
-    for c in summary.comparisons:
-        rows.append(
-            ["comparison", c.name, c.estimate, c.standard_error, c.target, c.tolerance_se, c.one_sided, c.passed]
-        )
-    for c in summary.level_checks:
-        rows.append(["level_check", c.name, c.statistic, None, c.level, None, None, c.passed])
-    return rows
-
-_SUMMARY_HEADER = ["kind", "name", "estimate", "se", "target", "tolerance_se", "one_sided", "passed"]
-
-
-def emit_report(report: RunReport, out_dir: str | Path, formats=("csv", "json-summary")) -> list[str]:
-    """Write one CSV per result table plus the JSON summary; returns the
-    manifest of files written (also recorded in the report)."""
+def emit_report(report: RunReport, out_dir: str | Path) -> list[str]:
+    """Write each result's CSV tables as ``<family>_<table>.csv`` plus the
+    JSON summary; returns the manifest of files written (also recorded in
+    the report)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest: list[str] = []
+    for family, result in report.results.items():
+        for table, (header, rows) in result.csv_tables().items():
+            _write_csv(out / f"{family}_{table}.csv", header, rows)
+            manifest.append(f"{family}_{table}.csv")
 
-    def emit_csv(name: str, header, rows) -> None:
-        _write_csv(out / name, header, rows)
-        manifest.append(name)
-
-    if "csv" in formats:
-        for family, result in report.results.items():
-            if isinstance(result, verify.McSummary):
-                emit_csv(f"{family}_summary.csv", _SUMMARY_HEADER, _summary_rows(result))
-            elif isinstance(result, verify.GcCurve):
-                emit_csv(
-                    "gc_curve.csv",
-                    ["a", "mean_sup", "se_sup", "mean_cvm", "se_cvm"],
-                    [
-                        [result.a_values[i], result.mean_sup[i], result.se_sup[i], result.mean_cvm[i], result.se_cvm[i]]
-                        for i in range(len(result.a_values))
-                    ],
-                )
-                emit_csv(
-                    "gc_summary.csv",
-                    ["name", "value"],
-                    [
-                        ["fitted_rate", result.fitted_rate],
-                        ["dl_checked", result.dl_checked],
-                        ["dl_violations", result.dl_violations],
-                        ["passed", report.family_passed[family]],
-                    ],
-                )
-            elif isinstance(result, DensityFamilyResult):
-                emit_csv(
-                    "density_gap.csv",
-                    ["a", "max_gap", "tv_distance", "quad_error"],
-                    [[r.a, r.max_gap, r.tv_distance, r.quad_error] for r in result.table.rows],
-                )
-                rows = [
-                    ["limit_density_at_origin", result.limit_at_origin],
-                    ["gap_nonincreasing", result.table.gap_nonincreasing],
-                    ["tv_nonincreasing", result.table.tv_nonincreasing],
-                ]
-                rows += [
-                    [f"integral[{tag}]", value] for tag, (value, _) in result.integrals.items()
-                ]
-                rows.append(["passed", report.family_passed[family]])
-                emit_csv("density_summary.csv", ["name", "value"], rows)
-
-    if "json-summary" in formats:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "config": report.config_echo,
-            "results": {f: _serialize_result(r) for f, r in report.results.items()},
-            "family_passed": report.family_passed,
-            "pass": report.overall_pass,
-            "wall_clock_seconds": report.wall_clock_seconds,
-            "manifest": manifest + ["report.json"],
-        }
-        with open(out / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        manifest.append("report.json")
-
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "config": report.config_echo,
+        "results": {family: result.to_json() for family, result in report.results.items()},
+        "family_passed": report.family_passed,
+        "pass": report.overall_pass,
+        "wall_clock_seconds": report.wall_clock_seconds,
+        "manifest": manifest + ["report.json"],
+    }
+    with open(out / "report.json", "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    manifest.append("report.json")
     report.manifest = manifest
     return manifest
-
-
-def _serialize_result(result) -> dict:
-    if isinstance(result, verify.McSummary):
-        return {
-            "type": "mc_summary",
-            "replications": result.replications,
-            "seed_info": {
-                "master_seed": result.seed_info[0],
-                "stream_range": list(result.seed_info[1]),
-            },
-            "estimates": {k: [v, se] for k, (v, se) in result.estimates.items()},
-            "comparisons": [
-                {
-                    "name": c.name,
-                    "estimate": c.estimate,
-                    "se": c.standard_error,
-                    "target": c.target,
-                    "tolerance_se": c.tolerance_se,
-                    "one_sided": c.one_sided,
-                    "pass": c.passed,
-                }
-                for c in result.comparisons
-            ],
-            "level_checks": [
-                {
-                    "name": c.name,
-                    "statistic": c.statistic,
-                    "p_value": c.p_value,
-                    "level": c.level,
-                    "pass": c.passed,
-                }
-                for c in result.level_checks
-            ],
-            "pass": result.passed,
-        }
-    if isinstance(result, verify.GcCurve):
-        return {
-            "type": "gc_curve",
-            "a_values": result.a_values.tolist(),
-            "mean_sup": result.mean_sup.tolist(),
-            "se_sup": result.se_sup.tolist(),
-            "mean_cvm": result.mean_cvm.tolist(),
-            "se_cvm": result.se_cvm.tolist(),
-            "fitted_rate": result.fitted_rate,
-            "dl_checked": result.dl_checked,
-            "dl_violations": result.dl_violations,
-        }
-    if isinstance(result, DensityFamilyResult):
-        return {
-            "type": "density_table",
-            "rows": [
-                {
-                    "a": r.a,
-                    "max_gap": r.max_gap,
-                    "tv_distance": r.tv_distance,
-                    "quad_error": r.quad_error,
-                }
-                for r in result.table.rows
-            ],
-            "gap_nonincreasing": result.table.gap_nonincreasing,
-            "tv_nonincreasing": result.table.tv_nonincreasing,
-            "limit_density_at_origin": result.limit_at_origin,
-            "integrals": {k: list(v) for k, v in result.integrals.items()},
-        }
-    raise TypeError(f"cannot serialize {type(result)!r}")

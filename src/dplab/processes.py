@@ -1,9 +1,9 @@
 """Limit objects for the large-concentration regime.
 
-Brownian bridge simulation with its covariance, the centered-scaled process
-sqrt(a) (P_a - H), the quantile process sqrt(a) (P_a^{-1} - H^{-1}) with its
-Gaussian limit covariance, and the exact vs limiting bivariate cell densities
-together with their total-variation gap.
+The Brownian-bridge covariance of the centered-scaled process
+sqrt(a) (P_a - H), the Gaussian limit covariance of the quantile process
+sqrt(a) (P_a^{-1} - H^{-1}), and the exact vs limiting bivariate cell
+densities together with their total-variation gap.
 """
 
 from __future__ import annotations
@@ -14,15 +14,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import gammaln
 
-from .dp_core import BaseMeasure, BorelSet, DpSample, MeasureLike, dp_cdf, dp_quantile
+from .dp_core import BaseMeasure, BorelSet, MeasureLike
 from .errors import ArgumentError, ParameterError, SingularDensityError
-from .rvgen import RngStream
-
-KIND_SCALED_DP = "scaled-dp"
-KIND_QUANTILE = "quantile"
-KIND_BRIDGE = "brownian-bridge"
-KIND_LIMIT_QUANTILE = "limit-quantile"
-_KINDS = (KIND_SCALED_DP, KIND_QUANTILE, KIND_BRIDGE, KIND_LIMIT_QUANTILE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,85 +32,15 @@ class Grid:
             raise ParameterError("grid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
-    def __len__(self) -> int:
-        return self.points.size
-
-
-@dataclass(frozen=True, eq=False)
-class ProcessPath:
-    """Values of one stochastic-process realization on a fixed grid."""
-
-    grid: Grid
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).ravel()
-        if vals.size != len(self.grid):
-            raise ParameterError("values and grid lengths differ")
-        if self.kind not in _KINDS:
-            raise ParameterError(f"unknown path kind {self.kind!r}")
-        object.__setattr__(self, "values", vals)
-
 
 # ---------------------------------------------------------------------------
-# Brownian bridge
+# Bridge and quantile-process limit covariances
 # ---------------------------------------------------------------------------
-
-
-def brownian_bridge_paths(grid: Grid, rng: RngStream, n_paths: int) -> np.ndarray:
-    """Exact bridge samples on the grid, one row per path.
-
-    Generated left to right through the bridge's Markov conditionals, so the
-    joint law at the grid points carries no discretization error; endpoints
-    0 and 1 (when present) are exactly zero.
-    """
-    pts = grid.points
-    if pts[0] < 0.0 or pts[-1] > 1.0:
-        raise ArgumentError("bridge grid must lie inside [0, 1]")
-    out = np.empty((int(n_paths), pts.size))
-    b = np.zeros(int(n_paths))
-    t_prev = 0.0
-    for j, t in enumerate(pts):
-        shrink = (1.0 - t) / (1.0 - t_prev) if t < 1.0 else 0.0
-        sd = np.sqrt((t - t_prev) * shrink)
-        z = np.atleast_1d(rng.normal(int(n_paths)))
-        b = b * shrink + sd * z
-        out[:, j] = b
-        t_prev = t
-    return out
-
-
-def brownian_bridge_path(grid: Grid, rng: RngStream) -> ProcessPath:
-    """One Brownian bridge realization on the grid."""
-    return ProcessPath(grid, brownian_bridge_paths(grid, rng, 1)[0], KIND_BRIDGE)
 
 
 def bb_cov(s1: BorelSet, s2: BorelSet, mu: MeasureLike) -> float:
     """Bridge covariance mu(S1 and S2) - mu(S1) mu(S2)."""
     return mu.measure(s1.intersect(s2)) - mu.measure(s1) * mu.measure(s2)
-
-
-# ---------------------------------------------------------------------------
-# Transformed Dirichlet-process paths
-# ---------------------------------------------------------------------------
-
-
-def scaled_process_path(sample: DpSample, base: BaseMeasure, grid: Grid) -> ProcessPath:
-    """The centered-scaled process sqrt(a) (P_a(t) - H(t)) on the grid."""
-    a = sample.concentration
-    values = np.sqrt(a) * (dp_cdf(sample, grid.points) - np.asarray(base.cdf(grid.points)))
-    return ProcessPath(grid, values, KIND_SCALED_DP)
-
-
-def quantile_process_path(sample: DpSample, base: BaseMeasure, ugrid: Grid) -> ProcessPath:
-    """The quantile process sqrt(a) (P_a^{-1}(u) - H^{-1}(u)) on a u-grid."""
-    u = ugrid.points
-    if u[0] <= 0.0 or u[-1] >= 1.0:
-        raise ArgumentError("quantile grid must lie strictly inside (0, 1)")
-    a = sample.concentration
-    values = np.sqrt(a) * (dp_quantile(sample, u) - np.asarray(base.quantile(u)))
-    return ProcessPath(ugrid, values, KIND_QUANTILE)
 
 
 def limit_quantile_cov(u: float, v: float, base: BaseMeasure) -> float:
@@ -179,10 +102,6 @@ class BivariateGaussianSpec:
         rho = -np.sqrt(l1 * l2 / ((1.0 - l1) * (1.0 - l2)))
         return cls(l1 * (1.0 - l1), l2 * (1.0 - l2), rho)
 
-    @property
-    def sigma12(self) -> float:
-        return self.rho12 * np.sqrt(self.sigma11 * self.sigma22)
-
 
 def limit_bivariate_density(y1, y2, spec: BivariateGaussianSpec):
     """Zero-mean bivariate normal density with the spec's covariance."""
@@ -238,8 +157,13 @@ def scaled_bivariate_density(y1, y2, l1: float, l2: float, a: float):
 
 
 class TvEstimate(NamedTuple):
+    """A quadrature estimate, its refinement error, and whether the last
+    refinement moved it by less than the spec's ``tol`` (False when the
+    grid reached ``n_max`` first)."""
+
     value: float
     quad_error: float
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -282,7 +206,8 @@ def _refine_simpson_2d(
     quad: QuadratureSpec,
 ) -> TvEstimate:
     """Integrate f over the box, doubling resolution until the estimate
-    settles within quad.tol (or n_max is reached)."""
+    settles within quad.tol (or n_max is reached, reported as not
+    converged)."""
     n = quad.n_start
     prev = None
     while True:
@@ -293,9 +218,9 @@ def _refine_simpson_2d(
         wy = _simpson_weights(n, y[1] - y[0])
         est = float(wx @ vals @ wy)
         if prev is not None and abs(est - prev) < quad.tol:
-            return TvEstimate(est, abs(est - prev))
+            return TvEstimate(est, abs(est - prev), True)
         if 2 * n - 1 > quad.n_max:
-            return TvEstimate(est, abs(est - prev) if prev is not None else quad.tol)
+            return TvEstimate(est, abs(est - prev) if prev is not None else quad.tol, False)
         prev = est
         n = 2 * n - 1
 
@@ -319,8 +244,7 @@ def tv_distance_bivariate(
     Returns the estimate together with the refinement-based error bound.
     """
     quad = quad or QuadratureSpec()
-    l1, l2 = _check_cells(l1, l2)
-    spec = BivariateGaussianSpec.from_cell_measures(l1, l2)
+    spec = BivariateGaussianSpec.from_cell_measures(l1, l2)  # checks the cells
     xbox, ybox = _support_box(l1, l2, a, quad.half_width)
 
     def gap(x, y):
@@ -331,7 +255,7 @@ def tv_distance_bivariate(
     est = _refine_simpson_2d(gap, xbox, ybox, quad)
     # |f - g| integrates to at most 2, so TV cannot exceed 1 beyond
     # quadrature noise; clip the noise.
-    return TvEstimate(min(0.5 * est.value, 1.0), 0.5 * est.quad_error)
+    return TvEstimate(min(0.5 * est.value, 1.0), 0.5 * est.quad_error, est.converged)
 
 
 def bivariate_density_integral(

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaln
+from scipy.special import expit
 
 from .errors import ParameterError
 
@@ -60,10 +60,6 @@ class RngStream:
     def permutation(self, n: int) -> np.ndarray:
         """A uniformly random permutation of ``range(n)``."""
         return self._gen.permutation(n)
-
-    def integers(self, low: int, high: int, size: int | None = None):
-        """Integer draw(s) from ``[low, high)``."""
-        return self._gen.integers(low, high, size=size)
 
 
 def _check_positive(name: str, value: float) -> float:
@@ -230,24 +226,3 @@ def sample_dirichlet(params: DirichletParams, rng: RngStream, size: int | None =
     out /= out.sum(axis=1, keepdims=True)
     return out[0] if size is None else out
 
-
-def dirichlet_density(y, params: DirichletParams) -> float:
-    """Dirichlet density at the probability vector ``y``.
-
-    Evaluated in log space and exponentiated, so very large parameters do not
-    overflow the gamma functions.  Points off the open simplex (any
-    coordinate <= 0, or coordinates not summing to one within 1e-9) have
-    density zero.
-    """
-    if not isinstance(params, DirichletParams):
-        params = DirichletParams(tuple(params))
-    y = np.asarray(y, dtype=float)
-    if y.shape != (params.k,):
-        raise ParameterError(
-            f"point has {y.size} coordinates but the Dirichlet has {params.k}"
-        )
-    if np.any(~np.isfinite(y)) or np.any(y <= 0.0) or abs(y.sum() - 1.0) > 1e-9:
-        return 0.0
-    a = np.asarray(params.alphas)
-    log_norm = gammaln(a.sum()) - gammaln(a).sum()
-    return float(np.exp(log_norm + np.sum((a - 1.0) * np.log(y))))

@@ -25,13 +25,15 @@ from .dp_core import (
     DpSample,
     TruncationPolicy,
     dp_cdf,
+    dp_cross_moment,
+    dp_moments,
     dp_quantile,
     posterior_update,
     stick_breaking_sample,
     uniform_base,
     validate_partition,
 )
-from .errors import ArgumentError, DplabError, ParameterError
+from .errors import ArgumentError, ConfigError, DplabError, ParameterError
 from .processes import bb_cov, limit_quantile_cov
 from .processes import (
     QuadratureSpec,
@@ -48,7 +50,20 @@ DEFAULT_MOMENT_TOL = 4.0
 DEFAULT_VARIANCE_TOL = 5.0
 DEFAULT_KS_LEVEL = 0.01
 
+# Fewest replications moment_check accepts, and fewest concentrations gc_study
+# can fit a decay rate to.
+MIN_MOMENT_REPLICATIONS = 1000
+MIN_GC_A_VALUES = 2
+
+# Acceptance window for the fitted sup-norm decay rate of a GcCurve.
+GC_RATE_WINDOW = (-0.6, -0.4)
+
 _DL_SLACK = 1e-12
+
+_SUMMARY_HEADER = ["kind", "name", "estimate", "se", "target", "tolerance_se", "one_sided", "passed"]
+
+# An artifact table: (CSV header, rows of raw values).
+Table = tuple[list[str], list[list]]
 
 
 # ---------------------------------------------------------------------------
@@ -118,16 +133,56 @@ class McSummary:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.comparisons) and all(
-            c.passed for c in self.level_checks
-        )
+        return all(c.passed for c in [*self.comparisons, *self.level_checks])
+
+    def csv_tables(self) -> dict[str, Table]:
+        """One row per estimate, comparison and level check."""
+        rows = [
+            ["estimate", name, value, se, None, None, None, None]
+            for name, (value, se) in self.estimates.items()
+        ]
+        rows += [
+            ["comparison", c.name, c.estimate, c.standard_error, c.target, c.tolerance_se,
+             c.one_sided, c.passed]
+            for c in self.comparisons
+        ]
+        rows += [
+            ["level_check", c.name, c.statistic, None, c.level, None, None, c.passed]
+            for c in self.level_checks
+        ]
+        return {"summary": (_SUMMARY_HEADER, rows)}
+
+    def to_json(self) -> dict:
+        return {
+            "type": "mc_summary",
+            "replications": self.replications,
+            "seed_info": {
+                "master_seed": self.seed_info[0], "stream_range": list(self.seed_info[1])
+            },
+            "estimates": {k: [v, se] for k, (v, se) in self.estimates.items()},
+            "comparisons": [
+                {"name": c.name, "estimate": c.estimate, "se": c.standard_error, "target": c.target,
+                 "tolerance_se": c.tolerance_se, "one_sided": c.one_sided, "pass": c.passed}
+                for c in self.comparisons
+            ],
+            "level_checks": [
+                {"name": c.name, "statistic": c.statistic, "p_value": c.p_value, "level": c.level,
+                 "pass": c.passed}
+                for c in self.level_checks
+            ],
+            "pass": self.passed,
+        }
 
 
 @dataclass(eq=False)
 class GcCurve:
     """Uniform-distance decay across concentrations: the mean sup-norm and
     mean squared-deviation integral per concentration, plus the fitted
-    log-log decay rate of the sup-norm."""
+    log-log decay rate of the sup-norm.
+
+    Passes when the mean sup-norm strictly decreases, the rate lies inside
+    GC_RATE_WINDOW, and the cubic deviation bound held on every sample.
+    """
 
     a_values: np.ndarray
     mean_sup: np.ndarray
@@ -138,26 +193,55 @@ class GcCurve:
     dl_checked: int = 0
     dl_violations: int = 0
 
+    # The per-concentration vectors, in artifact column order.
+    _COLUMNS = ("a_values", "mean_sup", "se_sup", "mean_cvm", "se_cvm")
+
     def __post_init__(self):
-        lengths = {
-            len(self.a_values),
-            len(self.mean_sup),
-            len(self.se_sup),
-            len(self.mean_cvm),
-            len(self.se_cvm),
-        }
-        if len(lengths) != 1:
+        if len({len(getattr(self, c)) for c in self._COLUMNS}) != 1:
             raise ParameterError("curve vectors must share one length")
         if np.any(self.mean_sup < 0.0) or np.any(self.mean_sup > 1.0):
             raise ParameterError("mean sup-norms must lie in [0, 1]")
 
+    @property
+    def passed(self) -> bool:
+        decreasing = bool(np.all(np.diff(self.mean_sup) < 0.0))
+        rate_ok = GC_RATE_WINDOW[0] <= self.fitted_rate <= GC_RATE_WINDOW[1]
+        return decreasing and rate_ok and self.dl_violations == 0
+
+    def csv_tables(self) -> dict[str, Table]:
+        """The curve, one row per concentration, and the summary."""
+        curve = zip(*(getattr(self, c) for c in self._COLUMNS))
+        summary = [
+            ["fitted_rate", self.fitted_rate],
+            ["dl_checked", self.dl_checked],
+            ["dl_violations", self.dl_violations],
+            ["passed", self.passed],
+        ]
+        return {
+            "curve": (["a", *self._COLUMNS[1:]], [list(row) for row in curve]),
+            "summary": (["name", "value"], summary),
+        }
+
+    def to_json(self) -> dict:
+        return {
+            "type": "gc_curve",
+            **{c: getattr(self, c).tolist() for c in self._COLUMNS},
+            "fitted_rate": self.fitted_rate,
+            "dl_checked": self.dl_checked,
+            "dl_violations": self.dl_violations,
+        }
+
 
 @dataclass(frozen=True)
 class DensityRow:
+    """One concentration's gaps; ``converged`` tells whether the TV
+    quadrature met its tolerance."""
+
     a: float
     max_gap: float
     tv_distance: float
     quad_error: float
+    converged: bool
 
 
 @dataclass(eq=False)
@@ -188,11 +272,12 @@ class DlBound(NamedTuple):
 def _resolve_threads(threads: int | None) -> int:
     if threads is None:
         env = os.environ.get("DPLAB_THREADS", "").strip()
-        threads = int(env) if env else 0
+        try:
+            threads = int(env) if env else 0
+        except ValueError:
+            raise ConfigError("DPLAB_THREADS", f"expected an integer, got {env!r}") from None
     threads = int(threads)
-    if threads <= 0:
-        threads = os.cpu_count() or 1
-    return max(1, threads)
+    return threads if threads > 0 else os.cpu_count() or 1
 
 
 def map_replications(
@@ -265,11 +350,6 @@ def mc_cov_se(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 def ks_normal_check(name: str, sample: np.ndarray, level: float = DEFAULT_KS_LEVEL) -> LevelCheck:
     stat, p = scipy.stats.kstest(np.asarray(sample, dtype=float), "norm")
-    return LevelCheck.build(name, stat, p, level)
-
-
-def ks_uniform_check(name: str, sample: np.ndarray, level: float = DEFAULT_KS_LEVEL) -> LevelCheck:
-    stat, p = scipy.stats.kstest(np.asarray(sample, dtype=float), "uniform")
     return LevelCheck.build(name, stat, p, level)
 
 
@@ -356,8 +436,10 @@ def moment_check(
 ) -> McSummary:
     """Monte Carlo means, variances, and pairwise cross-moments of P_a over
     the sets, each against its closed form."""
-    if replications < 1000:
-        raise ArgumentError("moment_check needs at least 10^3 replications")
+    if replications < MIN_MOMENT_REPLICATIONS:
+        raise ArgumentError(
+            f"moment_check needs at least {MIN_MOMENT_REPLICATIONS} replications"
+        )
     cells, member = refine_to_partition(sets, base)
     measures = np.array([base.measure(c) for c in cells])
     validate_partition(cells, measures)
@@ -371,24 +453,18 @@ def moment_check(
 
     estimates: dict[str, tuple[float, float]] = {}
     comparisons: list[Comparison] = []
-    set_masses = weights @ measures
-    for i in range(len(sets)):
+    for i, s in enumerate(sets):
         mean, mean_se = mc_mean_se(vals[:, i])
         var, var_se = mc_var_se(vals[:, i])
-        m = set_masses[i]
+        m, v = dp_moments(a, base, s)
         estimates[f"mean[S{i + 1}]"] = (mean, mean_se)
         estimates[f"var[S{i + 1}]"] = (var, var_se)
         comparisons.append(Comparison.build(f"mean[S{i + 1}]", mean, mean_se, m, mean_tol))
-        comparisons.append(
-            Comparison.build(
-                f"var[S{i + 1}]", var, var_se, m * (1.0 - m) / (1.0 + a), moment_tol
-            )
-        )
+        comparisons.append(Comparison.build(f"var[S{i + 1}]", var, var_se, v, moment_tol))
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
             cross, cross_se = mc_mean_se(vals[:, i] * vals[:, j])
-            inter = float(np.minimum(member[i], member[j]) @ measures)
-            target = (inter + a * set_masses[i] * set_masses[j]) / (1.0 + a)
+            target = dp_cross_moment(a, base, sets[i], sets[j])
             name = f"cross[S{i + 1},S{j + 1}]"
             estimates[name] = (cross, cross_se)
             comparisons.append(Comparison.build(name, cross, cross_se, target, moment_tol))
@@ -524,13 +600,17 @@ def fidi_normality_check(
 # ---------------------------------------------------------------------------
 
 
-def _deviation_stats(sample: DpSample, base: BaseMeasure) -> tuple[float, float]:
-    """Exact (sup-norm, integral of squared deviation dH) of P_a - H.
+def _deviation_stats(
+    sample: DpSample, base: BaseMeasure, grid: np.ndarray | None = None
+) -> tuple[float, float, float]:
+    """Exact (sup-norm, integral of squared deviation dH) of P_a - H, and the
+    largest |P_a - H| over the H-levels in ``grid`` (0.0 without a grid).
 
-    Both are computed after mapping atoms through H, where P_a - H becomes a
+    All are computed after mapping atoms through H, where P_a - H becomes a
     step function against the identity: the sup is attained at an atom (from
     the left or the right), and the integral is a closed-form sum of cubics
-    over the inter-atom segments.
+    over the inter-atom segments.  The grid value can never exceed the exact
+    sup, which makes it a check on it.
     """
     s = np.asarray(base.cdf(sample.atoms), dtype=float)
     w = sample.cumulative_weights()
@@ -545,7 +625,10 @@ def _deviation_stats(sample: DpSample, base: BaseMeasure) -> tuple[float, float]
     a = lev - lo
     b = lev - hi
     cvm = float(np.sum(a * a * a - b * b * b) / 3.0)
-    return sup, cvm
+    grid_sup = 0.0
+    if grid is not None:
+        grid_sup = float(np.max(np.abs(lev[np.searchsorted(s, grid, side="right")] - grid)))
+    return sup, cvm, grid_sup
 
 
 def sup_deviation(sample: DpSample, base: BaseMeasure) -> float:
@@ -558,16 +641,11 @@ def cvm_deviation(sample: DpSample, base: BaseMeasure) -> float:
     return _deviation_stats(sample, base)[1]
 
 
-def donoho_liu_bounds(sup_dev: float, cvm: float) -> DlBound:
-    """The cubic lower bound d^3/3 <= integral of squared deviation."""
+def donoho_liu_bounds(sup_dev, cvm) -> DlBound:
+    """The cubic lower bound d^3/3 <= integral of squared deviation;
+    elementwise when given arrays."""
     lhs = sup_dev**3 / 3.0
     return DlBound(lhs, cvm, lhs <= cvm + _DL_SLACK)
-
-
-def dl_inequality_check(sample: DpSample, base: BaseMeasure) -> DlBound:
-    """Evaluate the deviation bound for one realization."""
-    sup, cvm = _deviation_stats(sample, base)
-    return donoho_liu_bounds(sup, cvm)
 
 
 def gc_study(
@@ -588,8 +666,10 @@ def gc_study(
     Leg l (for a_values[l]) uses stream indices base_stream + l*replications + r.
     """
     a_values = np.asarray(a_values, dtype=float)
-    if a_values.size < 2 or np.any(np.diff(a_values) <= 0):
-        raise ArgumentError("a_values must be increasing with at least two entries")
+    if a_values.size < MIN_GC_A_VALUES or np.any(np.diff(a_values) <= 0):
+        raise ArgumentError(
+            f"a_values must be increasing with at least {MIN_GC_A_VALUES} entries"
+        )
     trunc = trunc or TruncationPolicy()
     grid = np.linspace(0.0, 1.0, int(grid_resolution)) if grid_resolution else None
 
@@ -602,15 +682,16 @@ def gc_study(
 
         def rep(rng: RngStream, a=a) -> np.ndarray:
             sample = stick_breaking_sample(a, base, trunc, rng)
-            return np.array(_deviation_stats(sample, base))
+            return np.array(_deviation_stats(sample, base, grid))
 
         leg_stream = base_stream + leg * replications
         vals = map_replications(rep, replications, seed, leg_stream, threads)
-        if grid is not None:
-            _grid_sup_guard(a, base, trunc, seed, leg_stream, grid)
+        excess = float(np.max(vals[:, 2] - vals[:, 0]))
+        if excess > 1e-9:
+            raise DplabError(f"an exact sup-norm fell {excess} below its grid evaluation")
         mean_sup[leg], se_sup[leg] = mc_mean_se(vals[:, 0])
         mean_cvm[leg], se_cvm[leg] = mc_mean_se(vals[:, 1])
-        violations += int(np.sum(vals[:, 0] ** 3 / 3.0 > vals[:, 1] + _DL_SLACK))
+        violations += int(np.sum(~donoho_liu_bounds(vals[:, 0], vals[:, 1]).holds))
 
     rate = float(np.polyfit(np.log(a_values), np.log(mean_sup), 1)[0])
     return GcCurve(
@@ -623,21 +704,6 @@ def gc_study(
         dl_checked=int(replications) * a_values.size,
         dl_violations=violations,
     )
-
-
-def _grid_sup_guard(a, base, trunc, seed, stream, grid) -> None:
-    """The exact sup can never fall below a grid evaluation; re-simulate the
-    leg's first replication and check."""
-    sample = stick_breaking_sample(a, base, trunc, RngStream(seed, stream))
-    s = np.asarray(base.cdf(sample.atoms))
-    w = np.concatenate(([0.0], sample.cumulative_weights()))
-    step = w[np.searchsorted(s, grid, side="right")]
-    grid_sup = float(np.max(np.abs(step - grid)))
-    exact = sup_deviation(sample, base)
-    if grid_sup > exact + 1e-9:
-        raise DplabError(
-            f"exact sup-norm {exact} fell below grid evaluation {grid_sup}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +748,8 @@ def representation_check(
     comparisons: list[Comparison] = []
     level_checks: list[LevelCheck] = []
     for route, vals in (("stick", sticks), ("fidi", fidis)):
-        for i in range(len(cells)):
-            m = measures[i]
+        for i, cell in enumerate(cells):
+            m, v = dp_moments(a, base, cell)
             mean, mean_se = mc_mean_se(vals[:, i])
             var, var_se = mc_var_se(vals[:, i])
             estimates[f"{route}_mean[S{i + 1}]"] = (mean, mean_se)
@@ -691,15 +757,11 @@ def representation_check(
             comparisons.append(
                 Comparison.build(f"{route}_mean[S{i + 1}]", mean, mean_se, m, tol)
             )
-            comparisons.append(
-                Comparison.build(
-                    f"{route}_var[S{i + 1}]", var, var_se, m * (1 - m) / (1 + a), tol
-                )
-            )
+            comparisons.append(Comparison.build(f"{route}_var[S{i + 1}]", var, var_se, v, tol))
         for i in range(len(cells)):
             for j in range(i + 1, len(cells)):
                 cross, cross_se = mc_mean_se(vals[:, i] * vals[:, j])
-                target = a * measures[i] * measures[j] / (1.0 + a)
+                target = dp_cross_moment(a, base, cells[i], cells[j])
                 comparisons.append(
                     Comparison.build(
                         f"{route}_cross[S{i + 1},S{j + 1}]", cross, cross_se, target, tol
@@ -909,7 +971,7 @@ def density_convergence_study(
         fa = scaled_bivariate_density(g[:, None], g[None, :], l1, l2, a)
         max_gap = float(np.max(np.abs(fa - flim)))
         tv = tv_distance_bivariate(l1, l2, a, quad)
-        rows.append(DensityRow(float(a), max_gap, tv.value, tv.quad_error))
+        rows.append(DensityRow(float(a), max_gap, tv.value, tv.quad_error, tv.converged))
     gaps = np.array([r.max_gap for r in rows])
     tvs = np.array([r.tv_distance for r in rows])
     slack = 1e-3

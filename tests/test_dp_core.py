@@ -23,8 +23,6 @@ from dplab import (
     stick_breaking_sample,
     uniform_base,
 )
-from dplab.dp_core import support_set
-
 from conftest import make_sample
 
 
@@ -121,7 +119,7 @@ class TestSampleFidi:
             )
 
     def test_single_cell_partition(self, uniform01):
-        draws = sample_fidi(1.0, uniform01, [support_set(uniform01)], RngStream(0, 0), size=5)
+        draws = sample_fidi(1.0, uniform01, [BorelSet.interval(*uniform01.support)], RngStream(0, 0), size=5)
         assert np.all(draws == 1.0)
 
 
@@ -260,13 +258,6 @@ class TestPosterior:
         s = BorelSet.interval(0.3, 0.6)  # contains 0.4 and 0.6
         assert post.measure(s) == pytest.approx((2.0 * 0.3 + 2) / 5.0)
 
-    def test_atom_sampling_mixture_fraction(self, uniform01):
-        post = posterior_update(2.0, uniform01, [0.2, 0.4, 0.6])
-        atoms = post.sample_atoms(RngStream(41, 0), 50_000)
-        from_data = np.isin(atoms, post.data).mean()
-        se = np.sqrt(0.4 * 0.6 / 50_000)
-        assert abs(from_data - 3.0 / 5.0) <= 4 * se
-
 
 class TestClosedFormMoments:
     def test_mean_variance(self, uniform01):
@@ -276,7 +267,7 @@ class TestClosedFormMoments:
 
     def test_degenerate_masses(self, uniform01):
         assert dp_moments(10.0, uniform01, BorelSet.interval(2.0, 3.0)) == (0.0, 0.0)
-        m, v = dp_moments(10.0, uniform01, support_set(uniform01))
+        m, v = dp_moments(10.0, uniform01, BorelSet.interval(*uniform01.support))
         assert (m, v) == (1.0, 0.0)
 
     def test_cross_moment_disjoint(self, uniform01):
@@ -285,7 +276,7 @@ class TestClosedFormMoments:
         assert dp_cross_moment(1.0, uniform01, a, b) == pytest.approx(0.03)
 
     def test_cross_moment_total_mass(self, uniform01):
-        full = support_set(uniform01)
+        full = BorelSet.interval(*uniform01.support)
         assert dp_cross_moment(1.0, uniform01, full, full) == pytest.approx(1.0)
 
     def test_cross_moment_second_moment_case(self, uniform01):

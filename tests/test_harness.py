@@ -83,6 +83,46 @@ class TestConfigValidation:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "bad, path, fixed",
+        [
+            ({"replications": 500}, "replications", {"replications": 1000}),
+            (
+                {"experiment": "gc", "a_values": [10.0], "replications": 20},
+                "a_values",
+                {"a_values": [10.0, 100.0]},
+            ),
+            ({"sets": [[[0.0, 0.5], [0.3, 0.8]]]}, "sets[0]", {"sets": [[[0.0, 0.3], [0.5, 0.8]]]}),
+            (
+                {"experiment": "gc", "a_values": [10.0, 100.0], "replications": 20,
+                 "truncation": {"epsilon": 2.0}},
+                "truncation",
+                {"truncation": {"epsilon": 1e-10}},
+            ),
+        ],
+    )
+    def test_rejects_what_a_run_would(self, bad, path, fixed):
+        cfg = _config(**bad)
+        if cfg["experiment"] == "gc":
+            del cfg["a"], cfg["sets"]
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.path == path
+        cfg.update(fixed)
+        report = run_experiment(validate_config(cfg))
+        assert list(report.results) == [cfg["experiment"]]
+
+    def test_constructor_errors_name_the_family_path(self):
+        cfg = {
+            "schema_version": 1,
+            "experiment": "all",
+            "seed": 1,
+            "families": {"density": {"quadrature": {"n_start": 64}}},
+        }
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.path == "families.density.quadrature"
+
     def test_echo_revalidates_to_same_params(self):
         config = validate_config(_config())
         again = validate_config(config.echo())
@@ -161,6 +201,20 @@ class TestRunAndEmit:
         _run_to_dir(cfg, tmp_path)
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["results"]["posterior"]["estimates"]["a_star"] == [5.0, 0.0]
+
+    def test_unconverged_quadrature_fails_density(self, tmp_path):
+        cfg = {"schema_version": 1, "experiment": "density", "seed": 42, "a_values": [1000.0]}
+        _run_to_dir(cfg, tmp_path / "default")
+        default = json.loads((tmp_path / "default" / "report.json").read_text())
+        assert default["family_passed"]["density"]
+        assert all(default["results"]["density"]["quadrature_converged"].values())
+
+        cfg["quadrature"] = {"tol": 1e-9}
+        report = _run_to_dir(cfg, tmp_path / "strict")
+        strict = json.loads((tmp_path / "strict" / "report.json").read_text())
+        assert strict["results"]["density"]["quadrature_converged"]["tv[a=1000]"] is False
+        assert not report.family_passed["density"]
+        assert "passed,false" in (tmp_path / "strict" / "density_summary.csv").read_text()
 
     def test_failing_tolerance_fails_run(self, tmp_path):
         cfg = _config(tolerance_overrides={"mean": 1e-9, "moment": 1e-9})
@@ -245,3 +299,32 @@ class TestCli:
         assert rc == 0
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert payload["results"]["posterior"]["estimates"]["a_star"][0] == 5.0
+
+    def _assert_clean_exit_2(self, capsys, rc, *needles):
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        for needle in needles:
+            assert needle in err
+
+    def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch):
+        path = self._write(tmp_path, _config())
+        monkeypatch.setenv("DPLAB_THREADS", "abc")
+        rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
+        self._assert_clean_exit_2(capsys, rc, "DPLAB_THREADS")
+
+    @pytest.mark.parametrize("contents, needle", [("0.2\nabc\n0.6\n", "line 2"), (None, "")])
+    def test_bad_or_missing_data_file_exits_2(self, tmp_path, capsys, contents, needle):
+        if contents is not None:
+            (tmp_path / "points.txt").write_text(contents)
+        cfg = {
+            "schema_version": 1,
+            "experiment": "posterior",
+            "seed": 3,
+            "data": None,
+            "data_file": "points.txt",
+        }
+        path = self._write(tmp_path, cfg)
+        rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
+        self._assert_clean_exit_2(capsys, rc, "data_file", needle)
+        assert cli_main(["validate", "--config", path]) == 2

@@ -1,4 +1,4 @@
-"""Limit objects: bridge simulation, process transforms, bivariate densities."""
+"""Limit objects: bridge and quantile covariances, bivariate densities."""
 
 import numpy as np
 import pytest
@@ -10,27 +10,18 @@ from dplab import (
     Grid,
     ParameterError,
     QuadratureSpec,
-    RngStream,
     SingularDensityError,
-    TruncationPolicy,
     bb_cov,
     bivariate_density_integral,
-    brownian_bridge_path,
-    brownian_bridge_paths,
     exponential_base,
     limit_bivariate_density,
     limit_quantile_cov,
     normal_base,
-    quantile_process_path,
     scaled_bivariate_density,
-    scaled_process_path,
-    stick_breaking_sample,
     tv_distance_bivariate,
     uniform_base,
 )
 from dplab.processes import _refine_simpson_2d
-
-from conftest import make_sample
 
 THIRD = 1.0 / 3.0
 LIMIT_AT_ORIGIN = np.sqrt(27.0) / (2.0 * np.pi)
@@ -42,57 +33,6 @@ class TestGridAndPath:
             Grid(np.array([0.1, 0.1, 0.5]))
         with pytest.raises(ParameterError):
             Grid(np.array([]))
-
-    def test_path_length_must_match(self):
-        with pytest.raises(ParameterError):
-            from dplab.processes import ProcessPath
-
-            ProcessPath(Grid(np.array([0.1, 0.2])), np.zeros(3), "brownian-bridge")
-
-
-class TestBrownianBridge:
-    def test_endpoints_pinned_exactly(self):
-        grid = Grid(np.array([0.0, 0.3, 1.0]))
-        paths = brownian_bridge_paths(grid, RngStream(51, 0), 500)
-        assert np.all(paths[:, 0] == 0.0)
-        assert np.all(paths[:, 2] == 0.0)
-
-    def test_midpoint_variance(self):
-        grid = Grid(np.array([0.5]))
-        paths = brownian_bridge_paths(grid, RngStream(51, 1), 100_000)
-        v = paths[:, 0].var(ddof=1)
-        se = np.sqrt(2.0 / paths.shape[0]) * 0.25
-        assert abs(v - 0.25) <= 3 * se
-
-    def test_two_point_covariance(self):
-        grid = Grid(np.array([0.25, 0.75]))
-        paths = brownian_bridge_paths(grid, RngStream(51, 2), 100_000)
-        prod = (paths[:, 0] - paths[:, 0].mean()) * (paths[:, 1] - paths[:, 1].mean())
-        cov = prod.sum() / (paths.shape[0] - 1)
-        se = prod.std(ddof=1) / np.sqrt(paths.shape[0])
-        assert abs(cov - 0.0625) <= 3 * se
-
-    def test_covariance_matrix_on_grid(self):
-        """Empirical covariance over a nine-point grid against min(s,t) - st."""
-        pts = np.linspace(0.1, 0.9, 9)
-        paths = brownian_bridge_paths(Grid(pts), RngStream(51, 3), 100_000)
-        n = paths.shape[0]
-        centered = paths - paths.mean(axis=0)
-        for i in range(9):
-            for j in range(i, 9):
-                target = min(pts[i], pts[j]) - pts[i] * pts[j]
-                prod = centered[:, i] * centered[:, j]
-                est = prod.sum() / (n - 1)
-                se = prod.std(ddof=1) / np.sqrt(n)
-                assert abs(est - target) <= 4 * se, (i, j)
-
-    def test_single_path_kind(self):
-        path = brownian_bridge_path(Grid(np.array([0.2, 0.4])), RngStream(51, 4))
-        assert path.kind == "brownian-bridge"
-
-    def test_grid_outside_unit_interval(self):
-        with pytest.raises(ArgumentError):
-            brownian_bridge_paths(Grid(np.array([-0.1, 0.5])), RngStream(0, 0), 1)
 
 
 class TestBridgeCovariance:
@@ -108,54 +48,6 @@ class TestBridgeCovariance:
         full = BorelSet.interval(0.0, 1.0)
         for other in (BorelSet.interval(0.2, 0.4), full):
             assert bb_cov(full, other, uniform01) == pytest.approx(0.0)
-
-
-class TestScaledProcess:
-    def test_zero_when_matching_base(self, uniform01):
-        # two atoms carrying exactly the uniform mass of their left intervals
-        s = make_sample([0.25, 1.0], [0.25, 0.75], a=4.0)
-        path = scaled_process_path(s, uniform01, Grid(np.array([0.25, 1.0])))
-        np.testing.assert_allclose(path.values, 0.0, atol=1e-15)
-
-    def test_arithmetic(self, uniform01):
-        s = make_sample([0.3, 0.9], [0.6, 0.4], a=4.0)
-        path = scaled_process_path(s, uniform01, Grid(np.array([0.5])))
-        assert path.values[0] == pytest.approx(2.0 * 0.1)
-        assert path.kind == "scaled-dp"
-
-    def test_variance_at_midpoint(self, uniform01):
-        """Var of sqrt(a)(P_a(t) - t) is exactly a t(1-t)/(1+a)."""
-        a, t = 100.0, 0.5
-        trunc = TruncationPolicy(1e-10)
-        vals = np.array(
-            [
-                scaled_process_path(
-                    stick_breaking_sample(a, uniform01, trunc, RngStream(57, r)),
-                    uniform01,
-                    Grid(np.array([t])),
-                ).values[0]
-                for r in range(10_000)
-            ]
-        )
-        target = a * t * (1 - t) / (1 + a)
-        centered = vals - vals.mean()
-        var = centered @ centered / (vals.size - 1)
-        se = np.sqrt((np.mean(centered**4) - var**2) / vals.size)
-        assert abs(var - target) <= 4 * se
-
-
-class TestQuantileProcess:
-    def test_zero_when_matching_base(self, uniform01):
-        s = make_sample([0.25, 0.5], [0.25, 0.75], a=9.0)
-        path = quantile_process_path(s, uniform01, Grid(np.array([0.25])))
-        # base quantile at 0.25 is 0.25 and the sample's 0.25-quantile is 0.25
-        assert path.values[0] == pytest.approx(0.0)
-        assert path.kind == "quantile"
-
-    def test_rejects_levels_outside_unit_interval(self, uniform01):
-        s = make_sample([0.5], [1.0])
-        with pytest.raises(ArgumentError):
-            quantile_process_path(s, uniform01, Grid(np.array([0.5, 1.0])))
 
 
 class TestLimitQuantileCov:
@@ -213,7 +105,6 @@ class TestBivariateGaussianSpec:
         assert spec.rho12 == pytest.approx(-0.5)
         assert spec.sigma11 == pytest.approx(2.0 / 9.0)
         assert spec.covariance_det == pytest.approx(1.0 / 27.0)
-        assert spec.sigma12 == pytest.approx(-1.0 / 9.0)
 
     def test_invalid_cells(self):
         with pytest.raises(ParameterError):
@@ -278,6 +169,15 @@ class TestTvDistance:
         tv_small = tv_distance_bivariate(THIRD, THIRD, 1e2)
         tv_large = tv_distance_bivariate(THIRD, THIRD, 1e4)
         assert tv_large.value < tv_small.value
+
+    def test_flags_tolerance_not_met(self):
+        """At tol 1e-9 the refinement reaches n_max first and says so; the
+        default tolerance is met."""
+        assert tv_distance_bivariate(THIRD, THIRD, 1e3).converged
+        assert bivariate_density_integral(THIRD, THIRD, 1e3).converged
+        strict = QuadratureSpec(tol=1e-9)
+        tv = tv_distance_bivariate(THIRD, THIRD, 1e3, strict)
+        assert not tv.converged and tv.quad_error > strict.tol
 
     @pytest.mark.parametrize("a", [1e2, 1e3, 1e4])
     def test_bounded_by_one(self, a):

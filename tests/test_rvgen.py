@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from dplab import DirichletParams, ParameterError, RngStream, dirichlet_density
+from dplab import DirichletParams, ParameterError, RngStream
 from dplab.rvgen import sample_beta, sample_dirichlet, sample_gamma
 
 
@@ -135,53 +135,3 @@ def _simpson(values, h):
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float(w @ values * h / 3.0)
-
-
-class TestDirichletDensity:
-    def test_flat_density_is_one(self):
-        assert dirichlet_density([0.3, 0.7], DirichletParams((1.0, 1.0))) == pytest.approx(1.0)
-
-    def test_linear_density_value(self):
-        # (2, 1): density is 2*y1; at y1 = 0.5 that is 1.0
-        assert dirichlet_density([0.5, 0.5], DirichletParams((2.0, 1.0))) == pytest.approx(1.0)
-
-    def test_off_simplex_is_zero(self):
-        params = DirichletParams((1.0, 1.0))
-        assert dirichlet_density([0.5, 0.6], params) == 0.0
-        assert dirichlet_density([1.2, -0.2], params) == 0.0
-
-    def test_wrong_length(self):
-        with pytest.raises(ParameterError):
-            dirichlet_density([0.5, 0.3, 0.2], DirichletParams((1.0, 1.0)))
-
-    @pytest.mark.parametrize("alphas", [(2.0, 3.0), (1.5, 3.5)])
-    def test_integrates_to_one_k2(self, alphas):
-        params = DirichletParams(alphas)
-        y1 = np.linspace(0.0, 1.0, 4001)[1:-1]
-        vals = np.array([dirichlet_density([y, 1.0 - y], params) for y in y1])
-        vals = np.concatenate(([0.0], vals, [0.0]))
-        integral = _simpson(vals, 1.0 / 4000)
-        assert abs(integral - 1.0) <= 1e-3
-
-    def test_integrates_to_one_k3(self):
-        """Iterated tensor Simpson over the triangle y1 + y2 < 1."""
-        params = DirichletParams((1.5, 2.0, 2.5))
-        n = 401
-        y1 = np.linspace(0.0, 1.0, n)
-        inner = np.zeros(n)
-        for i, a in enumerate(y1[:-1]):
-            width = 1.0 - a
-            y2 = np.linspace(0.0, width, n)
-            vals = np.array(
-                [dirichlet_density([a, b, 1.0 - a - b], params) for b in y2]
-            )
-            inner[i] = _simpson(vals, width / (n - 1))
-        integral = _simpson(inner, 1.0 / (n - 1))
-        assert abs(integral - 1.0) <= 1e-3
-
-    def test_huge_concentration_stays_finite(self):
-        """Log-space evaluation must survive concentrations around 1e5."""
-        a = 1e5
-        params = DirichletParams((a / 3.0, a / 3.0, a / 3.0))
-        val = dirichlet_density([1 / 3, 1 / 3, 1 / 3], params)
-        assert np.isfinite(val) and val > 0.0

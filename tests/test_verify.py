@@ -12,7 +12,6 @@ from dplab import (
     TruncationPolicy,
     cvm_deviation,
     density_convergence_study,
-    dl_inequality_check,
     donoho_liu_bounds,
     dp_cdf,
     fidi_normality_check,
@@ -201,7 +200,7 @@ class TestExactDeviationStats:
 class TestDeviationBound:
     def test_single_atom_case(self, uniform01):
         s = make_sample([0.5], [1.0])
-        lhs, rhs, holds = dl_inequality_check(s, uniform01)
+        lhs, rhs, holds = donoho_liu_bounds(sup_deviation(s, uniform01), cvm_deviation(s, uniform01))
         assert lhs == pytest.approx(1.0 / 24.0)
         assert rhs == pytest.approx(1.0 / 12.0)
         assert holds
@@ -223,7 +222,7 @@ class TestDeviationBound:
         trunc = TruncationPolicy(1e-10)
         for r in range(1000):
             s = stick_breaking_sample(10.0, uniform01, trunc, RngStream(134, r))
-            assert dl_inequality_check(s, uniform01).holds
+            assert donoho_liu_bounds(sup_deviation(s, uniform01), cvm_deviation(s, uniform01)).holds
 
 
 class TestGcStudy:
