@@ -57,7 +57,6 @@ from .rvgen import (
     RngStream,
     sample_beta,
     sample_dirichlet,
-    sample_gamma,
 )
 from .verify import (
     Comparison,

@@ -349,26 +349,6 @@ def dp_quantile(sample: DpSample, u):
     return float(out) if np.isscalar(u) else out
 
 
-def sample_fidi(
-    a: float,
-    base: MeasureLike,
-    partition: list[BorelSet],
-    rng: RngStream,
-    size: int | None = None,
-):
-    """Ferguson marginals: one draw of (P_a(A_1), ..., P_a(A_k)) over a
-    partition, distributed Dirichlet(a*H(A_1), ..., a*H(A_k)).
-
-    Cells with H(A_j) = 0 receive exactly zero mass.  Returns shape (k,), or
-    (size, k) when ``size`` is given.
-    """
-    if not np.isfinite(a) or a <= 0:
-        raise ParameterError("concentration a must be positive")
-    measures = np.array([base.measure(cell) for cell in partition], dtype=float)
-    validate_partition(partition, measures)
-    return _fidi_from_measures(a, measures, rng, size)
-
-
 def validate_partition(partition: list[BorelSet], measures: np.ndarray) -> None:
     """Check cells are pairwise disjoint with measures summing to one."""
     if len(partition) == 0:
@@ -385,11 +365,22 @@ def validate_partition(partition: list[BorelSet], measures: np.ndarray) -> None:
         )
 
 
-def _fidi_from_measures(a, measures, rng, size=None):
-    """Dirichlet draw over precomputed cell measures (zero cells stay zero)."""
+def sample_fidi(a: float, measures, rng: RngStream, size: int | None = None):
+    """Ferguson marginals: draws of (P_a(A_1), ..., P_a(A_k)) over a partition
+    with cell measures H(A_j), distributed Dirichlet(a*H(A_1), ..., a*H(A_k)).
+
+    Callers check the partition with ``validate_partition`` first.  Cells
+    with H(A_j) <= 0 receive exactly zero mass, and a single positive cell
+    exactly one.  All ``size`` draws come from ``rng`` in one vectorised
+    call.  Returns shape (k,), or (size, k) when ``size`` is given.
+    """
+    if not np.isfinite(a) or a <= 0:
+        raise ParameterError("concentration a must be positive")
+    measures = np.asarray(measures, dtype=float)
     n = 1 if size is None else int(size)
-    k = measures.size
-    out = np.zeros((n, k))
+    if n < 1:
+        raise ArgumentError("size must be positive")
+    out = np.zeros((n, measures.size))
     positive = np.flatnonzero(measures > 0.0)
     if positive.size == 1:
         out[:, positive[0]] = 1.0

@@ -1,8 +1,10 @@
 """Experiment harness: JSON configs in, CSV/JSON artifacts out.
 
 A run is deterministic given (config, seed): one master seed covers the whole
-run, each experiment family owns a disjoint stream-index namespace, and
-within a family replication r uses stream index base + r.  Output writing is
+run and each experiment family owns a disjoint stream-index namespace.
+Within it, a Dirichlet-marginal family draws leg l from stream base + l, and
+a stick-breaking family gives replication r of leg l stream base + l*R + r.
+DPLAB_THREADS is read once when a run starts.  Output writing is
 single-threaded after reduction, so artifacts are byte-identical for any
 value of DPLAB_THREADS.
 """
@@ -41,12 +43,11 @@ SCHEMA_VERSION = 1
 
 FAMILIES = ("moments", "fidi", "modulus", "gc", "quantile", "density", "posterior")
 
-# Disjoint stream-index namespaces per family; inside a family, replication r
-# (of leg l, where applicable) uses index base + l*replications + r.
+# Disjoint stream-index namespaces per family.
 FAMILY_STREAM_BASE = {name: i << 40 for i, name in enumerate(FAMILIES)}
 
-# A family's built run: (master seed, stream base) -> result.
-Call = Callable[[int, int], object]
+# A family's built run: (master seed, stream base, worker threads) -> result.
+Call = Callable[[int, int, int], object]
 
 _DEFAULT_TOLERANCES = {
     "mean": verify.DEFAULT_MEAN_TOL,
@@ -109,7 +110,7 @@ _TOP_KEYS = {"schema_version", "experiment", "seed", "output_dir", "families"}
 
 # ---------------------------------------------------------------------------
 # Config validation: field types and shapes here; value ranges in the
-# constructors the builders below call
+# constructors and verify argument rules the builders below call
 # ---------------------------------------------------------------------------
 
 
@@ -197,11 +198,8 @@ def _validate_family(family: str, raw: dict, path: str, config_dir: Path | None)
             if a <= 0:
                 _fail(sub(key), "must be positive")
             params[key] = a
-        elif key == "a_values":
-            vals = _as_numbers(value, sub(key))
-            if any(v <= 0 for v in vals) or any(b <= a for a, b in zip(vals, vals[1:])):
-                _fail(sub(key), "must be positive and strictly increasing")
-            params[key] = vals
+        elif key in ("a_values", "u_points"):
+            params[key] = _as_numbers(value, sub(key))
         elif key in ("replications", "gc_grid_resolution"):
             r = _as_int(value, sub(key))
             if r < 2:
@@ -212,14 +210,7 @@ def _validate_family(family: str, raw: dict, path: str, config_dir: Path | None)
                 _fail(sub(key), "expected an object {t1, t, t2}")
             _check_keys(value, {"t1", "t", "t2"}, sub(key))
             pts = {k: _as_number(value.get(k), f"{sub(key)}.{k}") for k in ("t1", "t", "t2")}
-            if not 0.0 <= pts["t1"] <= pts["t"] <= pts["t2"] <= 1.0:
-                _fail(sub(key), "needs 0 <= t1 <= t <= t2 <= 1")
             params[key] = pts
-        elif key == "u_points":
-            us = _as_numbers(value, sub(key))
-            if any(not 0.0 < u < 1.0 for u in us):
-                _fail(sub(key), "levels must lie strictly inside (0, 1)")
-            params[key] = us
         elif key == "truncation":
             if not isinstance(value, dict):
                 _fail(sub(key), "expected an object {epsilon, max_atoms}")
@@ -390,10 +381,9 @@ def _load_data(p: dict, sub, config_dir: Path | None) -> list[float]:
 
 
 def _moments(p: dict, sub, config_dir) -> Call:
-    if p["replications"] < verify.MIN_MOMENT_REPLICATIONS:
-        _fail(sub("replications"), f"must be at least {verify.MIN_MOMENT_REPLICATIONS}")
+    _make(sub("replications"), verify.check_moment_replications, p["replications"])
     base, sets, tol = _base(p, sub), _sets(p, sub), p["tolerance_overrides"]
-    return lambda seed, stream: verify.moment_check(
+    return lambda seed, stream, threads: verify.moment_check(
         p["a"], base, sets, p["replications"], seed, base_stream=stream,
         mean_tol=tol["mean"], moment_tol=tol["moment"],
     )
@@ -401,7 +391,7 @@ def _moments(p: dict, sub, config_dir) -> Call:
 
 def _fidi(p: dict, sub, config_dir) -> Call:
     sets, tol = _sets(p, sub), p["tolerance_overrides"]
-    return lambda seed, stream: verify.fidi_normality_check(
+    return lambda seed, stream, threads: verify.fidi_normality_check(
         p["a"], sets, p["replications"], seed, base_stream=stream,
         tol=tol["moment"], ks_level=tol["ks_level"],
     )
@@ -409,37 +399,40 @@ def _fidi(p: dict, sub, config_dir) -> Call:
 
 def _modulus(p: dict, sub, config_dir) -> Call:
     t, tol = p["modulus"], p["tolerance_overrides"]
-    return lambda seed, stream: verify.modulus_check(
+    _make(sub("modulus"), verify.check_modulus_points, t["t1"], t["t"], t["t2"])
+    return lambda seed, stream, threads: verify.modulus_check(
         p["a"], t["t1"], t["t"], t["t2"], p["replications"], seed, base_stream=stream,
         tol=tol["moment"],
     )
 
 
 def _gc(p: dict, sub, config_dir) -> Call:
-    if len(p["a_values"]) < verify.MIN_GC_A_VALUES:
-        _fail(sub("a_values"), f"needs at least {verify.MIN_GC_A_VALUES} entries")
+    _make(sub("a_values"), verify.check_a_values, p["a_values"], verify.MIN_GC_A_VALUES)
     base, trunc = _base(p, sub), _trunc(p, sub)
-    return lambda seed, stream: verify.gc_study(
+    return lambda seed, stream, threads: verify.gc_study(
         p["a_values"], base, p["replications"], p["gc_grid_resolution"], seed,
-        trunc=trunc, base_stream=stream,
+        trunc=trunc, threads=threads, base_stream=stream,
     )
 
 
 def _quantile(p: dict, sub, config_dir) -> Call:
+    _make(sub("a_values"), verify.check_a_values, p["a_values"])
+    _make(sub("u_points"), verify.check_levels, p["u_points"])
     base, trunc, tol = _base(p, sub), _trunc(p, sub), p["tolerance_overrides"]
-    return lambda seed, stream: verify.quantile_limit_study(
-        p["a_values"], base, p["u_points"], p["replications"], seed,
-        trunc=trunc, tol=tol["variance"], ks_level=tol["ks_level"], base_stream=stream,
+    return lambda seed, stream, threads: verify.quantile_limit_study(
+        p["a_values"], base, p["u_points"], p["replications"], seed, trunc=trunc,
+        threads=threads, tol=tol["variance"], ks_level=tol["ks_level"], base_stream=stream,
     )
 
 
 def _density(p: dict, sub, config_dir) -> Call:
     d, a_values = p["density"], p["a_values"]
+    _make(sub("a_values"), verify.check_a_values, a_values)
     spec = _make(sub("density"), BivariateGaussianSpec.from_cell_measures, d["l1"], d["l2"])
     grid = _make(sub("density"), Grid, np.linspace(d["grid_lo"], d["grid_hi"], d["grid_points"]))
     quad = _make(sub("quadrature"), QuadratureSpec, **p["quadrature"])
 
-    def run(seed: int, stream: int) -> DensityFamilyResult:
+    def run(seed: int, stream: int, threads: int) -> DensityFamilyResult:
         table = verify.density_convergence_study(d["l1"], d["l2"], a_values, grid, quad)
         integrals = {
             f"a={a:g}": bivariate_density_integral(d["l1"], d["l2"], a, quad) for a in a_values
@@ -452,7 +445,7 @@ def _density(p: dict, sub, config_dir) -> Call:
 def _posterior(p: dict, sub, config_dir) -> Call:
     base, sets, tol = _base(p, sub), _sets(p, sub), p["tolerance_overrides"]
     data = _load_data(p, sub, config_dir)
-    return lambda seed, stream: verify.posterior_check(
+    return lambda seed, stream, threads: verify.posterior_check(
         p["a"], base, data, sets, p["replications"], seed, base_stream=stream,
         tol=tol["moment"],
     )
@@ -549,8 +542,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     """Run every configured family's call and collect results (no files
     written)."""
     start = time.perf_counter()
+    threads = verify.resolve_threads()
     results = {
-        family: call(config.seed, FAMILY_STREAM_BASE[family])
+        family: call(config.seed, FAMILY_STREAM_BASE[family], threads)
         for family, call in config.calls.items()
     }
     family_passed = {family: result.passed for family, result in results.items()}

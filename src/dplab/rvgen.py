@@ -1,15 +1,14 @@
 """Seed-reproducible random variates: gamma, beta, and Dirichlet draws.
 
 Streams are counter-based (Philox keyed by ``(master_seed, stream_index)``),
-so any replication can open its own stream directly without generating the
-draws of earlier replications.  Every sampler consumes draws from its stream
+so any stream can be opened directly without generating the draws of the
+streams before it.  Every sampler consumes draws from its stream
 in a fixed documented order, which makes experiments bit-reproducible and
 safe to run replication-parallel.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,33 +75,12 @@ def _safe_uniform(rng: RngStream, n: int) -> np.ndarray:
     return u
 
 
-def _mt_gamma_one(rng: RngStream, shape: float) -> float:
-    """Single Marsaglia-Tsang draw in scalar arithmetic (hot path for
-    replication-per-stream experiments)."""
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    gen = rng._gen
-    while True:
-        x = gen.standard_normal()
-        u = gen.random()
-        t = 1.0 + c * x
-        v = t * t * t
-        if v <= 0.0:
-            continue
-        if u <= 0.0:
-            u = _TINY
-        if math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
-            return d * v
-
-
 def _mt_gamma(rng: RngStream, shape: float, n: int) -> np.ndarray:
     """Marsaglia-Tsang rejection sampler; valid for shape >= 1.
 
     Each attempt consumes one normal and one uniform; rejected slots are
     redrawn until the whole batch is filled.
     """
-    if n == 1:
-        return np.array([_mt_gamma_one(rng, shape)])
     d = shape - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
     out = np.empty(n)
@@ -120,18 +98,6 @@ def _mt_gamma(rng: RngStream, shape: float, n: int) -> np.ndarray:
     return out
 
 
-def _log_gamma_one(rng: RngStream, shape: float) -> float:
-    """Scalar counterpart of ``_log_gamma_draws``."""
-    if shape == 1.0:
-        u = rng._gen.random()
-        return math.log(-math.log(u if u > 0.0 else _TINY))
-    if shape >= 1.0:
-        return math.log(_mt_gamma_one(rng, shape))
-    boosted = _mt_gamma_one(rng, shape + 1.0)
-    u = rng._gen.random()
-    return math.log(boosted) + math.log(u if u > 0.0 else _TINY) / shape
-
-
 def _log_gamma_draws(rng: RngStream, shape: float, n: int) -> np.ndarray:
     """Logarithm of Gamma(shape, 1) draws; stable for arbitrarily small shapes.
 
@@ -139,8 +105,6 @@ def _log_gamma_draws(rng: RngStream, shape: float, n: int) -> np.ndarray:
     G' ~ Gamma(shape + 1), evaluated in log space so tiny shapes (routine for
     Dirichlet-process cells with small a*H(A)) never underflow.
     """
-    if n == 1:
-        return np.array([_log_gamma_one(rng, shape)])
     if shape == 1.0:
         return np.log(-np.log(_safe_uniform(rng, n)))
     if shape >= 1.0:
@@ -148,24 +112,6 @@ def _log_gamma_draws(rng: RngStream, shape: float, n: int) -> np.ndarray:
     boosted = _mt_gamma(rng, shape + 1.0, n)
     u = _safe_uniform(rng, n)
     return np.log(boosted) + np.log(u) / shape
-
-
-def sample_gamma(shape: float, rng: RngStream, size: int | None = None):
-    """Draw from Gamma(shape, scale=1).
-
-    shape == 1 reduces exactly to -log(U) for the stream's next uniform U.
-    Returns a scalar when ``size`` is None, otherwise an array of ``size``
-    independent draws.
-    """
-    shape = _check_positive("shape", shape)
-    n = 1 if size is None else int(size)
-    if shape == 1.0:
-        out = -np.log(_safe_uniform(rng, n))
-    elif shape > 1.0:
-        out = _mt_gamma(rng, shape, n)
-    else:
-        out = np.exp(_log_gamma_draws(rng, shape, n))
-    return float(out[0]) if size is None else out
 
 
 def sample_beta(alpha: float, beta: float, rng: RngStream, size: int | None = None):
@@ -213,11 +159,6 @@ def sample_dirichlet(params: DirichletParams, rng: RngStream, size: int | None =
     if not isinstance(params, DirichletParams):
         params = DirichletParams(tuple(params))
     n = 1 if size is None else int(size)
-    if n == 1:
-        logs = np.array([_log_gamma_one(rng, alpha) for alpha in params.alphas])
-        out = np.exp(logs - logs.max())
-        out /= out.sum()
-        return out if size is None else out[None, :]
     logs = np.empty((n, params.k))
     for j, alpha in enumerate(params.alphas):
         logs[:, j] = _log_gamma_draws(rng, alpha, n)

@@ -1,11 +1,13 @@
 """Monte Carlo verification of the large-concentration limit laws.
 
-Every check simulates Dirichlet-process functionals with one independent
-stream per replication (replication r uses stream index base + r), then
-compares estimates against closed-form targets.  A comparison passes when the
-estimate sits within a stated multiple of its Monte Carlo standard error;
-distributional checks use a Kolmogorov-Smirnov statistic at a stated level.
-Replication loops are data-parallel and reduce in fixed index order, so
+Every check simulates Dirichlet-process functionals from counter-based
+streams, then compares estimates against closed-form targets.  Checks on
+Dirichlet marginals draw all replications of a leg in one vectorised call
+from stream base + leg; stick-breaking checks give replication r of leg l its
+own stream, base + l*R + r.  A comparison passes when the estimate sits
+within a stated multiple of its Monte Carlo standard error; distributional
+checks use a Kolmogorov-Smirnov statistic at a stated level.  Stick-breaking
+replication loops are data-parallel and reduce in fixed index order, so
 results are independent of thread count.
 """
 
@@ -29,6 +31,7 @@ from .dp_core import (
     dp_moments,
     dp_quantile,
     posterior_update,
+    sample_fidi,
     stick_breaking_sample,
     uniform_base,
     validate_partition,
@@ -43,7 +46,9 @@ from .processes import (
     scaled_bivariate_density,
     tv_distance_bivariate,
 )
-from .rvgen import DirichletParams, RngStream, sample_dirichlet
+from .rvgen import RngStream
+# Unused here; bench/tracing.py patches verify.sample_dirichlet by name.
+from .rvgen import sample_dirichlet  # noqa: F401
 
 DEFAULT_MEAN_TOL = 3.0
 DEFAULT_MOMENT_TOL = 4.0
@@ -121,8 +126,9 @@ class McSummary:
 
     ``estimates`` maps a name to (value, standard_error); ``comparisons`` and
     ``level_checks`` carry the pass/fail verdicts; ``seed_info`` records the
-    master seed and the stream-index range consumed, so any subset of
-    replications can be reproduced.
+    master seed and the inclusive stream-index range consumed.  A
+    stick-breaking replication can be reproduced alone from its stream; a
+    Dirichlet-marginal leg only whole, from its one stream.
     """
 
     replications: int
@@ -265,11 +271,47 @@ class DlBound(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
+# Argument rules, also run by the config validator
+# ---------------------------------------------------------------------------
+
+
+def check_a_values(a_values: Sequence[float], min_count: int = 1) -> np.ndarray:
+    """The concentrations as an array; they must number at least
+    ``min_count`` and be positive and strictly increasing."""
+    a_values = np.asarray(a_values, dtype=float)
+    if a_values.size < min_count or np.any(a_values <= 0) or np.any(np.diff(a_values) <= 0):
+        raise ArgumentError(
+            f"a_values must be positive and strictly increasing, at least {min_count} of them"
+        )
+    return a_values
+
+
+def check_levels(u_points: Sequence[float]) -> list[float]:
+    """The quantile levels as floats; each must lie strictly inside (0, 1)."""
+    u_points = [float(u) for u in u_points]
+    if any(not 0.0 < u < 1.0 for u in u_points):
+        raise ArgumentError("u_points must lie strictly inside (0, 1)")
+    return u_points
+
+
+def check_modulus_points(t1: float, t: float, t2: float) -> None:
+    if not 0.0 <= t1 <= t <= t2 <= 1.0:
+        raise ArgumentError("need 0 <= t1 <= t <= t2 <= 1")
+
+
+def check_moment_replications(replications: int) -> None:
+    if replications < MIN_MOMENT_REPLICATIONS:
+        raise ArgumentError(f"moment_check needs at least {MIN_MOMENT_REPLICATIONS} replications")
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo plumbing
 # ---------------------------------------------------------------------------
 
 
-def _resolve_threads(threads: int | None) -> int:
+def resolve_threads(threads: int | None = None) -> int:
+    """Worker threads for replication loops: ``threads``, or DPLAB_THREADS
+    when None; zero, negative or unset means one per CPU."""
     if threads is None:
         env = os.environ.get("DPLAB_THREADS", "").strip()
         try:
@@ -304,7 +346,7 @@ def map_replications(
         for r in range(lo, hi):
             out[r] = fn(RngStream(master_seed, base_stream + r))
 
-    threads = min(_resolve_threads(threads), replications)
+    threads = min(resolve_threads(threads), replications)
     if threads == 1 or replications <= 2:
         run_range(1, replications)
     else:
@@ -395,28 +437,6 @@ def dp_set_mass(sample: DpSample, s: BorelSet) -> float:
     return total
 
 
-def _compiled_fidi(a: float, measures: np.ndarray) -> Callable[[RngStream], np.ndarray]:
-    """One-time setup for repeated Dirichlet draws over fixed cell measures;
-    zero-measure cells keep exactly zero mass."""
-    measures = np.asarray(measures, dtype=float)
-    k = measures.size
-    positive = np.flatnonzero(measures > 0.0)
-    if positive.size == 1:
-        template = np.zeros(k)
-        template[positive[0]] = 1.0
-        return lambda rng: template.copy()
-    params = DirichletParams(tuple(a * measures[positive]))
-    if positive.size == k:
-        return lambda rng: sample_dirichlet(params, rng)
-
-    def draw(rng: RngStream) -> np.ndarray:
-        out = np.zeros(k)
-        out[positive] = sample_dirichlet(params, rng)
-        return out
-
-    return draw
-
-
 # ---------------------------------------------------------------------------
 # Moment identities
 # ---------------------------------------------------------------------------
@@ -430,26 +450,18 @@ def moment_check(
     seed: int,
     *,
     base_stream: int = 0,
-    threads: int | None = None,
     mean_tol: float = DEFAULT_MEAN_TOL,
     moment_tol: float = DEFAULT_MOMENT_TOL,
 ) -> McSummary:
     """Monte Carlo means, variances, and pairwise cross-moments of P_a over
-    the sets, each against its closed form."""
-    if replications < MIN_MOMENT_REPLICATIONS:
-        raise ArgumentError(
-            f"moment_check needs at least {MIN_MOMENT_REPLICATIONS} replications"
-        )
+    the sets, each against its closed form; all replications come from
+    stream base_stream."""
+    check_moment_replications(replications)
     cells, member = refine_to_partition(sets, base)
     measures = np.array([base.measure(c) for c in cells])
     validate_partition(cells, measures)
-    weights = member.astype(float)
-    draw = _compiled_fidi(a, measures)
-
-    def rep(rng: RngStream) -> np.ndarray:
-        return weights @ draw(rng)
-
-    vals = map_replications(rep, replications, seed, base_stream, threads)
+    draws = sample_fidi(a, measures, RngStream(seed, base_stream), size=replications)
+    vals = draws @ member.T.astype(float)
 
     estimates: dict[str, tuple[float, float]] = {}
     comparisons: list[Comparison] = []
@@ -472,7 +484,7 @@ def moment_check(
         replications,
         estimates,
         comparisons,
-        seed_info=(seed, (base_stream, base_stream + replications - 1)),
+        seed_info=(seed, (base_stream, base_stream)),
     )
 
 
@@ -490,34 +502,19 @@ def modulus_check(
     seed: int,
     *,
     base_stream: int = 0,
-    threads: int | None = None,
     tol: float = DEFAULT_MOMENT_TOL,
 ) -> McSummary:
     """Estimate E[(P_a(t) - P_a(t1)) (P_a(t2) - P_a(t))] under the uniform
     base, compare it with the exact a/(a+1) (t - t1)(t2 - t), and assert the
-    quadratic modulus bound a/(a+1) (t2 - t1)^2."""
-    if not 0.0 <= t1 <= t <= t2 <= 1.0:
-        raise ArgumentError("need 0 <= t1 <= t <= t2 <= 1")
+    quadratic modulus bound a/(a+1) (t2 - t1)^2.  All replications come from
+    stream base_stream; an empty increment is exactly zero in every one."""
+    check_modulus_points(t1, t, t2)
     w1, w2 = t - t1, t2 - t
     exact = a / (a + 1.0) * w1 * w2
     bound = a / (a + 1.0) * (t2 - t1) ** 2
-
-    if w1 == 0.0 or w2 == 0.0:
-        prods = np.zeros(replications)
-        stream_hi = base_stream
-    else:
-        rest = 1.0 - w1 - w2
-        measures = np.array([w1, w2, rest]) if rest > 0 else np.array([w1, w2])
-        draw = _compiled_fidi(a, measures)
-
-        def rep(rng: RngStream) -> np.ndarray:
-            p = draw(rng)
-            return np.array([p[0] * p[1]])
-
-        prods = map_replications(rep, replications, seed, base_stream, threads)[:, 0]
-        stream_hi = base_stream + replications - 1
-
-    mean, se = mc_mean_se(prods)
+    measures = [w1, w2, 1.0 - w1 - w2]
+    p = sample_fidi(a, measures, RngStream(seed, base_stream), size=replications)
+    mean, se = mc_mean_se(p[:, 0] * p[:, 1])
     comparisons = [
         Comparison.build("increment_product", mean, se, exact, tol),
         Comparison.build("increment_product_bound", mean, se, bound, tol, one_sided=True),
@@ -526,7 +523,7 @@ def modulus_check(
         replications,
         {"increment_product": (mean, se)},
         comparisons,
-        seed_info=(seed, (base_stream, stream_hi)),
+        seed_info=(seed, (base_stream, base_stream)),
     )
 
 
@@ -542,26 +539,21 @@ def fidi_normality_check(
     seed: int,
     *,
     base_stream: int = 0,
-    threads: int | None = None,
     tol: float = DEFAULT_MOMENT_TOL,
     ks_level: float = DEFAULT_KS_LEVEL,
 ) -> McSummary:
     """Simulate the centered-scaled vector (sqrt(a)(P_a(S_i) - lam(S_i)))_i
     under the uniform base and check mean, covariance, and marginal normality
-    against the Brownian-bridge limit."""
+    against the Brownian-bridge limit; all replications come from stream
+    base_stream."""
     lam = uniform_base()
     cells, member = refine_to_partition(sets, lam)
     measures = np.array([lam.measure(c) for c in cells])
     validate_partition(cells, measures)
     weights = member.astype(float)
     set_masses = weights @ measures
-    root_a = np.sqrt(a)
-    draw = _compiled_fidi(a, measures)
-
-    def rep(rng: RngStream) -> np.ndarray:
-        return root_a * (weights @ draw(rng) - set_masses)
-
-    vals = map_replications(rep, replications, seed, base_stream, threads)
+    draws = sample_fidi(a, measures, RngStream(seed, base_stream), size=replications)
+    vals = np.sqrt(a) * (draws @ weights.T - set_masses)
 
     estimates: dict[str, tuple[float, float]] = {}
     comparisons: list[Comparison] = []
@@ -591,7 +583,7 @@ def fidi_normality_check(
         estimates,
         comparisons,
         level_checks,
-        seed_info=(seed, (base_stream, base_stream + replications - 1)),
+        seed_info=(seed, (base_stream, base_stream)),
     )
 
 
@@ -665,11 +657,7 @@ def gc_study(
 
     Leg l (for a_values[l]) uses stream indices base_stream + l*replications + r.
     """
-    a_values = np.asarray(a_values, dtype=float)
-    if a_values.size < MIN_GC_A_VALUES or np.any(np.diff(a_values) <= 0):
-        raise ArgumentError(
-            f"a_values must be increasing with at least {MIN_GC_A_VALUES} entries"
-        )
+    a_values = check_a_values(a_values, MIN_GC_A_VALUES)
     trunc = trunc or TruncationPolicy()
     grid = np.linspace(0.0, 1.0, int(grid_resolution)) if grid_resolution else None
 
@@ -728,21 +716,20 @@ def representation_check(
     from truncated stick-breaking against Dirichlet marginals, by coordinate
     two-sample KS tests and by first/second moments against the closed forms.
 
-    Stick replications use streams base..base+R-1, marginal draws the next R.
+    Stick replications use streams base..base+R-1, and all R marginal draws
+    come from stream base+R.
     """
     trunc = trunc or TruncationPolicy()
     measures = np.array([base.measure(c) for c in cells])
     validate_partition(list(cells), measures)
-    fidi_rep = _compiled_fidi(a, measures)
 
     def stick_rep(rng: RngStream) -> np.ndarray:
         sample = stick_breaking_sample(a, base, trunc, rng)
         return np.array([dp_set_mass(sample, c) for c in cells])
 
     sticks = map_replications(stick_rep, replications, seed, base_stream, threads)
-    fidis = map_replications(
-        fidi_rep, replications, seed, base_stream + replications, threads
-    )
+    fidi_stream = RngStream(seed, base_stream + replications)
+    fidis = sample_fidi(a, measures, fidi_stream, size=replications)
 
     estimates: dict[str, tuple[float, float]] = {}
     comparisons: list[Comparison] = []
@@ -776,7 +763,7 @@ def representation_check(
         estimates,
         comparisons,
         level_checks,
-        seed_info=(seed, (base_stream, base_stream + 2 * replications - 1)),
+        seed_info=(seed, (base_stream, base_stream + replications)),
     )
 
 
@@ -794,12 +781,12 @@ def posterior_check(
     seed: int,
     *,
     base_stream: int = 0,
-    threads: int | None = None,
     tol: float = DEFAULT_MOMENT_TOL,
 ) -> McSummary:
     """Conjugacy: the posterior concentration is a + n exactly, and the
     Monte Carlo mean of the posterior mass of each test set matches the
-    posterior base measure."""
+    posterior base measure.  Set i's replications come from stream
+    base_stream + i."""
     post = posterior_update(a, base, data)
     estimates: dict[str, tuple[float, float]] = {"a_star": (post.a_star, 0.0)}
     comparisons = [
@@ -807,14 +794,8 @@ def posterior_check(
     ]
     for i, s in enumerate(sets):
         m = post.measure(s)
-        draw = _compiled_fidi(post.a_star, np.array([m, 1.0 - m]))
-
-        def rep(rng: RngStream, draw=draw) -> np.ndarray:
-            return draw(rng)[:1]
-
-        vals = map_replications(
-            rep, replications, seed, base_stream + i * replications, threads
-        )[:, 0]
+        rng = RngStream(seed, base_stream + i)
+        vals = sample_fidi(post.a_star, [m, 1.0 - m], rng, size=replications)[:, 0]
         mean, se = mc_mean_se(vals)
         estimates[f"posterior_mean[S{i + 1}]"] = (mean, se)
         comparisons.append(Comparison.build(f"posterior_mean[S{i + 1}]", mean, se, m, tol))
@@ -822,7 +803,7 @@ def posterior_check(
         replications * len(sets),
         estimates,
         comparisons,
-        seed_info=(seed, (base_stream, base_stream + len(sets) * replications - 1)),
+        seed_info=(seed, (base_stream, base_stream + len(sets) - 1)),
     )
 
 
@@ -857,11 +838,8 @@ def quantile_limit_study(
     quantile, which commutes with taking quantiles; leg l uses stream indices
     base_stream + l*replications + r.
     """
-    a_values = np.asarray(a_values, dtype=float)
-    u_points = [float(u) for u in u_points]
-    for u in u_points:
-        if not 0.0 < u < 1.0:
-            raise ArgumentError("u_points must lie strictly inside (0, 1)")
+    a_values = check_a_values(a_values)
+    u_points = check_levels(u_points)
     trunc = trunc or TruncationPolicy()
     uniform = uniform_base()
 
@@ -960,9 +938,7 @@ def density_convergence_study(
     density and its Gaussian limit.  Both columns must not increase with the
     concentration (within 1e-3)."""
     quad = quad or QuadratureSpec()
-    a_values = np.asarray(a_values, dtype=float)
-    if a_values.size < 1 or np.any(np.diff(a_values) <= 0):
-        raise ArgumentError("a_values must be increasing")
+    a_values = check_a_values(a_values)
     spec = BivariateGaussianSpec.from_cell_measures(l1, l2)
     g = grid.points
     flim = limit_bivariate_density(g[:, None], g[None, :], spec)

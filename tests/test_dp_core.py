@@ -23,6 +23,7 @@ from dplab import (
     stick_breaking_sample,
     uniform_base,
 )
+from dplab.dp_core import validate_partition
 from conftest import make_sample
 
 
@@ -84,10 +85,16 @@ class TestBorelSet:
         assert not s.contains_interval(0.3, 0.7)
 
 
+def _measures(base, cells):
+    measures = np.array([base.measure(cell) for cell in cells])
+    validate_partition(cells, measures)
+    return measures
+
+
 class TestSampleFidi:
     def test_marginal_mean_is_cell_mass(self, uniform01):
         cells = [BorelSet.interval(0.0, 0.3), BorelSet.interval(0.3, 1.0)]
-        draws = sample_fidi(10.0, uniform01, cells, RngStream(21, 0), size=20_000)
+        draws = sample_fidi(10.0, _measures(uniform01, cells), RngStream(21, 0), size=20_000)
         se = draws[:, 0].std(ddof=1) / np.sqrt(draws.shape[0])
         assert abs(draws[:, 0].mean() - 0.3) <= 3 * se
 
@@ -96,30 +103,31 @@ class TestSampleFidi:
             BorelSet.interval(0.0, 1.0),
             BorelSet.interval(2.0, 3.0),  # outside the support: mass 0
         ]
-        draws = sample_fidi(5.0, uniform01, cells, RngStream(21, 1), size=50)
+        draws = sample_fidi(5.0, _measures(uniform01, cells), RngStream(21, 1), size=50)
         assert np.all(draws[:, 1] == 0.0)
         assert np.all(draws[:, 0] == 1.0)
+        draws = sample_fidi(5.0, [0.25, 0.0, 0.75], RngStream(21, 1), size=50)
+        assert np.all(draws[:, 1] == 0.0)
+        np.testing.assert_allclose(draws.sum(axis=1), 1.0, atol=1e-12)
 
     def test_equal_cells_are_symmetric(self, uniform01):
         cells = [BorelSet.interval(0.0, 0.5), BorelSet.interval(0.5, 1.0)]
-        draws = sample_fidi(1.0, uniform01, cells, RngStream(21, 2), size=20_000)
+        draws = sample_fidi(1.0, _measures(uniform01, cells), RngStream(21, 2), size=20_000)
         for j in range(2):
             se = draws[:, j].std(ddof=1) / np.sqrt(draws.shape[0])
             assert abs(draws[:, j].mean() - 0.5) <= 3 * se
 
     def test_non_partition_rejected(self, uniform01):
         with pytest.raises(PartitionError):  # gap: masses sum to 0.8
-            sample_fidi(1.0, uniform01, [BorelSet.interval(0.0, 0.8)], RngStream(0, 0))
+            _measures(uniform01, [BorelSet.interval(0.0, 0.8)])
         with pytest.raises(PartitionError):  # overlapping cells
-            sample_fidi(
-                1.0,
-                uniform01,
-                [BorelSet.interval(0.0, 0.6), BorelSet.interval(0.4, 1.0)],
-                RngStream(0, 0),
-            )
+            _measures(uniform01, [BorelSet.interval(0.0, 0.6), BorelSet.interval(0.4, 1.0)])
+        with pytest.raises(ParameterError):
+            sample_fidi(0.0, [0.5, 0.5], RngStream(0, 0))
 
     def test_single_cell_partition(self, uniform01):
-        draws = sample_fidi(1.0, uniform01, [BorelSet.interval(*uniform01.support)], RngStream(0, 0), size=5)
+        cells = [BorelSet.interval(*uniform01.support)]
+        draws = sample_fidi(1.0, _measures(uniform01, cells), RngStream(0, 0), size=5)
         assert np.all(draws == 1.0)
 
 
@@ -290,7 +298,7 @@ class TestChebyshevConcentration:
     @pytest.mark.parametrize("a,eps", [(10.0, 0.2), (100.0, 0.05)])
     def test_tail_fraction_bounded(self, uniform01, a, eps):
         cells = [BorelSet.interval(0.0, 0.3), BorelSet.interval(0.3, 1.0)]
-        draws = sample_fidi(a, uniform01, cells, RngStream(47, 0), size=20_000)
+        draws = sample_fidi(a, _measures(uniform01, cells), RngStream(47, 0), size=20_000)
         exceed = np.abs(draws[:, 0] - 0.3) > eps
         frac = exceed.mean()
         bound = 0.3 * 0.7 / (eps**2 * (1.0 + a))

@@ -7,7 +7,7 @@ import pytest
 
 from dplab import ConfigError, validate_config
 from dplab.cli import main as cli_main
-from dplab.harness import emit_report, run_experiment
+from dplab.harness import FAMILIES, emit_report, run_experiment
 
 
 def _config(**overrides):
@@ -111,6 +111,23 @@ class TestConfigValidation:
         cfg.update(fixed)
         report = run_experiment(validate_config(cfg))
         assert list(report.results) == [cfg["experiment"]]
+
+    @pytest.mark.parametrize(
+        "extra, path",
+        [
+            ({"experiment": "modulus", "modulus": {"t1": 0.5, "t": 0.4, "t2": 0.9}}, "modulus"),
+            ({"experiment": "quantile", "a_values": [100.0, 10.0]}, "a_values"),
+            ({"experiment": "density", "a_values": [0.0, 10.0]}, "a_values"),
+            (
+                {"experiment": "all", "families": {"quantile": {"u_points": [0.5, 1.0]}}},
+                "families.quantile.u_points",
+            ),
+        ],
+    )
+    def test_verify_argument_rules_name_the_field(self, extra, path):
+        with pytest.raises(ConfigError) as err:
+            validate_config({"schema_version": 1, "seed": 1, **extra})
+        assert err.value.path == path
 
     def test_constructor_errors_name_the_family_path(self):
         cfg = {
@@ -312,6 +329,16 @@ class TestCli:
         monkeypatch.setenv("DPLAB_THREADS", "abc")
         rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
         self._assert_clean_exit_2(capsys, rc, "DPLAB_THREADS")
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bad_thread_count_rejected_before_any_family_runs(self, family, monkeypatch):
+        """DPLAB_THREADS is read when a run starts, whether or not the family
+        fans replications out over threads."""
+        config = validate_config({"schema_version": 1, "experiment": family, "seed": 1})
+        monkeypatch.setenv("DPLAB_THREADS", "abc")
+        with pytest.raises(ConfigError) as err:
+            run_experiment(config)
+        assert err.value.path == "DPLAB_THREADS"
 
     @pytest.mark.parametrize("contents, needle", [("0.2\nabc\n0.6\n", "line 2"), (None, "")])
     def test_bad_or_missing_data_file_exits_2(self, tmp_path, capsys, contents, needle):

@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from dplab import DirichletParams, ParameterError, RngStream
-from dplab.rvgen import sample_beta, sample_dirichlet, sample_gamma
+from dplab.rvgen import _log_gamma_draws, sample_beta, sample_dirichlet
 
 
 class TestRngStream:
@@ -20,8 +20,9 @@ class TestRngStream:
         assert not np.array_equal(a, b)
 
     def test_gamma_sequence_reproducible_through_rejection(self):
-        a = sample_gamma(2.7, RngStream(5, 3), size=5000)
-        b = sample_gamma(2.7, RngStream(5, 3), size=5000)
+        params = DirichletParams((2.7, 0.3))  # both gamma branches reject
+        a = sample_dirichlet(params, RngStream(5, 3), size=5000)
+        b = sample_dirichlet(params, RngStream(5, 3), size=5000)
         assert np.array_equal(a, b)
 
     def test_invalid_coordinates(self):
@@ -32,28 +33,34 @@ class TestRngStream:
 
 
 class TestSampleGamma:
+    """Log-space gamma draws (``_log_gamma_draws``), which every beta and
+    Dirichlet draw is built from."""
+
     def test_shape_one_is_exponential_reduction(self):
         """A unit-shape draw equals -log(U) for the stream's uniform U."""
-        draw = sample_gamma(1.0, RngStream(9, 3))
-        u = RngStream(9, 3).uniform()
-        assert draw == -np.log(u)
+        log_draws = _log_gamma_draws(RngStream(9, 3), 1.0, 3)
+        u = RngStream(9, 3).uniform(3)
+        assert np.array_equal(log_draws, np.log(-np.log(u)))
 
     def test_mean_matches_shape(self):
-        draws = sample_gamma(5.0, RngStream(42, 0), size=100_000)
+        draws = np.exp(_log_gamma_draws(RngStream(42, 0), 5.0, 100_000))
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - 5.0) <= 3 * se
 
     @pytest.mark.parametrize("shape", [0.5, 0.05])
     def test_small_shapes_keep_correct_mean(self, shape):
         """Boosted draws must stay unbiased well below shape 1."""
-        draws = sample_gamma(shape, RngStream(42, 1), size=100_000)
+        draws = np.exp(_log_gamma_draws(RngStream(42, 1), shape, 100_000))
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - shape) <= 4 * se
 
     @pytest.mark.parametrize("shape", [0.0, -1.0, np.nan, np.inf])
     def test_invalid_shape(self, shape):
+        """The public gamma-based samplers reject the shape before drawing."""
         with pytest.raises(ParameterError):
-            sample_gamma(shape, RngStream(0, 0))
+            sample_beta(shape, 1.0, RngStream(0, 0))
+        with pytest.raises(ParameterError):
+            DirichletParams((shape, 1.0))
 
 
 class TestSampleBeta:

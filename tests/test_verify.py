@@ -1,8 +1,11 @@
 """Monte Carlo verification layer: oracles, pass-flag semantics, studies."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.stats
 
 from dplab import (
     ArgumentError,
@@ -22,11 +25,22 @@ from dplab import (
     posterior_check,
     quantile_limit_study,
     representation_check,
+    sample_fidi,
     stick_breaking_sample,
     sup_deviation,
     uniform_base,
+    verify,
 )
-from dplab.verify import Comparison, LevelCheck, map_replications, mc_var_se
+from dplab.verify import (
+    Comparison,
+    LevelCheck,
+    dp_set_mass,
+    map_replications,
+    mc_cov_se,
+    mc_mean_se,
+    mc_var_se,
+    refine_to_partition,
+)
 
 from conftest import make_sample
 
@@ -322,3 +336,132 @@ class TestDensityConvergenceStudy:
             density_convergence_study(
                 1 / 3, 1 / 3, [100.0, 50.0], Grid(np.linspace(-1, 1, 5))
             )
+
+
+class TestMarginalDrawLayout:
+    """Each leg of a Dirichlet-marginal family draws all its replications
+    from one stream, (seed, base + leg), in one ``sample_fidi`` call."""
+
+    SEED, BASE, R = 77, 1000, 1500
+
+    def _cell_draws(self, a, base, sets, stream):
+        cells, member = refine_to_partition(sets, base)
+        measures = [base.measure(c) for c in cells]
+        draws = sample_fidi(a, measures, RngStream(self.SEED, stream), size=self.R)
+        return draws @ member.T.astype(float)
+
+    def _assert_estimates(self, out, expected, streams):
+        for name, (value, se) in expected.items():
+            assert out.estimates[name] == pytest.approx((value, se), rel=1e-12, abs=1e-15), name
+        assert out.seed_info == (self.SEED, streams)
+        assert out.to_json()["seed_info"]["stream_range"] == list(streams)
+
+    def test_moment_check(self, uniform01):
+        sets = [BorelSet.interval(0.0, 0.3), BorelSet.interval(0.2, 0.5)]
+        out = moment_check(10.0, uniform01, sets, self.R, self.SEED, base_stream=self.BASE)
+        vals = self._cell_draws(10.0, uniform01, sets, self.BASE)
+        expected = {
+            "mean[S1]": mc_mean_se(vals[:, 0]),
+            "var[S2]": mc_var_se(vals[:, 1]),
+            "cross[S1,S2]": mc_mean_se(vals[:, 0] * vals[:, 1]),
+        }
+        self._assert_estimates(out, expected, (self.BASE, self.BASE))
+
+    def test_fidi_normality_check(self, uniform01, canonical_cells):
+        out = fidi_normality_check(1e4, canonical_cells, self.R, self.SEED, base_stream=self.BASE)
+        vals = 100.0 * (self._cell_draws(1e4, uniform01, canonical_cells, self.BASE)
+                        - np.array([0.25, 0.25, 0.5]))
+        expected = {
+            "mean[S3]": mc_mean_se(vals[:, 2]),
+            "cov[S1,S1]": mc_var_se(vals[:, 0]),
+            "cov[S1,S2]": mc_cov_se(vals[:, 0], vals[:, 1]),
+        }
+        self._assert_estimates(out, expected, (self.BASE, self.BASE))
+
+    def test_modulus_check(self):
+        out = modulus_check(1.0, 0.1, 0.4, 0.9, self.R, self.SEED, base_stream=self.BASE)
+        p = sample_fidi(1.0, [0.3, 0.5, 0.2], RngStream(self.SEED, self.BASE), size=self.R)
+        expected = {"increment_product": mc_mean_se(p[:, 0] * p[:, 1])}
+        self._assert_estimates(out, expected, (self.BASE, self.BASE))
+
+    def test_posterior_check(self, uniform01):
+        sets = [BorelSet.interval(0.0, 0.3), BorelSet.interval(0.3, 0.6)]
+        out = posterior_check(2.0, uniform01, [0.2, 0.4, 0.6], sets, self.R, self.SEED,
+                              base_stream=self.BASE)
+        expected = {}
+        for i, m in enumerate([(2.0 * 0.3 + 1) / 5.0, (2.0 * 0.3 + 2) / 5.0]):
+            rng = RngStream(self.SEED, self.BASE + i)
+            vals = sample_fidi(5.0, [m, 1.0 - m], rng, size=self.R)[:, 0]
+            expected[f"posterior_mean[S{i + 1}]"] = mc_mean_se(vals)
+        self._assert_estimates(out, expected, (self.BASE, self.BASE + 1))
+
+    def test_representation_check_moves_only_its_marginal_half(self, uniform01):
+        cells = [BorelSet.interval(0.0, 0.4), BorelSet.interval(0.4, 1.0)]
+        trunc = TruncationPolicy(1e-10)
+        r = 200
+        out = representation_check(10.0, uniform01, cells, r, self.SEED, trunc=trunc,
+                                   base_stream=self.BASE)
+        fidis = sample_fidi(10.0, [0.4, 0.6], RngStream(self.SEED, self.BASE + r), size=r)
+        sticks = np.array([
+            dp_set_mass(stick_breaking_sample(10.0, uniform01, trunc,
+                                              RngStream(self.SEED, self.BASE + i)), cells[0])
+            for i in range(r)
+        ])
+        assert out.estimates["fidi_mean[S1]"] == pytest.approx(mc_mean_se(fidis[:, 0]), rel=1e-12)
+        assert out.estimates["stick_mean[S1]"] == mc_mean_se(sticks)
+        assert out.seed_info == (self.SEED, (self.BASE, self.BASE + r))
+
+
+def _nominal_false_fail_rate(check) -> float:
+    """A check's false-fail probability on correct code: the KS level, or the
+    normal tail beyond its SE multiple (zero for exact comparisons)."""
+    if isinstance(check, LevelCheck):
+        return check.level
+    if check.standard_error == 0.0:
+        return 0.0
+    tails = 1.0 if check.one_sided else 2.0
+    return tails * scipy.stats.norm.sf(check.tolerance_se)
+
+
+class TestCalibration:
+    """Over 500 fixed seeds, each comparison and KS check of the four
+    Dirichlet-marginal families fails no more often than its nominal rate
+    allows: at most the count a Binomial(500, rate) exceeds with probability
+    1e-6."""
+
+    SEEDS = range(500)
+    R = 2000
+
+    @pytest.mark.parametrize("family", ["moments", "fidi", "modulus", "posterior"])
+    def test_false_fail_counts(self, family, uniform01, canonical_cells):
+        sets = [BorelSet.interval(0.0, 0.3), BorelSet.interval(0.3, 0.5),
+                BorelSet.interval(0.2, 0.5)]
+        run = {
+            "moments": lambda seed: moment_check(1.0, uniform01, sets, self.R, seed),
+            "fidi": lambda seed: fidi_normality_check(1e4, canonical_cells, self.R, seed),
+            "modulus": lambda seed: modulus_check(1.0, 0.1, 0.4, 0.9, self.R, seed),
+            "posterior": lambda seed: posterior_check(
+                2.0, uniform01, [0.2, 0.4, 0.6], canonical_cells, self.R, seed
+            ),
+        }[family]
+        fails, rates = Counter(), {}
+        for seed in self.SEEDS:
+            out = run(seed)
+            for check in [*out.comparisons, *out.level_checks]:
+                rates[check.name] = _nominal_false_fail_rate(check)
+                fails[check.name] += not check.passed
+        for name, rate in rates.items():
+            bound = scipy.stats.binom.isf(1e-6, len(self.SEEDS), rate)
+            assert fails[name] <= bound, f"{name}: {fails[name]} fails, bound {bound:g}"
+
+    def test_wrong_variance_target_fails(self, uniform01, monkeypatch):
+        """Negative control: variance m(1 - m)/a in place of m(1 - m)/(1 + a)."""
+
+        def wrong_moments(a, base, s):
+            m = base.measure(s)
+            return m, m * (1.0 - m) / a
+
+        monkeypatch.setattr(verify, "dp_moments", wrong_moments)
+        out = moment_check(1.0, uniform01, [BorelSet.interval(0.0, 0.3)], 100_000, 8801)
+        assert not out.passed
+        assert not next(c for c in out.comparisons if c.name == "var[S1]").passed
