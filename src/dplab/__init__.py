@@ -1,10 +1,11 @@
 """dplab: Dirichlet-process sampling and large-concentration limit checks.
 
-The package samples Ferguson Dirichlet processes through two exact
-representations (finite-dimensional Dirichlet marginals and truncated
-stick-breaking), builds the limiting objects (Brownian-bridge and quantile-
-process covariances, bivariate Gaussian cell density), and verifies the
-convergence statements by seeded Monte Carlo against closed-form targets.
+The package samples Ferguson Dirichlet processes through three exact
+representations (finite-dimensional Dirichlet marginals, truncated
+stick-breaking, and quantiles by dyadic Beta bisection), builds the limiting
+objects (Brownian-bridge and quantile-process covariances, bivariate
+Gaussian cell density), and verifies the convergence statements by seeded
+Monte Carlo against closed-form targets.
 """
 
 from .dp_core import (
@@ -13,6 +14,7 @@ from .dp_core import (
     DpSample,
     PosteriorParams,
     TruncationPolicy,
+    bisection_quantiles,
     dp_cdf,
     dp_cross_moment,
     dp_moments,
@@ -73,6 +75,7 @@ from .verify import (
     modulus_check,
     posterior_check,
     quantile_limit_study,
+    quantile_sampler_check,
     representation_check,
     sup_deviation,
 )

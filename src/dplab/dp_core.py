@@ -1,10 +1,10 @@
 """Dirichlet-process representations and closed-form moments.
 
-Two exact samplers are provided: finite-dimensional Dirichlet marginals over
-a partition, and truncated stick-breaking realizations carrying explicit
-truncation bookkeeping.  Closed-form mean/variance/cross-moment formulas and
-posterior conjugacy live alongside them so Monte Carlo output can be checked
-against exact targets.
+Three exact samplers are provided: finite-dimensional Dirichlet marginals
+over a partition, truncated stick-breaking realizations carrying explicit
+truncation bookkeeping, and quantiles located by dyadic Beta bisection.
+Closed-form mean/variance/cross-moment formulas and posterior conjugacy live
+alongside them so Monte Carlo output can be checked against exact targets.
 """
 
 from __future__ import annotations
@@ -16,12 +16,16 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import ArgumentError, ParameterError, PartitionError, TruncationError
-from .rvgen import DirichletParams, RngStream, sample_dirichlet
+from .rvgen import DirichletParams, RngStream, sample_beta, sample_dirichlet
 
 # Clipping window applied to uniforms before quantile transforms, so bases
 # with unbounded support never produce infinite atoms.
 _U_LO = 1e-300
 _U_HI = 1.0 - 1e-16
+
+# Deepest bisection level: dyadic cells of width 2^-52 are at the resolution
+# of doubles near 1, and their midpoints are exact doubles inside (0, 1).
+_MAX_BISECTION_DEPTH = 52
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +351,54 @@ def dp_quantile(sample: DpSample, u):
     idx = np.minimum(idx, sample.n_atoms - 1)
     out = sample.atoms[idx]
     return float(out) if np.isscalar(u) else out
+
+
+def bisection_quantiles(a: float, levels, rng: RngStream, size: int, epsilon: float):
+    """Quantiles Q(u) = inf{x : P_a[0, x] >= u} of ``size`` independent
+    realizations of DP(a, U[0, 1]) at each of ``levels``; returns shape
+    (size, len(levels)).
+
+    Under the uniform base P_a is a Polya tree: a dyadic cell of width 2^-k
+    gives its left half a Beta(a 2^-(k+1), a 2^-(k+1)) share of its mass,
+    independently of every other cell (Ferguson 1973).  Each quantile descends
+    K = min(52, ceil(log2(1/epsilon))) levels from [0, 1], going left iff the
+    mass up to the left half's right edge reaches u, and returns the midpoint
+    of its final cell: within max(epsilon, 2^-53) of the exact quantile and
+    inside (0, 1).
+    Quantiles in one cell share its split, so their joint law is exact too.
+
+    Draw order per stream: level k = 0..K-1 makes one ``sample_beta`` call of
+    size * len(levels) draws, rows in (replication, level) order; a level in
+    the same cell as the level before it reuses that level's draw, which is
+    why ``levels`` must be nondecreasing.
+    """
+    if not np.isfinite(a) or a <= 0:
+        raise ParameterError("concentration a must be positive")
+    u = np.asarray(levels, dtype=float)
+    if u.ndim != 1 or u.size == 0 or not (0.0 < u[0] and u[-1] < 1.0 and np.all(np.diff(u) >= 0)):
+        raise ArgumentError("quantile levels must be a non-empty nondecreasing list inside (0, 1)")
+    if int(size) < 1:
+        raise ArgumentError("size must be positive")
+    epsilon = float(epsilon)
+    if not 0.0 < epsilon < 1.0:
+        raise ArgumentError("epsilon must lie in (0, 1)")
+    depth = min(_MAX_BISECTION_DEPTH, int(np.ceil(np.log2(1.0 / epsilon))))
+
+    n, j = int(size), u.size
+    idx = np.zeros((n, j), dtype=np.int64)  # dyadic cell at the current level
+    before = np.zeros((n, j))  # mass left of the cell
+    mass = np.ones((n, j))  # mass of the cell
+    for k in range(depth):
+        shape = a * 2.0 ** -(k + 1)
+        share = sample_beta(shape, shape, rng, size=n * j).reshape(n, j)
+        for c in range(1, j):
+            share[:, c] = np.where(idx[:, c] == idx[:, c - 1], share[:, c - 1], share[:, c])
+        left = share * mass
+        right = before + left < u
+        before = np.where(right, before + left, before)
+        mass = np.where(right, mass - left, left)
+        idx = 2 * idx + right
+    return (idx + 0.5) * 2.0**-depth
 
 
 def validate_partition(partition: list[BorelSet], measures: np.ndarray) -> None:

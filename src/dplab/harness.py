@@ -2,8 +2,9 @@
 
 A run is deterministic given (config, seed): one master seed covers the whole
 run and each experiment family owns a disjoint stream-index namespace.
-Within it, a Dirichlet-marginal family draws leg l from stream base + l, and
-a stick-breaking family gives replication r of leg l stream base + l*R + r.
+Within it, a Dirichlet-marginal or quantile family draws leg l from stream
+base + l, and a stick-breaking family gives replication r of leg l stream
+base + l*R + r.
 DPLAB_THREADS is read once when a run starts.  Output writing is
 single-threaded after reduction, so artifacts are byte-identical for any
 value of DPLAB_THREADS.
@@ -84,7 +85,7 @@ _FAMILY_DEFAULTS: dict[str, dict] = {
     },
     "quantile": {
         "base_measure": {"label": "uniform"},
-        "a_values": [10000.0],
+        "a_values": [10000.0, 1000000.0, 100000000.0],
         "u_points": [0.25, 0.5, 0.75],
         "replications": 10000,
         "truncation": {"epsilon": 1e-10, "max_atoms": None},
@@ -419,9 +420,10 @@ def _quantile(p: dict, sub, config_dir) -> Call:
     _make(sub("a_values"), verify.check_a_values, p["a_values"])
     _make(sub("u_points"), verify.check_levels, p["u_points"])
     base, trunc, tol = _base(p, sub), _trunc(p, sub), p["tolerance_overrides"]
+    _make(sub("truncation"), verify.check_resolution, trunc)
     return lambda seed, stream, threads: verify.quantile_limit_study(
         p["a_values"], base, p["u_points"], p["replications"], seed, trunc=trunc,
-        threads=threads, tol=tol["variance"], ks_level=tol["ks_level"], base_stream=stream,
+        tol=tol["variance"], ks_level=tol["ks_level"], base_stream=stream,
     )
 
 

@@ -118,7 +118,9 @@ def sample_beta(alpha: float, beta: float, rng: RngStream, size: int | None = No
     """Draw from Beta(alpha, beta) as G1 / (G1 + G2) with independent gammas.
 
     The ratio is formed in log space (expit of the log-gamma difference), so
-    extreme parameter pairs such as (1, 1e4) or (1, 0.01) keep full precision.
+    extreme parameter pairs such as (1, 1e4) or (1, 0.01) keep full precision,
+    and tiny shapes such as the 3e-7 of deep bisection cells give exactly 0
+    or 1, never NaN.
     """
     alpha = _check_positive("alpha", alpha)
     beta = _check_positive("beta", beta)

@@ -2,13 +2,13 @@
 
 Every check simulates Dirichlet-process functionals from counter-based
 streams, then compares estimates against closed-form targets.  Checks on
-Dirichlet marginals draw all replications of a leg in one vectorised call
-from stream base + leg; stick-breaking checks give replication r of leg l its
-own stream, base + l*R + r.  A comparison passes when the estimate sits
-within a stated multiple of its Monte Carlo standard error; distributional
-checks use a Kolmogorov-Smirnov statistic at a stated level.  Stick-breaking
-replication loops are data-parallel and reduce in fixed index order, so
-results are independent of thread count.
+Dirichlet marginals and on quantiles draw all replications of a leg in one
+vectorised call from stream base + leg; stick-breaking checks give
+replication r of leg l its own stream, base + l*R + r.  A comparison passes
+when the estimate sits within a stated multiple of its Monte Carlo standard
+error; distributional checks use a Kolmogorov-Smirnov statistic at a stated
+level.  Stick-breaking replication loops are data-parallel and reduce in
+fixed index order, so results are independent of thread count.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .dp_core import (
     BorelSet,
     DpSample,
     TruncationPolicy,
+    bisection_quantiles,
     dp_cdf,
     dp_cross_moment,
     dp_moments,
@@ -292,6 +293,14 @@ def check_levels(u_points: Sequence[float]) -> list[float]:
     if any(not 0.0 < u < 1.0 for u in u_points):
         raise ArgumentError("u_points must lie strictly inside (0, 1)")
     return u_points
+
+
+def check_resolution(trunc: TruncationPolicy) -> float:
+    """The quantile family's bisection resolution, ``trunc.epsilon``; a
+    ``max_atoms`` cap has no meaning there."""
+    if trunc.max_atoms is not None:
+        raise ArgumentError("max_atoms has no meaning for bisection quantiles; set it to null")
+    return trunc.epsilon
 
 
 def check_modulus_points(t1: float, t: float, t2: float) -> None:
@@ -767,6 +776,38 @@ def representation_check(
     )
 
 
+def quantile_sampler_check(
+    a: float, replications: int, seed: int, *, ks_level: float = DEFAULT_KS_LEVEL
+) -> McSummary:
+    """Compare the two exact quantile samplers of DP(a, U[0, 1]): quartiles
+    of stick-breaking realizations against ``bisection_quantiles``, both at
+    the default truncation epsilon, by two-sample KS tests on Q(.25), Q(.5),
+    Q(.75) and Q(.75) - Q(.25).
+
+    Stick replications use streams 0..R-1, and all R bisection draws come
+    from stream R.
+    """
+    trunc = TruncationPolicy()
+    levels = np.array([0.25, 0.5, 0.75])
+    uniform = uniform_base()
+
+    def stick_rep(rng: RngStream) -> np.ndarray:
+        return dp_quantile(stick_breaking_sample(a, uniform, trunc, rng), levels)
+
+    sticks = map_replications(stick_rep, replications, seed)
+    bisect_stream = RngStream(seed, replications)
+    bisect = bisection_quantiles(a, levels, bisect_stream, replications, trunc.epsilon)
+
+    level_checks = [
+        ks_two_sample_check(f"ks_2samp[Q({u:g})]", sticks[:, i], bisect[:, i], ks_level)
+        for i, u in enumerate(levels)
+    ]
+    level_checks.append(ks_two_sample_check(
+        "ks_2samp[iqr]", sticks[:, 2] - sticks[:, 0], bisect[:, 2] - bisect[:, 0], ks_level
+    ))
+    return McSummary(2 * replications, {}, [], level_checks, seed_info=(seed, (0, replications)))
+
+
 # ---------------------------------------------------------------------------
 # Posterior conjugacy
 # ---------------------------------------------------------------------------
@@ -820,7 +861,6 @@ def quantile_limit_study(
     seed: int,
     *,
     trunc: TruncationPolicy | None = None,
-    threads: int | None = None,
     tol: float = DEFAULT_VARIANCE_TOL,
     ks_level: float = DEFAULT_KS_LEVEL,
     base_stream: int = 0,
@@ -834,14 +874,15 @@ def quantile_limit_study(
     variance circulates (3/h^2(q3) + 3/(16 h^2(q1)) - 2/(h(q1) h(q3))); it is
     recorded in the estimates so every run carries the adjudication evidence,
     but the comparison target is the value implied by the limit covariance.
-    Realizations are drawn under the uniform base and mapped through the base
-    quantile, which commutes with taking quantiles; leg l uses stream indices
-    base_stream + l*replications + r.
+    Quantiles are drawn under the uniform base by ``bisection_quantiles`` and
+    mapped through the base quantile, which commutes with taking quantiles;
+    ``trunc.epsilon`` is the bisection resolution (each quantile lies within
+    epsilon of the exact one in H-level), and a ``max_atoms`` cap is
+    rejected.  Leg l draws all its replications from stream base_stream + l.
     """
     a_values = check_a_values(a_values)
     u_points = check_levels(u_points)
-    trunc = trunc or TruncationPolicy()
-    uniform = uniform_base()
+    epsilon = check_resolution(trunc or TruncationPolicy())
 
     u_all = sorted(set(u_points) | {0.25, 0.5, 0.75})
     u_arr = np.array(u_all)
@@ -870,16 +911,9 @@ def quantile_limit_study(
     base_quantiles = np.asarray(base.quantile(u_arr), dtype=float)
 
     for leg, a in enumerate(a_values):
-        root_a = np.sqrt(a)
-
-        def rep(rng: RngStream, a=a, root_a=root_a) -> np.ndarray:
-            sample = stick_breaking_sample(a, uniform, trunc, rng)
-            q = dp_quantile(sample, u_arr)
-            return root_a * (np.asarray(base.quantile(q), dtype=float) - base_quantiles)
-
-        vals = map_replications(
-            rep, replications, seed, base_stream + leg * replications, threads
-        )
+        rng = RngStream(seed, base_stream + leg)
+        q = bisection_quantiles(a, u_arr, rng, replications, epsilon)
+        vals = np.sqrt(a) * (np.asarray(base.quantile(q), dtype=float) - base_quantiles)
         tag = f"a={a:g}"
 
         for i, ui in enumerate(u_points):
@@ -917,7 +951,7 @@ def quantile_limit_study(
         estimates,
         comparisons,
         level_checks,
-        seed_info=(seed, (base_stream, base_stream + a_values.size * replications - 1)),
+        seed_info=(seed, (base_stream, base_stream + a_values.size - 1)),
     )
 
 

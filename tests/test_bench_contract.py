@@ -34,6 +34,7 @@ def _small_run(tmp_path):
         config = harness.validate_config({"schema_version": 1, "seed": 5, **extra})
         harness.emit_report(harness.run_experiment(config), tmp_path / str(i))
     _representation_summary(5)
+    verify.quantile_sampler_check(10.0, 20, 5)
 
 
 def test_tracer_patches_what_dplab_calls_and_restores_it(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.stats
 
 from dplab import (
     ArgumentError,
@@ -12,6 +13,7 @@ from dplab import (
     RngStream,
     TruncationError,
     TruncationPolicy,
+    bisection_quantiles,
     dp_cdf,
     dp_cross_moment,
     dp_moments,
@@ -23,6 +25,7 @@ from dplab import (
     stick_breaking_sample,
     uniform_base,
 )
+from dplab import dp_core
 from dplab.dp_core import validate_partition
 from conftest import make_sample
 
@@ -245,6 +248,63 @@ class TestDpQuantile:
             x = dp_quantile(s, u)
             assert dp_cdf(s, x) >= u
             assert x in s.atoms
+
+
+class TestBisectionQuantiles:
+    LEVELS = [0.25, 0.5, 0.75]
+
+    def test_cells_at_the_resolution_inside_the_unit_interval(self):
+        q = bisection_quantiles(50.0, self.LEVELS, RngStream(41, 0), 500, epsilon=1e-6)
+        assert q.shape == (500, 3)
+        assert np.all((q > 0.0) & (q < 1.0))
+        cells = q * 2.0**20 - 0.5  # depth ceil(log2(1e6)) = 20: midpoints of 2^-20 cells
+        np.testing.assert_array_equal(cells, np.round(cells))
+
+    def test_deepest_cells_stay_inside_the_unit_interval(self):
+        """Below 2^-52 the depth is capped: midpoints of 2^-52 cells."""
+        q = bisection_quantiles(0.5, [0.01, 0.99], RngStream(41, 2), 500, epsilon=1e-300)
+        assert np.all((q > 0.0) & (q < 1.0))
+        cells = q * 2.0**52 - 0.5
+        np.testing.assert_array_equal(cells, np.round(cells))
+
+    def test_shared_splits_keep_quantiles_ordered(self):
+        """Levels in one cell share its split, so every realization's
+        quantiles are nondecreasing in the level, and equal levels agree."""
+        q = bisection_quantiles(3.0, [0.1, 0.5, 0.5, 0.52, 0.9], RngStream(41, 1), 2000, 1e-10)
+        assert np.all(np.diff(q, axis=1) >= 0.0)
+        np.testing.assert_array_equal(q[:, 1], q[:, 2])
+
+    def test_draw_layout(self, monkeypatch):
+        """One beta call per level, shape a 2^-(k+1), size * len(levels) draws."""
+        calls, sample_beta = [], dp_core.sample_beta
+
+        def recording_beta(alpha, beta, rng, size):
+            calls.append((alpha, beta, size))
+            return sample_beta(alpha, beta, rng, size)
+
+        monkeypatch.setattr(dp_core, "sample_beta", recording_beta)
+        bisection_quantiles(1e4, self.LEVELS, RngStream(41, 3), 7, epsilon=1e-10)
+        assert calls == [(1e4 * 2.0 ** -(k + 1),) * 2 + (21,) for k in range(34)]
+
+    @pytest.mark.parametrize("a, u", [(2.0, 0.3), (10.0, 0.5), (1e3, 0.9)])
+    def test_marginal_law_is_exact(self, a, u):
+        """P(Q(u) <= x) = P(P_a[0, x] >= u), with P_a[0, x] ~ Beta(a x, a(1 - x))."""
+        q = bisection_quantiles(a, [u], RngStream(43, 0), 3000, 1e-10)[:, 0]
+        _, p = scipy.stats.kstest(q, lambda x: scipy.stats.beta.sf(u, a * x, a * (1.0 - x)))
+        assert p > 1e-3
+
+    def test_rejects_bad_arguments(self):
+        rng = RngStream(0, 0)
+        with pytest.raises(ParameterError):
+            bisection_quantiles(0.0, self.LEVELS, rng, 10, 1e-10)
+        for levels in ([0.0, 0.5], [0.5, 1.0], [], [np.nan], [0.5, 0.25], [[0.5]]):
+            with pytest.raises(ArgumentError):
+                bisection_quantiles(1.0, levels, rng, 10, 1e-10)
+        with pytest.raises(ArgumentError):
+            bisection_quantiles(1.0, self.LEVELS, rng, 0, 1e-10)
+        for eps in (0.0, 1.0):
+            with pytest.raises(ArgumentError):
+                bisection_quantiles(1.0, self.LEVELS, rng, 10, epsilon=eps)
 
 
 class TestPosterior:

@@ -36,6 +36,8 @@ class TestConfigValidation:
         params = config.family_params["gc"]
         assert params["a_values"] == [10.0, 100.0, 1000.0, 10000.0]
         assert params["truncation"]["epsilon"] == 1e-10
+        config = validate_config({"schema_version": 1, "experiment": "quantile", "seed": 1})
+        assert config.family_params["quantile"]["a_values"] == [1e4, 1e6, 1e8]
 
     def test_unknown_top_level_field(self):
         with pytest.raises(ConfigError) as err:
@@ -329,6 +331,17 @@ class TestCli:
         monkeypatch.setenv("DPLAB_THREADS", "abc")
         rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
         self._assert_clean_exit_2(capsys, rc, "DPLAB_THREADS")
+
+    def test_quantile_atom_cap_exits_2(self, tmp_path, capsys):
+        """max_atoms has no meaning for bisection quantiles."""
+        cfg = {
+            "schema_version": 1,
+            "experiment": "quantile",
+            "seed": 1,
+            "truncation": {"epsilon": 1e-10, "max_atoms": 1000},
+        }
+        rc = cli_main(["validate", "--config", self._write(tmp_path, cfg)])
+        self._assert_clean_exit_2(capsys, rc, "truncation", "max_atoms")
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bad_thread_count_rejected_before_any_family_runs(self, family, monkeypatch):

@@ -88,6 +88,14 @@ class TestSampleBeta:
         assert np.all(draws >= 0.0) and np.all(draws <= 1.0)
         assert draws.mean() < 0.01
 
+    def test_tiny_shapes_come_out_zero_or_one_without_nan(self):
+        """Beta(1e-10, 1e-10) is Bernoulli(1/2) to within 1e-10: deep
+        bisection cells draw such shares."""
+        draws = sample_beta(1e-10, 1e-10, RngStream(11, 4), size=10_000)
+        assert np.all((draws >= 0.0) & (draws <= 1.0))
+        se = draws.std(ddof=1) / np.sqrt(draws.size)
+        assert abs(draws.mean() - 0.5) <= 5 * se
+
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):
             sample_beta(0.0, 1.0, RngStream(0, 0))

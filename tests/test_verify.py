@@ -13,10 +13,13 @@ from dplab import (
     Grid,
     RngStream,
     TruncationPolicy,
+    bisection_quantiles,
     cvm_deviation,
     density_convergence_study,
     donoho_liu_bounds,
     dp_cdf,
+    dp_core,
+    dp_quantile,
     fidi_normality_check,
     gc_study,
     limit_quantile_cov,
@@ -24,6 +27,7 @@ from dplab import (
     modulus_check,
     posterior_check,
     quantile_limit_study,
+    quantile_sampler_check,
     representation_check,
     sample_fidi,
     stick_breaking_sample,
@@ -305,12 +309,39 @@ class TestQuantileLimitStudy:
         with pytest.raises(ArgumentError):
             quantile_limit_study([10.0], uniform01, [0.0, 0.5], 100, 0)
 
+    def test_rejects_an_atom_cap(self, uniform01):
+        """The truncation's epsilon is the bisection resolution; max_atoms
+        has no meaning for the quantile family."""
+        with pytest.raises(ArgumentError):
+            quantile_limit_study([10.0], uniform01, [0.5], 100, 0,
+                                 trunc=TruncationPolicy(1e-10, max_atoms=1000))
+
+    def test_draw_layout(self, exp1):
+        """Leg l draws all replications from stream (seed, base + l) in one
+        bisection_quantiles call at the levels {u_points, .25, .5, .75}."""
+        seed, base_stream, r = 77, 1000, 400
+        out = quantile_limit_study([100.0, 1e6], exp1, [0.1, 0.5], r, seed,
+                                   trunc=TruncationPolicy(1e-8), base_stream=base_stream)
+        levels = [0.1, 0.25, 0.5, 0.75]
+        for leg, a in enumerate([100.0, 1e6]):
+            q = bisection_quantiles(a, levels, RngStream(seed, base_stream + leg), r, 1e-8)
+            vals = np.sqrt(a) * (exp1.quantile(q) - exp1.quantile(np.array(levels)))
+            tag = f"a={a:g}"
+            assert out.estimates[f"{tag}/qcov[0.1,0.5]"] == mc_cov_se(vals[:, 0], vals[:, 2])
+            assert out.estimates[f"{tag}/iqr_var"] == mc_var_se(vals[:, 3] - vals[:, 1])
+        assert out.seed_info == (seed, (base_stream, base_stream + 1))
+
+    @pytest.mark.parametrize("base", ["uniform01", "exp1"])
+    def test_passes_at_a_1e8(self, base, request):
+        """Far beyond stick-breaking's reach (about 2*10^9 sticks per sample)."""
+        out = quantile_limit_study([1e8], request.getfixturevalue(base), [0.25, 0.5, 0.75],
+                                   2000, 175)
+        assert out.passed
+
     def test_matches_direct_general_base_sampling(self, exp1):
         """Sampling under the uniform base and mapping through the base
         quantile is bitwise the same realization as sampling with the base
         directly, so the study's shortcut is exact."""
-        from dplab import dp_quantile
-
         trunc = TruncationPolicy(1e-10)
         uniform = uniform_base()
         for r in range(5):
@@ -320,6 +351,35 @@ class TestQuantileLimitStudy:
             np.testing.assert_array_equal(direct.weights, via_u.weights)
             for u in (0.25, 0.5, 0.75):
                 assert dp_quantile(direct, u) == exp1.quantile(dp_quantile(via_u, u))
+
+
+class TestQuantileSamplerCrossCheck:
+    """The two exact quantile samplers agree in law: dp_quantile of
+    stick-breaking realizations against bisection_quantiles, by two-sample KS
+    at level 1e-3 per level and on Q(.75) - Q(.25)."""
+
+    R, SEED, KS_LEVEL = 3000, 181, 1e-3
+
+    @pytest.mark.parametrize("a", [10.0, 100.0])
+    def test_samplers_agree(self, a):
+        out = quantile_sampler_check(a, self.R, self.SEED, ks_level=self.KS_LEVEL)
+        assert [c.name for c in out.level_checks] == [
+            "ks_2samp[Q(0.25)]", "ks_2samp[Q(0.5)]", "ks_2samp[Q(0.75)]", "ks_2samp[iqr]"
+        ]
+        assert out.passed, [(c.name, c.p_value) for c in out.level_checks]
+        assert out.seed_info == (self.SEED, (0, self.R))
+
+    @pytest.mark.parametrize("a", [10.0, 100.0])
+    def test_parent_cell_shape_fails(self, a, monkeypatch):
+        """Negative control: every split drawn with its parent cell's shape
+        a 2^-k in place of a 2^-(k+1)."""
+        sample_beta = dp_core.sample_beta
+        monkeypatch.setattr(
+            dp_core, "sample_beta",
+            lambda alpha, beta, rng, size: sample_beta(2.0 * alpha, 2.0 * beta, rng, size),
+        )
+        out = quantile_sampler_check(a, self.R, self.SEED, ks_level=self.KS_LEVEL)
+        assert not any(c.passed for c in out.level_checks)
 
 
 class TestDensityConvergenceStudy:
@@ -424,13 +484,24 @@ def _nominal_false_fail_rate(check) -> float:
 
 
 class TestCalibration:
-    """Over 500 fixed seeds, each comparison and KS check of the four
-    Dirichlet-marginal families fails no more often than its nominal rate
-    allows: at most the count a Binomial(500, rate) exceeds with probability
-    1e-6."""
+    """Over fixed seeds, each comparison and KS check of the Dirichlet-marginal
+    and quantile families fails no more often than its nominal rate allows:
+    at most the count a Binomial(seeds, rate) exceeds with probability 1e-6."""
 
     SEEDS = range(500)
     R = 2000
+
+    @staticmethod
+    def _assert_false_fails_bounded(run, seeds):
+        fails, rates = Counter(), {}
+        for seed in seeds:
+            out = run(seed)
+            for check in [*out.comparisons, *out.level_checks]:
+                rates[check.name] = _nominal_false_fail_rate(check)
+                fails[check.name] += not check.passed
+        for name, rate in rates.items():
+            bound = scipy.stats.binom.isf(1e-6, len(seeds), rate)
+            assert fails[name] <= bound, f"{name}: {fails[name]} fails, bound {bound:g}"
 
     @pytest.mark.parametrize("family", ["moments", "fidi", "modulus", "posterior"])
     def test_false_fail_counts(self, family, uniform01, canonical_cells):
@@ -444,15 +515,14 @@ class TestCalibration:
                 2.0, uniform01, [0.2, 0.4, 0.6], canonical_cells, self.R, seed
             ),
         }[family]
-        fails, rates = Counter(), {}
-        for seed in self.SEEDS:
-            out = run(seed)
-            for check in [*out.comparisons, *out.level_checks]:
-                rates[check.name] = _nominal_false_fail_rate(check)
-                fails[check.name] += not check.passed
-        for name, rate in rates.items():
-            bound = scipy.stats.binom.isf(1e-6, len(self.SEEDS), rate)
-            assert fails[name] <= bound, f"{name}: {fails[name]} fails, bound {bound:g}"
+        self._assert_false_fails_bounded(run, self.SEEDS)
+
+    def test_quantile_false_fail_counts(self, uniform01):
+        """200 seeds at R = 1,000 and a = 10^4."""
+        self._assert_false_fails_bounded(
+            lambda seed: quantile_limit_study([1e4], uniform01, [0.25, 0.5, 0.75], 1000, seed),
+            range(200),
+        )
 
     def test_wrong_variance_target_fails(self, uniform01, monkeypatch):
         """Negative control: variance m(1 - m)/a in place of m(1 - m)/(1 + a)."""
