@@ -207,12 +207,20 @@ class DpSample:
         self.weights = weights
         self.truncation_remainder = rem
         self.concentration = float(self.concentration)
-        self._cum = None
+        self._levels = None
+
+    def cdf_levels(self) -> np.ndarray:
+        """The realization's cdf between atoms: entry k is the total weight of
+        the k smallest atoms, for k = 0..n_atoms (computed once, then cached)."""
+        if self._levels is None:
+            self._levels = np.empty(self.weights.size + 1)
+            self._levels[0] = 0.0
+            np.cumsum(self.weights, out=self._levels[1:])
+        return self._levels
 
     def cumulative_weights(self) -> np.ndarray:
-        if self._cum is None:
-            self._cum = np.cumsum(self.weights)
-        return self._cum
+        """Total weight of the atoms up to and including each atom."""
+        return self.cdf_levels()[1:]
 
     @property
     def n_atoms(self) -> int:
@@ -262,8 +270,10 @@ def stick_breaking_sample(
     pre-sorted and the weight vector is attached through a uniformly random
     permutation.
 
-    Draw order per stream: stick uniforms (in blocks), atom uniforms, pairing
-    permutation.
+    Draw order per stream: stick uniforms (in blocks), atom uniforms, pairing.
+    The pairing is an in-place ``RngStream.shuffle`` of the weights, which
+    consumes the same draws as ``permutation(n)`` and gives the same pairing
+    as indexing by it.
     """
     if not np.isfinite(a) or a <= 0:
         raise ParameterError("concentration a must be positive")
@@ -286,17 +296,20 @@ def stick_breaking_sample(
     count = 0
     stop_total = None
     while True:
+        log_q = rng.uniform(block)
         with np.errstate(divide="ignore"):  # U == 0 has probability 2^-53
-            log_q = np.log(np.atleast_1d(rng.uniform(block)))  # log(1 - V_j)
-        cs = carry + np.cumsum(log_q)
-        hit = np.searchsorted(-cs, -log_target, side="left")
-        if hit < cs.size:
+            np.log(log_q, out=log_q)  # log(1 - V_j)
+        neg_cs = np.cumsum(log_q)
+        neg_cs += carry
+        np.negative(neg_cs, out=neg_cs)  # -log of the mass left, increasing
+        hit = np.searchsorted(neg_cs, -log_target, side="left")
+        if hit < neg_cs.size:
             log_stick_chunks.append(log_q[: hit + 1])
             stop_total = count + hit + 1
             break
         log_stick_chunks.append(log_q)
         count += log_q.size
-        carry = cs[-1]
+        carry = -neg_cs[-1]
         if cap is not None and count >= cap:
             stop_total = cap
             break
@@ -304,20 +317,28 @@ def stick_breaking_sample(
         if cap is not None:
             block = min(block, cap - count)
 
-    log_q = np.concatenate(log_stick_chunks)[:stop_total]
-    if cap is not None and log_q.size > cap:
-        log_q = log_q[:cap]
-    n = log_q.size
     # remaining mass after each stick; weights telescope: w_j = R_{j-1} - R_j
-    remaining = np.exp(np.cumsum(log_q) / a)
-    weights = np.empty(n)
+    if len(log_stick_chunks) == 1:
+        # One block: its cumsum is already the log of the mass left.
+        log_q = log_stick_chunks[0][:stop_total]
+        remaining = neg_cs[: log_q.size]
+        np.divide(remaining, -a, out=remaining)
+    else:
+        log_q = np.concatenate(log_stick_chunks)[:stop_total]
+        remaining = np.cumsum(log_q)
+        remaining /= a
+    np.exp(remaining, out=remaining)
+    n = log_q.size
+    weights = log_q  # the stick logs are spent; reuse their buffer
     weights[0] = 1.0 - remaining[0]
     np.subtract(remaining[:-1], remaining[1:], out=weights[1:])
     remainder = float(remaining[-1])
 
-    atoms_u = np.sort(np.atleast_1d(rng.uniform(n)))
-    atoms = np.asarray(base.quantile(np.clip(atoms_u, _U_LO, _U_HI)), dtype=float)
-    weights = weights[rng.permutation(n)]
+    atoms = rng.uniform(n)
+    atoms.sort()
+    np.clip(atoms, _U_LO, _U_HI, out=atoms)
+    atoms = np.asarray(base.quantile(atoms), dtype=float)
+    rng.shuffle(weights)
     if weights.min() <= 0.0:
         keep = weights > 0.0
         atoms, weights = atoms[keep], weights[keep]
@@ -330,10 +351,8 @@ def dp_cdf(sample: DpSample, t):
     The truncation remainder is excluded, a documented downward bias of at
     most the policy's epsilon; this keeps the cdf monotone.
     """
-    cum = sample.cumulative_weights()
     idx = np.searchsorted(sample.atoms, t, side="right")
-    padded = np.concatenate(([0.0], cum))
-    out = padded[idx]
+    out = sample.cdf_levels()[idx]
     return float(out) if np.isscalar(t) else out
 
 

@@ -56,9 +56,19 @@ class RngStream:
         """Standard normal draw(s)."""
         return self._gen.standard_normal(size=size)
 
+    # No dplab code calls this; it stays because bench/tracing.py patches it
+    # by name.
     def permutation(self, n: int) -> np.ndarray:
         """A uniformly random permutation of ``range(n)``."""
         return self._gen.permutation(n)
+
+    def shuffle(self, x: np.ndarray) -> None:
+        """Shuffle ``x`` in place along its first axis.
+
+        Consumes the same draws as ``permutation(len(x))`` and leaves ``x``
+        equal to ``x[permutation(len(x))]`` on a twin stream.
+        """
+        self._gen.shuffle(x)
 
 
 def _check_positive(name: str, value: float) -> float:

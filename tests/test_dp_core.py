@@ -1,5 +1,7 @@
 """Core representations: base measures, realizations, conjugacy, moments."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -194,6 +196,90 @@ class TestStickBreaking:
     def test_invalid_concentration(self, uniform01):
         with pytest.raises(ParameterError):
             stick_breaking_sample(0.0, uniform01, TruncationPolicy(), RngStream(0, 0))
+
+
+# sha256 of (atoms, weights, truncation remainder, the stream's next uniform)
+# of stick_breaking_sample(a, base, policy, RngStream(505, 0)), as little-endian
+# float64, recorded from the implementation that paired weights with atoms by
+# weights[permutation(n)].  Any change to the draw layout or to the arithmetic
+# changes them.
+_STICK_POLICIES = {
+    "eps": TruncationPolicy(1e-10),
+    "eps_cap50": TruncationPolicy(1e-10, max_atoms=50),
+    "cap3000": TruncationPolicy(0.0, max_atoms=3000),  # many 256-stick blocks
+}
+_STICK_BASES = {"uniform": uniform_base, "exponential": exponential_base, "normal": normal_base}
+_STICK_DIGESTS = {
+    ("uniform", 0.5, "eps"): "ee471dc6432e16fc16d077cd7fe7d37c10040be9cf7a4e40b0f001bd06949b4e",
+    ("uniform", 0.5, "eps_cap50"): "406a97c4474a2f2d89b0618108d23c1a40834366e819595681dec60319e197cf",
+    ("uniform", 0.5, "cap3000"): "d187fa9daf9305b99a271040fbb841d9aab29dc7778522d0cd6feb579069e8ed",
+    ("uniform", 10.0, "eps"): "e7e36597580fecd0244362468270c01b6b6fc8b24e3ad4bf7aa9253d3a7b7e3d",
+    ("uniform", 10.0, "eps_cap50"): "70081da265bf259a304bc698c0627080dec544c7e52ed92d652a2760c8095d08",
+    ("uniform", 10.0, "cap3000"): "3d9519a548ddfd3402164e547bf15cf408ec9b664a57e6139f89d354f196ee13",
+    ("uniform", 100.0, "eps"): "ebd081975d585edae03181d39ca08346085d2b93f6398c239ec52b84195e7cc2",
+    ("uniform", 100.0, "eps_cap50"): "75d482d28b99d70ef2eef029da7324b992b6680239d81b8e18adff250a11471d",
+    ("uniform", 100.0, "cap3000"): "33c047aee45f48de55f3965850a8ea401338c85e257421c27b5e1547a60b8f92",
+    ("uniform", 10000.0, "eps"): "baa85b1a7d59ef5097e8f90d09294ad92525352ced37a771bc5bc776c41e6727",
+    ("uniform", 10000.0, "eps_cap50"): "41f3f76e131de69846778f5685fc645e04a09a737855572ffc85b6da38ad9410",
+    ("uniform", 10000.0, "cap3000"): "aaa534e97dff228fe37131036871721f241c94d7ec17226220ee0881d555b9ed",
+    ("exponential", 0.5, "eps"): "42318ee3b58c12490b00e16e7590d57c5c713b4ac86d11ce2fbd353e10ea266a",
+    ("exponential", 0.5, "eps_cap50"): "15c6cf2ecd7c5ac1cbddeb3c61a5be09be88606b4f42d370fd5652ad3572eb67",
+    ("exponential", 0.5, "cap3000"): "ded2dc9a745b176100ab07ed1949553b28199043071c3d22a63eb95d4063ebe0",
+    ("exponential", 10.0, "eps"): "f812d07bbdd9e365ee1e26fe7fe8d8329d9675ef7eb7e68ff0a993f9147b0a5a",
+    ("exponential", 10.0, "eps_cap50"): "c67fa34233d52652de14fd5f80e841dcd5192ccc6c3219d36d614b8875694d15",
+    ("exponential", 10.0, "cap3000"): "0f5cb1edba80e0359eae99067ee6ca0719e037e6cbf4205d71330a8093d305d2",
+    ("exponential", 100.0, "eps"): "57c7bd2fce12a3d2bc766850a4690102d3381b894d26b526005ce735602a71bb",
+    ("exponential", 100.0, "eps_cap50"): "c448db50b8b389ca1f4c96e91faade3cfc5dc311bc06c3266b05c6c537f325b3",
+    ("exponential", 100.0, "cap3000"): "e010593ed2037f45de7aae73878c45917c9c09e14305ae8d5f0f10b37ea75ad2",
+    ("exponential", 10000.0, "eps"): "159914e1b70d06970858cb9b34444b12fd2101457cd98fc534af15812e078d31",
+    ("exponential", 10000.0, "eps_cap50"): "4a6f7a4efa4de68d88ca258384b0405d6f4062aaf184e488654b42e67dde3d90",
+    ("exponential", 10000.0, "cap3000"): "cd3d7be47fa1eab0f5ce0c480d028072c897225bf68e4ff60a11dc3e4cb5c238",
+    ("normal", 0.5, "eps"): "2f9fca74364cd4353bee064de4f7b44731fe23372cdcdd35f181eb0ceeec9873",
+    ("normal", 0.5, "eps_cap50"): "9a1e98223f169c8701fbc56b4e974d0ab3517a7bd3615dba18b2902d0e0a2b72",
+    ("normal", 0.5, "cap3000"): "92b6bc54aad8027567c8c10d93300fba25121230ab0022bcee072c6d69ff257b",
+    ("normal", 10.0, "eps"): "f67d26c452812822c706ee5ced07f316ed05abe7414fe51f9f8716a46ea3974e",
+    ("normal", 10.0, "eps_cap50"): "8c49b398dfb52d761eb045f56715a90b79dcb7aa6152b6b9aa89dbf0714ede12",
+    ("normal", 10.0, "cap3000"): "cffe5e24a8e55c8090ed34feaa2c90a97b6efa227f8a781bceaf3afeed9b9197",
+    ("normal", 100.0, "eps"): "9b9ac7fcdf727d1e9d725284ac45aea21d60e29cb97ecc4ee897b0b2436b82c8",
+    ("normal", 100.0, "eps_cap50"): "918383c47016517f9cae5016de30a8ff827f9dca6c8abed727e410e8c2769fc3",
+    ("normal", 100.0, "cap3000"): "3fc3d27618fd5b89999709b478d7998345d23b9efe496bc62609918499dfc509",
+    ("normal", 10000.0, "eps"): "4a823cffe9d2bead00f94ca633dcff2e0518f574a921a44c74bf0cff8bf969f3",
+    ("normal", 10000.0, "eps_cap50"): "8135555868d93ccbf88090afae008774f40bd9f248c649582bf49f6900d735f8",
+    ("normal", 10000.0, "cap3000"): "146ea7d5acc4c55c14ecb5d2b36e7b121efaa025a1f277e57cd1e7c2875beb01",
+}
+# RngStream(7, 655) is the first stream of seed 7 whose first block of sticks
+# at a = 100, epsilon 1e-10 leaves more than epsilon, so it draws a second.
+_TWO_BLOCK_DIGEST = "21291d70e0e971e4aea096a11240c6bee82da73629382dc0ed1a3cd1b78c22e6"
+
+
+def _stick_digest(a, base, policy, rng):
+    s = stick_breaking_sample(a, base, policy, rng)
+    h = hashlib.sha256()
+    for part in (s.atoms, s.weights, [s.truncation_remainder], [rng.uniform()]):
+        h.update(np.asarray(part, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestStickBreakingDrawLayout:
+    @pytest.mark.parametrize("key", list(_STICK_DIGESTS), ids=lambda k: "-".join(map(str, k)))
+    def test_realization_is_bit_identical(self, key):
+        base, a, policy = key
+        rng = RngStream(505, 0)
+        digest = _stick_digest(a, _STICK_BASES[base](), _STICK_POLICIES[policy], rng)
+        assert digest == _STICK_DIGESTS[key]
+
+    def test_second_block_is_bit_identical(self, uniform01):
+        rng = RngStream(7, 655)
+        sizes = []
+        draw = rng.uniform
+
+        def counted(n=None):
+            sizes.append(n)
+            return draw(n)
+
+        rng.uniform = counted
+        assert _stick_digest(100.0, uniform01, TruncationPolicy(1e-10), rng) == _TWO_BLOCK_DIGEST
+        assert len(sizes) == 4  # two stick blocks, the atoms, the digest's draw
 
 
 class TestDpSampleValidation:

@@ -25,6 +25,17 @@ class TestRngStream:
         b = sample_dirichlet(params, RngStream(5, 3), size=5000)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n", [1, 2, 1000, 70_000])
+    def test_shuffle_is_the_permutation_gather(self, n):
+        x = RngStream(8, 1).uniform(n)
+        expected = x[RngStream(8, 2).permutation(n)]
+        twin = RngStream(8, 2)
+        twin.shuffle(x)
+        assert np.array_equal(x, expected)
+        reference = RngStream(8, 2)
+        reference.permutation(n)
+        assert twin.uniform() == reference.uniform()
+
     def test_invalid_coordinates(self):
         with pytest.raises(ParameterError):
             RngStream(1.5, 0)

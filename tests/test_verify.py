@@ -1,11 +1,16 @@
 """Monte Carlo verification layer: oracles, pass-flag semantics, studies."""
 
+import threading
+import time
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dplab import (
     ArgumentError,
@@ -81,6 +86,33 @@ class TestReplicationEngine:
         a = map_replications(rep, 200, 7, 0, threads=1)
         b = map_replications(rep, 200, 7, 0, threads=4)
         assert np.array_equal(a, b)
+
+    def test_slow_replications_fan_out_without_changing_results(self):
+        ran_on = set()
+
+        def rep(rng):
+            ran_on.add(threading.get_ident())
+            time.sleep(0.002)  # above MIN_PARALLEL_REP_SECONDS
+            return rng.uniform(3)
+
+        fanned = map_replications(rep, 12, 7, 0, threads=2)
+        workers = ran_on - {threading.get_ident()}
+        assert len(workers) >= 2
+        assert np.array_equal(fanned, map_replications(rep, 12, 7, 0, threads=1))
+
+    def test_fast_replications_stay_on_the_calling_thread(self):
+        ran_on = set()
+
+        def rep(rng):
+            ran_on.add(threading.get_ident())
+            return rng.uniform(3)
+
+        map_replications(rep, 200, 7, 0, threads=4)
+        assert ran_on == {threading.get_ident()}
+
+    def test_gc_study_is_thread_count_free(self, uniform01):
+        curves = [gc_study([100.0, 1000.0], uniform01, 6, 64, 17, threads=t) for t in (1, 2)]
+        assert curves[0].to_json() == curves[1].to_json()
 
     def test_variance_se_estimator(self):
         x = RngStream(1, 0).normal(50_000)
@@ -169,11 +201,48 @@ def _brute_force_sup(sample, base):
     return np.max(np.abs(dp_cdf(sample, xs) - np.asarray(base.cdf(xs))))
 
 
+def _exact_deviation(atoms, weights, grid):
+    """(sup, cvm, grid sup) of F - x on [0, 1] in rational arithmetic, from
+    the raw atoms and weights; F(t) is the weight of the atoms <= t."""
+    pairs = [(Fraction(t), Fraction(w)) for t, w in zip(atoms, weights)]
+
+    def cdf(t, strict=False):
+        return sum((w for x, w in pairs if (x < t if strict else x <= t)), Fraction(0))
+
+    one = Fraction(1)
+    candidates = [abs(cdf(x) - x) for x, _ in pairs] + [abs(cdf(x, True) - x) for x, _ in pairs]
+    candidates += [cdf(Fraction(0)), one - cdf(one)]
+    cuts = sorted({Fraction(0), one, *(x for x, _ in pairs)})
+    cvm = sum(
+        ((cdf(lo) - lo) ** 3 - (cdf(lo) - hi) ** 3) / 3 for lo, hi in zip(cuts, cuts[1:])
+    )
+    grid_sup = max(abs(cdf(Fraction(g)) - Fraction(g)) for g in grid)
+    return float(max(candidates)), float(cvm), float(grid_sup)
+
+
+_unit_atoms = st.one_of(st.sampled_from([0.0, 0.125, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+
+
 class TestExactDeviationStats:
     def test_single_atom_values(self, uniform01):
         s = make_sample([0.5], [1.0])
         assert sup_deviation(s, uniform01) == pytest.approx(0.5)
         assert cvm_deviation(s, uniform01) == pytest.approx(1.0 / 12.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(_unit_atoms, st.floats(1e-3, 1.0)), min_size=1, max_size=30),
+        st.one_of(st.just(0.0), st.floats(1e-12, 0.5)),
+    )
+    def test_matches_exact_brute_force(self, pairs, remainder):
+        atoms = np.array([t for t, _ in pairs])
+        weights = np.array([w for _, w in pairs])
+        weights *= (1.0 - remainder) / weights.sum()
+        grid = np.linspace(0.0, 1.0, 17)
+        s = make_sample(atoms, weights, remainder)
+        got = verify._deviation_stats(s, uniform_base(), grid)
+        want = _exact_deviation(atoms, weights, grid)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_sup_against_brute_force(self, uniform01):
         for r in range(25):
