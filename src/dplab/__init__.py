@@ -62,8 +62,6 @@ from .rvgen import (
 )
 from .verify import (
     Comparison,
-    DensityTable,
-    GcCurve,
     LevelCheck,
     McSummary,
     cvm_deviation,

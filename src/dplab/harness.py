@@ -31,14 +31,7 @@ from .dp_core import (
     uniform_base,
 )
 from .errors import ConfigError, DplabError
-from .processes import (
-    BivariateGaussianSpec,
-    Grid,
-    QuadratureSpec,
-    TvEstimate,
-    bivariate_density_integral,
-    limit_bivariate_density,
-)
+from .processes import BivariateGaussianSpec, Grid, QuadratureSpec, bivariate_density_integral
 
 SCHEMA_VERSION = 1
 
@@ -48,13 +41,16 @@ FAMILIES = ("moments", "fidi", "modulus", "gc", "quantile", "density", "posterio
 FAMILY_STREAM_BASE = {name: i << 40 for i, name in enumerate(FAMILIES)}
 
 # A family's built run: (master seed, stream base, worker threads) -> result.
-Call = Callable[[int, int, int], object]
+Call = Callable[[int, int, int], verify.McSummary]
 
-_DEFAULT_TOLERANCES = {
-    "mean": verify.DEFAULT_MEAN_TOL,
-    "moment": verify.DEFAULT_MOMENT_TOL,
-    "variance": verify.DEFAULT_VARIANCE_TOL,
-    "ks_level": verify.DEFAULT_KS_LEVEL,
+# The tolerances each family reads, with their defaults: all that its
+# tolerance_overrides may set.  gc and density read none and take none.
+_FAMILY_TOLERANCES = {
+    "moments": {"mean": verify.DEFAULT_MEAN_TOL, "moment": verify.DEFAULT_MOMENT_TOL},
+    "fidi": {"moment": verify.DEFAULT_MOMENT_TOL, "ks_level": verify.DEFAULT_KS_LEVEL},
+    "modulus": {"moment": verify.DEFAULT_MOMENT_TOL},
+    "quantile": {"variance": verify.DEFAULT_VARIANCE_TOL, "ks_level": verify.DEFAULT_KS_LEVEL},
+    "posterior": {"moment": verify.DEFAULT_MOMENT_TOL},
 }
 
 _THIRD = 1.0 / 3.0
@@ -105,7 +101,10 @@ _FAMILY_DEFAULTS: dict[str, dict] = {
     },
 }
 
-_FAMILY_KEYS = {name: {*params, "tolerance_overrides"} for name, params in _FAMILY_DEFAULTS.items()}
+_FAMILY_KEYS = {
+    name: {*params, *(["tolerance_overrides"] if name in _FAMILY_TOLERANCES else [])}
+    for name, params in _FAMILY_DEFAULTS.items()
+}
 _TOP_KEYS = {"schema_version", "experiment", "seed", "output_dir", "families"}
 
 
@@ -184,7 +183,8 @@ def _validate_family(family: str, raw: dict, path: str, config_dir: Path | None)
     allowed = _FAMILY_KEYS[family]
     _check_keys(raw, allowed, path)
     params = json.loads(json.dumps(_FAMILY_DEFAULTS[family]))  # deep copy
-    params["tolerance_overrides"] = dict(_DEFAULT_TOLERANCES)
+    if family in _FAMILY_TOLERANCES:
+        params["tolerance_overrides"] = dict(_FAMILY_TOLERANCES[family])
 
     def sub(key: str) -> str:
         return f"{path}.{key}" if path else key
@@ -247,7 +247,7 @@ def _validate_family(family: str, raw: dict, path: str, config_dir: Path | None)
         elif key == "tolerance_overrides":
             if not isinstance(value, dict):
                 _fail(sub(key), "expected an object")
-            _check_keys(value, set(_DEFAULT_TOLERANCES), sub(key))
+            _check_keys(value, set(params[key]), sub(key))
             for k, v in value.items():
                 v = _as_number(v, f"{sub(key)}.{k}")
                 if v <= 0:
@@ -430,16 +430,14 @@ def _quantile(p: dict, sub, config_dir) -> Call:
 def _density(p: dict, sub, config_dir) -> Call:
     d, a_values = p["density"], p["a_values"]
     _make(sub("a_values"), verify.check_a_values, a_values)
-    spec = _make(sub("density"), BivariateGaussianSpec.from_cell_measures, d["l1"], d["l2"])
+    _make(sub("density"), BivariateGaussianSpec.from_cell_measures, d["l1"], d["l2"])
     grid = _make(sub("density"), Grid, np.linspace(d["grid_lo"], d["grid_hi"], d["grid_points"]))
     quad = _make(sub("quadrature"), QuadratureSpec, **p["quadrature"])
 
-    def run(seed: int, stream: int, threads: int) -> DensityFamilyResult:
-        table = verify.density_convergence_study(d["l1"], d["l2"], a_values, grid, quad)
-        integrals = {
-            f"a={a:g}": bivariate_density_integral(d["l1"], d["l2"], a, quad) for a in a_values
-        }
-        return DensityFamilyResult(table, float(limit_bivariate_density(0.0, 0.0, spec)), integrals)
+    def run(seed: int, stream: int, threads: int) -> verify.McSummary:
+        # Computed here, where bench/tracing.py times them as their own layer.
+        integrals = [bivariate_density_integral(d["l1"], d["l2"], a, quad) for a in a_values]
+        return verify.density_convergence_study(d["l1"], d["l2"], a_values, grid, integrals, quad)
 
     return run
 
@@ -472,68 +470,13 @@ _FAMILY_BUILDERS: dict[str, Callable[..., Call]] = {
 
 
 @dataclass(eq=False)
-class DensityFamilyResult:
-    """Density-convergence table plus the record-keeping extras: the limit
-    density at the origin and the quadrature of the exact density per a.
-
-    Passes when the table does, every density integral is within 1e-3 of
-    one, and every quadrature met its tolerance."""
-
-    table: verify.DensityTable
-    limit_at_origin: float
-    integrals: dict[str, TvEstimate]
-
-    def quadrature_converged(self) -> dict[str, bool]:
-        """Per TV and integral quadrature: did it meet ``tol`` before ``n_max``."""
-        out = {f"tv[a={r.a:g}]": r.converged for r in self.table.rows}
-        out.update({f"integral[{tag}]": est.converged for tag, est in self.integrals.items()})
-        return out
-
-    @property
-    def passed(self) -> bool:
-        ok = all(abs(est.value - 1.0) <= 1e-3 for est in self.integrals.values())
-        return self.table.passed and ok and all(self.quadrature_converged().values())
-
-    def csv_tables(self) -> dict[str, verify.Table]:
-        """The gap table, one row per concentration, and the summary."""
-        rows = [
-            ["limit_density_at_origin", self.limit_at_origin],
-            ["gap_nonincreasing", self.table.gap_nonincreasing],
-            ["tv_nonincreasing", self.table.tv_nonincreasing],
-        ]
-        rows += [[f"integral[{tag}]", est.value] for tag, est in self.integrals.items()]
-        rows.append(["passed", self.passed])
-        return {
-            "gap": (
-                ["a", "max_gap", "tv_distance", "quad_error"],
-                [[r.a, r.max_gap, r.tv_distance, r.quad_error] for r in self.table.rows],
-            ),
-            "summary": (["name", "value"], rows),
-        }
-
-    def to_json(self) -> dict:
-        return {
-            "type": "density_table",
-            "rows": [
-                {"a": r.a, "max_gap": r.max_gap, "tv_distance": r.tv_distance,
-                 "quad_error": r.quad_error}
-                for r in self.table.rows
-            ],
-            "gap_nonincreasing": self.table.gap_nonincreasing,
-            "tv_nonincreasing": self.table.tv_nonincreasing,
-            "limit_density_at_origin": self.limit_at_origin,
-            "integrals": {tag: [est.value, est.quad_error] for tag, est in self.integrals.items()},
-            "quadrature_converged": self.quadrature_converged(),
-        }
-
-
-@dataclass(eq=False)
 class RunReport:
-    """Everything one run produced, ready for emission; each result carries
-    its verdict (``passed``), ``csv_tables()`` and ``to_json()``."""
+    """Everything one run produced, ready for emission: one
+    ``verify.McSummary`` per family, which carries its verdict (``passed``),
+    ``csv_tables()`` and ``to_json()``."""
 
     config_echo: dict
-    results: dict[str, object]
+    results: dict[str, verify.McSummary]
     family_passed: dict[str, bool]
     overall_pass: bool
     wall_clock_seconds: float

@@ -4,11 +4,14 @@ Every check simulates Dirichlet-process functionals from counter-based
 streams, then compares estimates against closed-form targets.  Checks on
 Dirichlet marginals and on quantiles draw all replications of a leg in one
 vectorised call from stream base + leg; stick-breaking checks give
-replication r of leg l its own stream, base + l*R + r.  A comparison passes
+replication r of leg l its own stream, base + l*R + r.  Every check returns
+an ``McSummary`` whose verdict is a list of named checks: a comparison passes
 when the estimate sits within a stated multiple of its Monte Carlo standard
-error; distributional checks use a Kolmogorov-Smirnov statistic at a stated
-level.  Stick-breaking replication loops are data-parallel and reduce in
-fixed index order, so results are independent of thread count.
+error (an exact rule, such as a count that must be zero, is a comparison at
+zero standard error); a distributional check passes when its
+Kolmogorov-Smirnov p-value exceeds a stated level.  The summary passes when
+every check does.  Stick-breaking replication loops are data-parallel and
+reduce in fixed index order, so results are independent of thread count.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from itertools import combinations
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.stats
@@ -38,12 +42,13 @@ from .dp_core import (
     uniform_base,
     validate_partition,
 )
-from .errors import ArgumentError, ConfigError, DplabError, ParameterError
+from .errors import ArgumentError, ConfigError, DplabError
 from .processes import bb_cov, limit_quantile_cov
 from .processes import (
     QuadratureSpec,
     BivariateGaussianSpec,
     Grid,
+    TvEstimate,
     limit_bivariate_density,
     scaled_bivariate_density,
     tv_distance_bivariate,
@@ -62,8 +67,12 @@ DEFAULT_KS_LEVEL = 0.01
 MIN_MOMENT_REPLICATIONS = 1000
 MIN_GC_A_VALUES = 2
 
-# Acceptance window for the fitted sup-norm decay rate of a GcCurve.
+# Acceptance window for gc_study's fitted log-log decay rate of the sup-norm.
 GC_RATE_WINDOW = (-0.6, -0.4)
+
+# How far a density_convergence_study gap column may rise from one
+# concentration to the next, and the exact density's integral sit from one.
+DENSITY_SLACK = 1e-3
 
 # Shortest first replication for which map_replications fans out.  Shorter
 # ones hold the GIL between numpy calls and run slower on two threads than on
@@ -135,23 +144,28 @@ class McSummary:
 
     ``estimates`` maps a name to (value, standard_error); ``comparisons`` and
     ``level_checks`` carry the pass/fail verdicts; ``seed_info`` records the
-    master seed and the inclusive stream-index range consumed.  A
-    stick-breaking replication can be reproduced alone from its stream; a
-    Dirichlet-marginal leg only whole, from its one stream.
+    master seed and the inclusive stream-index range consumed (None when the
+    experiment draws nothing).  A stick-breaking replication can be
+    reproduced alone from its stream; a Dirichlet-marginal leg only whole,
+    from its one stream.  ``tables`` holds CSV tables written besides the
+    summary, and ``details`` extra JSON entries.
     """
 
     replications: int
     estimates: dict[str, tuple[float, float]]
     comparisons: list[Comparison]
     level_checks: list[LevelCheck] = field(default_factory=list)
-    seed_info: tuple[int, tuple[int, int]] = (0, (0, 0))
+    seed_info: tuple[int, tuple[int, int]] | None = None
+    tables: dict[str, Table] = field(default_factory=dict)
+    details: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in [*self.comparisons, *self.level_checks])
 
     def csv_tables(self) -> dict[str, Table]:
-        """One row per estimate, comparison and level check."""
+        """The extra tables, then the summary: one row per estimate,
+        comparison and level check."""
         rows = [
             ["estimate", name, value, se, None, None, None, None]
             for name, (value, se) in self.estimates.items()
@@ -165,15 +179,16 @@ class McSummary:
             ["level_check", c.name, c.statistic, None, c.level, None, None, c.passed]
             for c in self.level_checks
         ]
-        return {"summary": (_SUMMARY_HEADER, rows)}
+        return {**self.tables, "summary": (_SUMMARY_HEADER, rows)}
 
     def to_json(self) -> dict:
+        seed_info = self.seed_info and {
+            "master_seed": self.seed_info[0], "stream_range": list(self.seed_info[1])
+        }
         return {
             "type": "mc_summary",
             "replications": self.replications,
-            "seed_info": {
-                "master_seed": self.seed_info[0], "stream_range": list(self.seed_info[1])
-            },
+            "seed_info": seed_info,
             "estimates": {k: [v, se] for k, (v, se) in self.estimates.items()},
             "comparisons": [
                 {"name": c.name, "estimate": c.estimate, "se": c.standard_error, "target": c.target,
@@ -186,97 +201,8 @@ class McSummary:
                 for c in self.level_checks
             ],
             "pass": self.passed,
+            **self.details,
         }
-
-
-@dataclass(eq=False)
-class GcCurve:
-    """Uniform-distance decay across concentrations: the mean sup-norm and
-    mean squared-deviation integral per concentration, plus the fitted
-    log-log decay rate of the sup-norm.
-
-    Passes when the mean sup-norm strictly decreases, the rate lies inside
-    GC_RATE_WINDOW, and the cubic deviation bound held on every sample.
-    """
-
-    a_values: np.ndarray
-    mean_sup: np.ndarray
-    se_sup: np.ndarray
-    mean_cvm: np.ndarray
-    se_cvm: np.ndarray
-    fitted_rate: float
-    dl_checked: int = 0
-    dl_violations: int = 0
-
-    # The per-concentration vectors, in artifact column order.
-    _COLUMNS = ("a_values", "mean_sup", "se_sup", "mean_cvm", "se_cvm")
-
-    def __post_init__(self):
-        if len({len(getattr(self, c)) for c in self._COLUMNS}) != 1:
-            raise ParameterError("curve vectors must share one length")
-        if np.any(self.mean_sup < 0.0) or np.any(self.mean_sup > 1.0):
-            raise ParameterError("mean sup-norms must lie in [0, 1]")
-
-    @property
-    def passed(self) -> bool:
-        decreasing = bool(np.all(np.diff(self.mean_sup) < 0.0))
-        rate_ok = GC_RATE_WINDOW[0] <= self.fitted_rate <= GC_RATE_WINDOW[1]
-        return decreasing and rate_ok and self.dl_violations == 0
-
-    def csv_tables(self) -> dict[str, Table]:
-        """The curve, one row per concentration, and the summary."""
-        curve = zip(*(getattr(self, c) for c in self._COLUMNS))
-        summary = [
-            ["fitted_rate", self.fitted_rate],
-            ["dl_checked", self.dl_checked],
-            ["dl_violations", self.dl_violations],
-            ["passed", self.passed],
-        ]
-        return {
-            "curve": (["a", *self._COLUMNS[1:]], [list(row) for row in curve]),
-            "summary": (["name", "value"], summary),
-        }
-
-    def to_json(self) -> dict:
-        return {
-            "type": "gc_curve",
-            **{c: getattr(self, c).tolist() for c in self._COLUMNS},
-            "fitted_rate": self.fitted_rate,
-            "dl_checked": self.dl_checked,
-            "dl_violations": self.dl_violations,
-        }
-
-
-@dataclass(frozen=True)
-class DensityRow:
-    """One concentration's gaps; ``converged`` tells whether the TV
-    quadrature met its tolerance."""
-
-    a: float
-    max_gap: float
-    tv_distance: float
-    quad_error: float
-    converged: bool
-
-
-@dataclass(eq=False)
-class DensityTable:
-    """Pointwise and total-variation gaps between the exact scaled bivariate
-    density and its Gaussian limit, per concentration."""
-
-    rows: list[DensityRow]
-    gap_nonincreasing: bool
-    tv_nonincreasing: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.gap_nonincreasing and self.tv_nonincreasing
-
-
-class DlBound(NamedTuple):
-    lhs: float
-    rhs: float
-    holds: bool
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +339,13 @@ def mc_cov_se(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return cov, se
 
 
+def _compare(estimates, comparisons, name, estimate, target, tol, one_sided=False) -> None:
+    """Record ``estimate``, a (value, standard error) pair, under ``name`` and
+    compare it with ``target`` at ``tol`` standard errors."""
+    estimates[name] = estimate
+    comparisons.append(Comparison.build(name, *estimate, target, tol, one_sided))
+
+
 def ks_normal_check(name: str, sample: np.ndarray, level: float = DEFAULT_KS_LEVEL) -> LevelCheck:
     stat, p = scipy.stats.kstest(np.asarray(sample, dtype=float), "norm")
     return LevelCheck.build(name, stat, p, level)
@@ -465,6 +398,29 @@ def dp_set_mass(sample: DpSample, s: BorelSet) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _moment_checks(
+    a: float, base: BaseMeasure, sets: Sequence[BorelSet], vals: np.ndarray, prefix: str,
+    mean_tol: float, moment_tol: float,
+) -> tuple[dict[str, tuple[float, float]], list[Comparison]]:
+    """Estimates and comparisons of the mean and variance of each column of
+    ``vals`` (replications of the masses P_a gives ``sets``) and of each
+    pairwise cross-moment, against their closed forms; names carry
+    ``prefix``."""
+    estimates: dict[str, tuple[float, float]] = {}
+    comparisons: list[Comparison] = []
+    for i, s in enumerate(sets):
+        m, v = dp_moments(a, base, s)
+        col = vals[:, i]
+        _compare(estimates, comparisons, f"{prefix}mean[S{i + 1}]", mc_mean_se(col), m, mean_tol)
+        _compare(estimates, comparisons, f"{prefix}var[S{i + 1}]", mc_var_se(col), v, moment_tol)
+    for i, j in combinations(range(len(sets)), 2):
+        name = f"{prefix}cross[S{i + 1},S{j + 1}]"
+        cross = mc_mean_se(vals[:, i] * vals[:, j])
+        target = dp_cross_moment(a, base, sets[i], sets[j])
+        _compare(estimates, comparisons, name, cross, target, moment_tol)
+    return estimates, comparisons
+
+
 def moment_check(
     a: float,
     base: BaseMeasure,
@@ -484,25 +440,9 @@ def moment_check(
     measures = np.array([base.measure(c) for c in cells])
     validate_partition(cells, measures)
     draws = sample_fidi(a, measures, RngStream(seed, base_stream), size=replications)
-    vals = draws @ member.T.astype(float)
-
-    estimates: dict[str, tuple[float, float]] = {}
-    comparisons: list[Comparison] = []
-    for i, s in enumerate(sets):
-        mean, mean_se = mc_mean_se(vals[:, i])
-        var, var_se = mc_var_se(vals[:, i])
-        m, v = dp_moments(a, base, s)
-        estimates[f"mean[S{i + 1}]"] = (mean, mean_se)
-        estimates[f"var[S{i + 1}]"] = (var, var_se)
-        comparisons.append(Comparison.build(f"mean[S{i + 1}]", mean, mean_se, m, mean_tol))
-        comparisons.append(Comparison.build(f"var[S{i + 1}]", var, var_se, v, moment_tol))
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            cross, cross_se = mc_mean_se(vals[:, i] * vals[:, j])
-            target = dp_cross_moment(a, base, sets[i], sets[j])
-            name = f"cross[S{i + 1},S{j + 1}]"
-            estimates[name] = (cross, cross_se)
-            comparisons.append(Comparison.build(name, cross, cross_se, target, moment_tol))
+    estimates, comparisons = _moment_checks(
+        a, base, sets, draws @ member.T.astype(float), "", mean_tol, moment_tol
+    )
     return McSummary(
         replications,
         estimates,
@@ -582,19 +522,12 @@ def fidi_normality_check(
     comparisons: list[Comparison] = []
     level_checks: list[LevelCheck] = []
     for i in range(len(sets)):
-        mean, mean_se = mc_mean_se(vals[:, i])
-        estimates[f"mean[S{i + 1}]"] = (mean, mean_se)
-        comparisons.append(Comparison.build(f"mean[S{i + 1}]", mean, mean_se, 0.0, tol))
+        _compare(estimates, comparisons, f"mean[S{i + 1}]", mc_mean_se(vals[:, i]), 0.0, tol)
     for i in range(len(sets)):
         for j in range(i, len(sets)):
+            est = mc_var_se(vals[:, i]) if i == j else mc_cov_se(vals[:, i], vals[:, j])
             target = bb_cov(sets[i], sets[j], lam)
-            if i == j:
-                est, se = mc_var_se(vals[:, i])
-            else:
-                est, se = mc_cov_se(vals[:, i], vals[:, j])
-            name = f"cov[S{i + 1},S{j + 1}]"
-            estimates[name] = (est, se)
-            comparisons.append(Comparison.build(name, est, se, target, tol))
+            _compare(estimates, comparisons, f"cov[S{i + 1},S{j + 1}]", est, target, tol)
     for i in range(len(sets)):
         sd = np.sqrt(set_masses[i] * (1.0 - set_masses[i]))
         if sd > 0:
@@ -664,11 +597,26 @@ def cvm_deviation(sample: DpSample, base: BaseMeasure) -> float:
     return _deviation_stats(sample, base)[1]
 
 
-def donoho_liu_bounds(sup_dev, cvm) -> DlBound:
-    """The cubic lower bound d^3/3 <= integral of squared deviation;
-    elementwise when given arrays."""
+def donoho_liu_bounds(sup_dev, cvm) -> tuple:
+    """(d^3/3, integral of squared deviation, whether the cubic lower bound
+    d^3/3 <= integral holds); elementwise when given arrays."""
     lhs = sup_dev**3 / 3.0
-    return DlBound(lhs, cvm, lhs <= cvm + _DL_SLACK)
+    return lhs, cvm, lhs <= cvm + _DL_SLACK
+
+
+def _gc_comparisons(mean_sup: np.ndarray, rate: float, violations: int) -> list[Comparison]:
+    """The gc verdict as exact comparisons at zero standard error: no step
+    of the mean sup-norm that fails to fall, the fitted rate inside
+    GC_RATE_WINDOW (its upper end on ``fitted_rate``, its lower end on
+    ``neg_fitted_rate``), and no sample that broke the cubic bound."""
+    lo, hi = GC_RATE_WINDOW
+    nonfalling = int(np.sum(~(np.diff(mean_sup) < 0.0)))
+    return [
+        Comparison.build("mean_sup_nonfalling_steps", nonfalling, 0.0, 0.0, 0.0),
+        Comparison.build("fitted_rate", rate, 0.0, hi, 0.0, one_sided=True),
+        Comparison.build("neg_fitted_rate", -rate, 0.0, -lo, 0.0, one_sided=True),
+        Comparison.build("cubic_bound_violations", violations, 0.0, 0.0, 0.0),
+    ]
 
 
 def gc_study(
@@ -681,10 +629,11 @@ def gc_study(
     trunc: TruncationPolicy | None = None,
     threads: int | None = None,
     base_stream: int = 0,
-) -> GcCurve:
-    """Uniform-convergence study: per concentration, the Monte Carlo mean of
-    the exact sup-norm and of the exact squared-deviation integral, the
-    deviation-bound sweep, and a least-squares log-log decay rate.
+) -> McSummary:
+    """Uniform-convergence study: per concentration, the Monte Carlo means
+    of the exact sup-norm and squared-deviation integral (the ``curve``
+    table), the deviation-bound sweep, and a least-squares log-log decay
+    rate of the mean sup-norm; ``_gc_comparisons`` gives the verdict.
 
     Leg l (for a_values[l]) uses stream indices base_stream + l*replications + r.
     """
@@ -692,10 +641,9 @@ def gc_study(
     trunc = trunc or TruncationPolicy()
     grid = np.linspace(0.0, 1.0, int(grid_resolution)) if grid_resolution else None
 
-    mean_sup = np.empty(a_values.size)
-    se_sup = np.empty(a_values.size)
-    mean_cvm = np.empty(a_values.size)
-    se_cvm = np.empty(a_values.size)
+    curve = np.empty((a_values.size, 5))  # a, mean_sup, se_sup, mean_cvm, se_cvm
+    curve[:, 0] = a_values
+    estimates: dict[str, tuple[float, float]] = {}
     violations = 0
     for leg, a in enumerate(a_values):
 
@@ -708,20 +656,27 @@ def gc_study(
         excess = float(np.max(vals[:, 2] - vals[:, 0]))
         if excess > 1e-9:
             raise DplabError(f"an exact sup-norm fell {excess} below its grid evaluation")
-        mean_sup[leg], se_sup[leg] = mc_mean_se(vals[:, 0])
-        mean_cvm[leg], se_cvm[leg] = mc_mean_se(vals[:, 1])
-        violations += int(np.sum(~donoho_liu_bounds(vals[:, 0], vals[:, 1]).holds))
+        curve[leg, 1:3] = estimates[f"a={a:g}/mean_sup"] = mc_mean_se(vals[:, 0])
+        curve[leg, 3:5] = estimates[f"a={a:g}/mean_cvm"] = mc_mean_se(vals[:, 1])
+        violations += int(np.sum(~donoho_liu_bounds(vals[:, 0], vals[:, 1])[2]))
 
+    mean_sup = curve[:, 1]
     rate = float(np.polyfit(np.log(a_values), np.log(mean_sup), 1)[0])
-    return GcCurve(
-        a_values,
-        mean_sup,
-        se_sup,
-        mean_cvm,
-        se_cvm,
-        rate,
-        dl_checked=int(replications) * a_values.size,
-        dl_violations=violations,
+    estimates["fitted_rate"] = (rate, 0.0)
+    n_samples = int(replications) * a_values.size
+    return McSummary(
+        n_samples,
+        estimates,
+        _gc_comparisons(mean_sup, rate, violations),
+        seed_info=(seed, (base_stream, base_stream + n_samples - 1)),
+        tables={"curve": (["a", "mean_sup", "se_sup", "mean_cvm", "se_cvm"], curve.tolist())},
+        details={
+            "a_values": a_values.tolist(),
+            "mean_sup": mean_sup.tolist(),
+            "fitted_rate": rate,
+            "dl_checked": n_samples,
+            "dl_violations": violations,
+        },
     )
 
 
@@ -762,37 +717,16 @@ def representation_check(
     fidi_stream = RngStream(seed, base_stream + replications)
     fidis = sample_fidi(a, measures, fidi_stream, size=replications)
 
-    estimates: dict[str, tuple[float, float]] = {}
-    comparisons: list[Comparison] = []
-    level_checks: list[LevelCheck] = []
-    for route, vals in (("stick", sticks), ("fidi", fidis)):
-        for i, cell in enumerate(cells):
-            m, v = dp_moments(a, base, cell)
-            mean, mean_se = mc_mean_se(vals[:, i])
-            var, var_se = mc_var_se(vals[:, i])
-            estimates[f"{route}_mean[S{i + 1}]"] = (mean, mean_se)
-            estimates[f"{route}_var[S{i + 1}]"] = (var, var_se)
-            comparisons.append(
-                Comparison.build(f"{route}_mean[S{i + 1}]", mean, mean_se, m, tol)
-            )
-            comparisons.append(Comparison.build(f"{route}_var[S{i + 1}]", var, var_se, v, tol))
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
-                cross, cross_se = mc_mean_se(vals[:, i] * vals[:, j])
-                target = dp_cross_moment(a, base, cells[i], cells[j])
-                comparisons.append(
-                    Comparison.build(
-                        f"{route}_cross[S{i + 1},S{j + 1}]", cross, cross_se, target, tol
-                    )
-                )
-    for i in range(len(cells)):
-        level_checks.append(
-            ks_two_sample_check(f"ks_2samp[S{i + 1}]", sticks[:, i], fidis[:, i], ks_level)
-        )
+    stick = _moment_checks(a, base, cells, sticks, "stick_", tol, tol)
+    fidi = _moment_checks(a, base, cells, fidis, "fidi_", tol, tol)
+    level_checks = [
+        ks_two_sample_check(f"ks_2samp[S{i + 1}]", sticks[:, i], fidis[:, i], ks_level)
+        for i in range(len(cells))
+    ]
     return McSummary(
         2 * replications,
-        estimates,
-        comparisons,
+        {**stick[0], **fidi[0]},
+        stick[1] + fidi[1],
         level_checks,
         seed_info=(seed, (base_stream, base_stream + replications)),
     )
@@ -851,17 +785,14 @@ def posterior_check(
     posterior base measure.  Set i's replications come from stream
     base_stream + i."""
     post = posterior_update(a, base, data)
-    estimates: dict[str, tuple[float, float]] = {"a_star": (post.a_star, 0.0)}
-    comparisons = [
-        Comparison.build("a_star", post.a_star, 0.0, a + post.n, 0.0)
-    ]
+    estimates: dict[str, tuple[float, float]] = {}
+    comparisons: list[Comparison] = []
+    _compare(estimates, comparisons, "a_star", (post.a_star, 0.0), a + post.n, 0.0)
     for i, s in enumerate(sets):
         m = post.measure(s)
         rng = RngStream(seed, base_stream + i)
         vals = sample_fidi(post.a_star, [m, 1.0 - m], rng, size=replications)[:, 0]
-        mean, se = mc_mean_se(vals)
-        estimates[f"posterior_mean[S{i + 1}]"] = (mean, se)
-        comparisons.append(Comparison.build(f"posterior_mean[S{i + 1}]", mean, se, m, tol))
+        _compare(estimates, comparisons, f"posterior_mean[S{i + 1}]", mc_mean_se(vals), m, tol)
     return McSummary(
         replications * len(sets),
         estimates,
@@ -940,29 +871,15 @@ def quantile_limit_study(
 
         for i, ui in enumerate(u_points):
             for uj in u_points[i:]:
-                if ui == uj:
-                    est, se = mc_var_se(vals[:, col[ui]])
-                else:
-                    est, se = mc_cov_se(vals[:, col[ui]], vals[:, col[uj]])
+                x, y = vals[:, col[ui]], vals[:, col[uj]]
+                est = mc_var_se(x) if ui == uj else mc_cov_se(x, y)
                 name = f"{tag}/qcov[{ui:g},{uj:g}]"
-                estimates[name] = (est, se)
-                comparisons.append(
-                    Comparison.build(name, est, se, cov_targets[(ui, uj)], tol)
-                )
+                _compare(estimates, comparisons, name, est, cov_targets[(ui, uj)], tol)
 
         med = vals[:, col[0.5]]
-        med_var, med_se = mc_var_se(med)
-        estimates[f"{tag}/median_var"] = (med_var, med_se)
-        comparisons.append(
-            Comparison.build(f"{tag}/median_var", med_var, med_se, median_target, tol)
-        )
-
+        _compare(estimates, comparisons, f"{tag}/median_var", mc_var_se(med), median_target, tol)
         iqr_dev = vals[:, col[0.75]] - vals[:, col[0.25]]
-        iqr_var, iqr_se = mc_var_se(iqr_dev)
-        estimates[f"{tag}/iqr_var"] = (iqr_var, iqr_se)
-        comparisons.append(
-            Comparison.build(f"{tag}/iqr_var", iqr_var, iqr_se, iqr_target, tol)
-        )
+        _compare(estimates, comparisons, f"{tag}/iqr_var", mc_var_se(iqr_dev), iqr_target, tol)
 
         level_checks.append(
             ks_normal_check(f"{tag}/ks_median", med / np.sqrt(median_target), ks_level)
@@ -982,33 +899,69 @@ def quantile_limit_study(
 # ---------------------------------------------------------------------------
 
 
+def _density_comparisons(a_values, max_gaps, tvs, integrals, converged) -> list[Comparison]:
+    """The density verdict as exact comparisons at zero standard error:
+    each rise of the gap and TV columns from one concentration to the next
+    at most DENSITY_SLACK, each integral of the exact density within
+    DENSITY_SLACK of one, and no quadrature that stopped at ``n_max``."""
+    steps = [
+        (f"{column}_step[a={a:g}]", step)
+        for column, values in (("max_gap", max_gaps), ("tv", tvs))
+        for a, step in zip(a_values[1:], np.diff(values))
+    ]
+    steps += [(f"integral_error[a={a:g}]", abs(v - 1.0)) for a, v in zip(a_values, integrals)]
+    unconverged = sum(not ok for ok in converged)
+    return [
+        *(Comparison.build(name, x, 0.0, DENSITY_SLACK, 0.0, one_sided=True) for name, x in steps),
+        Comparison.build("unconverged_quadratures", unconverged, 0.0, 0.0, 0.0),
+    ]
+
+
 def density_convergence_study(
     l1: float,
     l2: float,
     a_values: Sequence[float],
     grid: Grid,
+    integrals: Sequence[TvEstimate],
     quad: QuadratureSpec | None = None,
-) -> DensityTable:
+) -> McSummary:
     """Tabulate, per concentration, the max pointwise gap on the tensor grid
     and the total-variation distance between the exact scaled bivariate
-    density and its Gaussian limit.  Both columns must not increase with the
-    concentration (within 1e-3)."""
+    density and its Gaussian limit, as the ``gap`` table.  ``integrals``
+    are the quadratures of the exact density, one per concentration.
+    ``_density_comparisons`` gives the verdict; quadratures report their
+    refinement error as their standard error.  Nothing is drawn."""
     quad = quad or QuadratureSpec()
     a_values = check_a_values(a_values)
+    if len(integrals) != a_values.size:
+        raise ArgumentError("need one density integral per concentration")
     spec = BivariateGaussianSpec.from_cell_measures(l1, l2)
     g = grid.points
     flim = limit_bivariate_density(g[:, None], g[None, :], spec)
-    rows = []
-    for a in a_values:
+    origin = float(limit_bivariate_density(0.0, 0.0, spec))
+    estimates = {"limit_density_at_origin": (origin, 0.0)}
+    rows, tvs = [], []
+    for a, integral in zip(a_values, integrals):
         fa = scaled_bivariate_density(g[:, None], g[None, :], l1, l2, a)
-        max_gap = float(np.max(np.abs(fa - flim)))
         tv = tv_distance_bivariate(l1, l2, a, quad)
-        rows.append(DensityRow(float(a), max_gap, tv.value, tv.quad_error, tv.converged))
-    gaps = np.array([r.max_gap for r in rows])
-    tvs = np.array([r.tv_distance for r in rows])
-    slack = 1e-3
-    return DensityTable(
-        rows,
-        gap_nonincreasing=bool(np.all(np.diff(gaps) <= slack)),
-        tv_nonincreasing=bool(np.all(np.diff(tvs) <= slack)),
+        tvs.append(tv)
+        rows.append([float(a), float(np.max(np.abs(fa - flim))), tv.value, tv.quad_error])
+        estimates[f"tv[a={a:g}]"] = (tv.value, tv.quad_error)
+        estimates[f"integral[a={a:g}]"] = (integral.value, integral.quad_error)
+    return McSummary(
+        0,
+        estimates,
+        _density_comparisons(
+            a_values,
+            [row[1] for row in rows],
+            [tv.value for tv in tvs],
+            [est.value for est in integrals],
+            [est.converged for est in [*tvs, *integrals]],
+        ),
+        tables={"gap": (["a", "max_gap", "tv_distance", "quad_error"], rows)},
+        details={
+            "limit_density_at_origin": origin,
+            "integrals": {f"a={a:g}": [e.value, e.quad_error] for a, e in zip(a_values, integrals)},
+            "rows": [{"tv_distance": tv.value} for tv in tvs],
+        },
     )

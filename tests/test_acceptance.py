@@ -153,15 +153,15 @@ def test_criterion_7_glivenko_cantelli():
     holding on every one of the >= 4*10^3 generated samples."""
     curve = gc_study(
         [10.0, 100.0, 1000.0, 10000.0], uniform_base(), 1000, 512, 8808
-    )
-    decreasing = bool(np.all(np.diff(curve.mean_sup) < 0.0))
-    rate_ok = -0.6 <= curve.fitted_rate <= -0.4
-    dl_ok = curve.dl_checked >= 4000 and curve.dl_violations == 0
+    ).details
+    decreasing = bool(np.all(np.diff(curve["mean_sup"]) < 0.0))
+    rate_ok = -0.6 <= curve["fitted_rate"] <= -0.4
+    dl_ok = curve["dl_checked"] >= 4000 and curve["dl_violations"] == 0
     _criterion(
         7,
         "uniform-distance decay",
         decreasing and rate_ok and dl_ok,
-        f"rate={curve.fitted_rate:.3f}, bound checked on {curve.dl_checked} samples",
+        f"rate={curve['fitted_rate']:.3f}, bound checked on {curve['dl_checked']} samples",
     )
 
 
@@ -196,17 +196,18 @@ def test_criterion_9_density_convergence():
     decreasing, the limit density at the origin equal to sqrt(27)/(2 pi)
     within 1e-6, and the exact density integrating to one within 1e-3."""
     a_values = [100.0, 1000.0, 10000.0]
+    quadratures = [bivariate_density_integral(THIRD, THIRD, a) for a in a_values]
     table = density_convergence_study(
-        THIRD, THIRD, a_values, Grid(np.linspace(-2.5, 2.5, 11))
+        THIRD, THIRD, a_values, Grid(np.linspace(-2.5, 2.5, 11)), quadratures
     )
-    tvs = [r.tv_distance for r in table.rows]
+    tvs = [table.estimates[f"tv[a={a:g}]"][0] for a in a_values]
     tv_ok = all(b < a for a, b in zip(tvs, tvs[1:]))
 
     spec = BivariateGaussianSpec.from_cell_measures(THIRD, THIRD)
     origin = limit_bivariate_density(0.0, 0.0, spec)
     origin_ok = abs(origin - np.sqrt(27.0) / (2.0 * np.pi)) <= 1e-6
 
-    integrals = [bivariate_density_integral(THIRD, THIRD, a).value for a in a_values]
+    integrals = [est.value for est in quadratures]
     integral_ok = all(abs(v - 1.0) <= 1e-3 for v in integrals)
 
     _criterion(

@@ -1,17 +1,23 @@
 """The benchmark's contract with the package: every attribute the span
 tracer in ``bench/tracing.py`` patches exists, is what dplab calls, and is
-restored afterwards; and ``emit_report`` takes a result keyed by a name that
-is not a harness family, as the benchmark's representation operation does."""
+restored afterwards; ``emit_report`` takes a result keyed by a name that
+is not a harness family, as the benchmark's representation operation does;
+and every report of the benchmark's pinned warm-up round passes its checks."""
 
 import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from dplab import BorelSet, TruncationPolicy, harness, uniform_base, verify
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
+import checks  # noqa: E402
+import run as bench_run  # noqa: E402
 import tracing  # noqa: E402
+import workloads as wl  # noqa: E402
 
 THIRD = 1.0 / 3.0
 
@@ -85,3 +91,14 @@ def test_emit_report_takes_a_representation_result(tmp_path):
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["results"]["representation"]["type"] == "mc_summary"
     assert payload["family_passed"] == {"representation": summary.passed}
+
+
+@pytest.mark.parametrize("workload", wl.WORKLOADS)
+def test_pinned_round_passes_the_benchmark_checks(workload, tmp_path):
+    """Every report key ``bench/checks.py`` reads is there and correct, for
+    every family the benchmark runs, gc and density included."""
+    for op in wl.build_ops(workload, None):
+        bench_run.run_op(op, tmp_path / op.name)
+        report = json.loads((tmp_path / op.name / "report.json").read_text())
+        assert checks.check_op(op, report, pinned=True) == [], op.name
+        assert report["pass"], op.name

@@ -7,7 +7,7 @@ import pytest
 
 from dplab import ConfigError, validate_config
 from dplab.cli import main as cli_main
-from dplab.harness import FAMILIES, emit_report, run_experiment
+from dplab.harness import FAMILIES, FAMILY_STREAM_BASE, emit_report, run_experiment
 
 
 def _config(**overrides):
@@ -143,10 +143,26 @@ class TestConfigValidation:
         assert err.value.path == "families.density.quadrature"
 
     def test_echo_revalidates_to_same_params(self):
-        config = validate_config(_config())
-        again = validate_config(config.echo())
-        assert again.family_params == config.family_params
-        assert again.seed == config.seed
+        for cfg in (_config(), {"schema_version": 1, "experiment": "all", "seed": 3}):
+            config = validate_config(cfg)
+            again = validate_config(config.echo())
+            assert again.family_params == config.family_params
+            assert again.seed == config.seed
+
+    def test_tolerance_overrides_hold_only_what_the_family_reads(self):
+        config = validate_config({"schema_version": 1, "experiment": "all", "seed": 3})
+        settable = {
+            family: sorted(params["tolerance_overrides"])
+            for family, params in config.family_params.items()
+            if "tolerance_overrides" in params
+        }
+        assert settable == {
+            "moments": ["mean", "moment"],
+            "fidi": ["ks_level", "moment"],
+            "modulus": ["moment"],
+            "quantile": ["ks_level", "variance"],
+            "posterior": ["moment"],
+        }
 
 
 class TestRunAndEmit:
@@ -208,6 +224,29 @@ class TestRunAndEmit:
         assert lines[0] == "a,max_gap,tv_distance,quad_error"
         assert len(lines) == 3
 
+    def test_every_family_reports_seed_info_and_pass(self, tmp_path):
+        """gc consumed streams base .. base + n_a*R - 1; density draws nothing."""
+        cfg = {
+            "schema_version": 1,
+            "experiment": "all",
+            "seed": 9,
+            "families": {
+                "gc": {"a_values": [10.0, 100.0, 1000.0], "replications": 20},
+                "quantile": {"replications": 200},
+                "density": {"a_values": [100.0, 1000.0]},
+            },
+        }
+        _run_to_dir(cfg, tmp_path)
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        for family in FAMILIES:
+            assert isinstance(results[family]["pass"], bool), family
+            assert "seed_info" in results[family], family
+        base = FAMILY_STREAM_BASE["gc"]
+        assert results["gc"]["seed_info"] == {
+            "master_seed": 9, "stream_range": [base, base + 3 * 20 - 1]
+        }
+        assert results["density"]["seed_info"] is None
+
     def test_posterior_report_includes_a_star(self, tmp_path):
         cfg = {
             "schema_version": 1,
@@ -226,14 +265,17 @@ class TestRunAndEmit:
         _run_to_dir(cfg, tmp_path / "default")
         default = json.loads((tmp_path / "default" / "report.json").read_text())
         assert default["family_passed"]["density"]
-        assert all(default["results"]["density"]["quadrature_converged"].values())
+        assert "comparison,unconverged_quadratures,0,0,0,0,false,true" in (
+            tmp_path / "default" / "density_summary.csv"
+        ).read_text()
 
         cfg["quadrature"] = {"tol": 1e-9}
         report = _run_to_dir(cfg, tmp_path / "strict")
-        strict = json.loads((tmp_path / "strict" / "report.json").read_text())
-        assert strict["results"]["density"]["quadrature_converged"]["tv[a=1000]"] is False
         assert not report.family_passed["density"]
-        assert "passed,false" in (tmp_path / "strict" / "density_summary.csv").read_text()
+        # the TV quadrature stops at n_max; the integral still converges
+        assert "comparison,unconverged_quadratures,1,0,0,0,false,false" in (
+            tmp_path / "strict" / "density_summary.csv"
+        ).read_text()
 
     def test_failing_tolerance_fails_run(self, tmp_path):
         cfg = _config(tolerance_overrides={"mean": 1e-9, "moment": 1e-9})
@@ -325,6 +367,27 @@ class TestCli:
         assert "Traceback" not in err
         for needle in needles:
             assert needle in err
+
+    @pytest.mark.parametrize(
+        "cfg, path",
+        [
+            ({"experiment": "gc", "tolerance_overrides": {"moment": 2.0}}, "tolerance_overrides"),
+            (
+                {"experiment": "modulus", "tolerance_overrides": {"mean": 1e-9}},
+                "tolerance_overrides.mean",
+            ),
+            (
+                {"experiment": "all", "families": {"density": {"tolerance_overrides": {}}}},
+                "families.density.tolerance_overrides",
+            ),
+        ],
+    )
+    def test_tolerance_a_family_does_not_read_exits_2(self, tmp_path, capsys, cfg, path):
+        path_arg = self._write(tmp_path, {"schema_version": 1, "seed": 1, **cfg})
+        rc = cli_main(["validate", "--config", path_arg])
+        self._assert_clean_exit_2(capsys, rc, f"{path}: unknown field")
+        rc = cli_main(["run", "--config", path_arg, "--out", str(tmp_path / "out")])
+        self._assert_clean_exit_2(capsys, rc, f"{path}: unknown field")
 
     def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch):
         path = self._write(tmp_path, _config())

@@ -19,6 +19,7 @@ from dplab import (
     RngStream,
     TruncationPolicy,
     bisection_quantiles,
+    bivariate_density_integral,
     cvm_deviation,
     density_convergence_study,
     donoho_liu_bounds,
@@ -309,16 +310,20 @@ class TestDeviationBound:
         trunc = TruncationPolicy(1e-10)
         for r in range(1000):
             s = stick_breaking_sample(10.0, uniform01, trunc, RngStream(134, r))
-            assert donoho_liu_bounds(sup_deviation(s, uniform01), cvm_deviation(s, uniform01)).holds
+            lhs, rhs, holds = donoho_liu_bounds(
+                sup_deviation(s, uniform01), cvm_deviation(s, uniform01)
+            )
+            assert holds
 
 
 class TestGcStudy:
     def test_decay_and_rate(self, uniform01):
-        curve = gc_study([10.0, 100.0, 1000.0], uniform01, 300, 256, 141)
-        assert np.all(np.diff(curve.mean_sup) < 0.0)
-        assert -0.6 <= curve.fitted_rate <= -0.4
-        assert curve.dl_violations == 0
-        assert curve.dl_checked == 900
+        out = gc_study([10.0, 100.0, 1000.0], uniform01, 300, 256, 141)
+        assert np.all(np.diff(out.details["mean_sup"]) < 0.0)
+        assert -0.6 <= out.details["fitted_rate"] <= -0.4
+        assert out.details["dl_violations"] == 0
+        assert out.details["dl_checked"] == 900
+        assert out.passed
 
     def test_degenerate_single_atom_sup(self, uniform01):
         s = make_sample([0.5], [1.0])
@@ -453,17 +458,20 @@ class TestQuantileSamplerCrossCheck:
 
 class TestDensityConvergenceStudy:
     def test_columns_decrease(self):
-        table = density_convergence_study(
-            1 / 3, 1 / 3, [100.0, 1000.0], Grid(np.linspace(-2.5, 2.5, 11))
+        a_values = [100.0, 1000.0]
+        integrals = [bivariate_density_integral(1 / 3, 1 / 3, a) for a in a_values]
+        out = density_convergence_study(
+            1 / 3, 1 / 3, a_values, Grid(np.linspace(-2.5, 2.5, 11)), integrals
         )
-        assert table.passed
-        assert table.rows[1].tv_distance < table.rows[0].tv_distance
-        assert table.rows[1].max_gap < table.rows[0].max_gap
+        assert out.passed
+        _, rows = out.tables["gap"]  # a, max_gap, tv_distance, quad_error
+        assert rows[1][2] < rows[0][2]
+        assert rows[1][1] < rows[0][1]
 
     def test_rejects_decreasing_a(self):
         with pytest.raises(ArgumentError):
             density_convergence_study(
-                1 / 3, 1 / 3, [100.0, 50.0], Grid(np.linspace(-1, 1, 5))
+                1 / 3, 1 / 3, [100.0, 50.0], Grid(np.linspace(-1, 1, 5)), []
             )
 
 
@@ -539,6 +547,119 @@ class TestMarginalDrawLayout:
         assert out.estimates["fidi_mean[S1]"] == pytest.approx(mc_mean_se(fidis[:, 0]), rel=1e-12)
         assert out.estimates["stick_mean[S1]"] == mc_mean_se(sticks)
         assert out.seed_info == (self.SEED, (self.BASE, self.BASE + r))
+
+
+class TestGcDrawLayout:
+    """Replication r of gc leg l runs on stream (seed, base + l*R + r), and the
+    summary records the whole range it consumed."""
+
+    def test_leg_mean_sup_from_its_streams(self, uniform01):
+        seed, base_stream, r = 77, 1000, 6
+        a_values = [10.0, 100.0]
+        out = gc_study(a_values, uniform01, r, 64, seed, base_stream=base_stream)
+        for leg, a in enumerate(a_values):
+            sups = [
+                sup_deviation(
+                    stick_breaking_sample(a, uniform01, TruncationPolicy(),
+                                          RngStream(seed, base_stream + leg * r + i)),
+                    uniform01,
+                )
+                for i in range(r)
+            ]
+            assert out.estimates[f"a={a:g}/mean_sup"] == mc_mean_se(np.array(sups))
+        last = base_stream + len(a_values) * r - 1
+        assert out.seed_info == (seed, (base_stream, last))
+        assert out.to_json()["seed_info"]["stream_range"] == [base_stream, last]
+
+
+def _old_gc_passed(mean_sup, rate, violations) -> bool:
+    """The gc pass rule as it stood before it became a list of comparisons."""
+    decreasing = bool(np.all(np.diff(mean_sup) < 0.0))
+    return decreasing and -0.6 <= rate <= -0.4 and violations == 0
+
+
+def _old_density_passed(max_gaps, tvs, integrals, converged) -> bool:
+    """The density pass rule as it stood before it became a list of
+    comparisons."""
+    slack = 1e-3
+    monotone = bool(np.all(np.diff(max_gaps) <= slack)) and bool(np.all(np.diff(tvs) <= slack))
+    in_range = all(abs(v - 1.0) <= 1e-3 for v in integrals)
+    return monotone and in_range and all(converged)
+
+
+def _up(x):
+    return float(np.nextafter(x, np.inf))
+
+
+def _down(x):
+    return float(np.nextafter(x, -np.inf))
+
+
+def _integral_edge(side: int) -> float:
+    """The float farthest from one on ``side`` (+1 above, -1 below) that
+    still lies within 1e-3 of one."""
+    step = _up if side > 0 else _down
+    v = 1.0 + side * 1e-3
+    while abs(v - 1.0) > 1e-3:
+        v = float(np.nextafter(v, 1.0))
+    while abs(step(v) - 1.0) <= 1e-3:
+        v = step(v)
+    return v
+
+
+class TestVerdictEquivalence:
+    """The gc and density comparisons pass exactly when the old pass rules
+    did, at the edges of each rule."""
+
+    SUP = [0.2, 0.08, 0.03]
+
+    @pytest.mark.parametrize(
+        "mean_sup, rate, violations, passed",
+        [
+            (SUP, -0.5, 0, True),
+            (SUP, -0.6, 0, True),
+            (SUP, -0.4, 0, True),
+            (SUP, _down(-0.6), 0, False),
+            (SUP, _up(-0.4), 0, False),
+            ([0.2, 0.08, 0.08], -0.5, 0, False),  # a tie is not a fall
+            ([0.2, _down(0.2), 0.03], -0.5, 0, True),
+            ([0.2, 0.3, 0.03], -0.5, 0, False),
+            (SUP, -0.5, 1, False),
+            (SUP, float("nan"), 0, False),
+        ],
+    )
+    def test_gc(self, mean_sup, rate, violations, passed):
+        comparisons = verify._gc_comparisons(np.array(mean_sup), rate, violations)
+        assert _old_gc_passed(np.array(mean_sup), rate, violations) is passed
+        assert all(c.passed for c in comparisons) is passed
+        assert all(c.standard_error == 0.0 for c in comparisons)
+
+    A = [100.0, 1000.0, 10000.0]
+    GAPS = [0.3, 0.1, 0.03]
+    TVS = [0.03, 0.01, 0.003]
+    ONES = [1.0, 1.0, 1.0]
+    CONVERGED = [True] * 6
+
+    @pytest.mark.parametrize(
+        "max_gaps, tvs, integrals, converged, passed",
+        [
+            (GAPS, TVS, ONES, CONVERGED, True),
+            ([0.0, 1e-3, 0.0], TVS, ONES, CONVERGED, True),  # a step of exactly the slack
+            ([0.0, _up(1e-3), 0.0], TVS, ONES, CONVERGED, False),
+            (GAPS, [0.0, 0.0, 1e-3], ONES, CONVERGED, True),
+            (GAPS, [0.0, 0.0, _up(1e-3)], ONES, CONVERGED, False),
+            (GAPS, TVS, [_integral_edge(1), _integral_edge(-1), 1.0], CONVERGED, True),
+            (GAPS, TVS, [_up(_integral_edge(1)), 1.0, 1.0], CONVERGED, False),
+            (GAPS, TVS, [1.0, _down(_integral_edge(-1)), 1.0], CONVERGED, False),
+            (GAPS, TVS, ONES, [True] * 5 + [False], False),
+            (GAPS, TVS, [float("nan"), 1.0, 1.0], CONVERGED, False),
+        ],
+    )
+    def test_density(self, max_gaps, tvs, integrals, converged, passed):
+        comparisons = verify._density_comparisons(self.A, max_gaps, tvs, integrals, converged)
+        assert _old_density_passed(max_gaps, tvs, integrals, converged) is passed
+        assert all(c.passed for c in comparisons) is passed
+        assert all(c.standard_error == 0.0 for c in comparisons)
 
 
 def _nominal_false_fail_rate(check) -> float:
