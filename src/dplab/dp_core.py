@@ -28,6 +28,12 @@ _U_HI = 1.0 - 1e-16
 _MAX_BISECTION_DEPTH = 52
 
 
+def check_concentration(a: float) -> None:
+    """The one rule for a concentration: a positive finite real."""
+    if not np.isfinite(a) or a <= 0:
+        raise ParameterError("concentration a must be positive")
+
+
 # ---------------------------------------------------------------------------
 # Borel sets: finite disjoint unions of half-open intervals (lo, hi]
 # ---------------------------------------------------------------------------
@@ -189,8 +195,7 @@ class DpSample:
             raise ParameterError("truncation_remainder must lie in [0, 1)")
         if abs(weights.sum() + rem - 1.0) > 1e-12:
             raise ParameterError("weights plus truncation remainder must sum to 1")
-        if not np.isfinite(self.concentration) or self.concentration <= 0:
-            raise ParameterError("concentration must be positive")
+        check_concentration(self.concentration)
         min_gap = np.diff(atoms).min() if atoms.size > 1 else np.inf
         if min_gap < 0.0:
             order = np.argsort(atoms, kind="stable")
@@ -217,10 +222,6 @@ class DpSample:
             self._levels[0] = 0.0
             np.cumsum(self.weights, out=self._levels[1:])
         return self._levels
-
-    def cumulative_weights(self) -> np.ndarray:
-        """Total weight of the atoms up to and including each atom."""
-        return self.cdf_levels()[1:]
 
     @property
     def n_atoms(self) -> int:
@@ -275,8 +276,7 @@ def stick_breaking_sample(
     consumes the same draws as ``permutation(n)`` and gives the same pairing
     as indexing by it.
     """
-    if not np.isfinite(a) or a <= 0:
-        raise ParameterError("concentration a must be positive")
+    check_concentration(a)
     if not isinstance(trunc, TruncationPolicy):
         raise TruncationError("trunc must be a TruncationPolicy")
 
@@ -365,8 +365,7 @@ def dp_quantile(sample: DpSample, u):
     uarr = np.asarray(u, dtype=float)
     if np.any(uarr <= 0.0) or np.any(uarr > 1.0):
         raise ArgumentError("quantile levels must lie in (0, 1]")
-    cum = sample.cumulative_weights()
-    idx = np.searchsorted(cum, uarr, side="left")
+    idx = np.searchsorted(sample.cdf_levels()[1:], uarr, side="left")
     idx = np.minimum(idx, sample.n_atoms - 1)
     out = sample.atoms[idx]
     return float(out) if np.isscalar(u) else out
@@ -391,8 +390,7 @@ def bisection_quantiles(a: float, levels, rng: RngStream, size: int, epsilon: fl
     the same cell as the level before it reuses that level's draw, which is
     why ``levels`` must be nondecreasing.
     """
-    if not np.isfinite(a) or a <= 0:
-        raise ParameterError("concentration a must be positive")
+    check_concentration(a)
     u = np.asarray(levels, dtype=float)
     if u.ndim != 1 or u.size == 0 or not (0.0 < u[0] and u[-1] < 1.0 and np.all(np.diff(u) >= 0)):
         raise ArgumentError("quantile levels must be a non-empty nondecreasing list inside (0, 1)")
@@ -436,19 +434,18 @@ def validate_partition(partition: list[BorelSet], measures: np.ndarray) -> None:
         )
 
 
-def sample_fidi(a: float, measures, rng: RngStream, size: int | None = None):
-    """Ferguson marginals: draws of (P_a(A_1), ..., P_a(A_k)) over a partition
-    with cell measures H(A_j), distributed Dirichlet(a*H(A_1), ..., a*H(A_k)).
+def sample_fidi(a: float, measures, rng: RngStream, size: int) -> np.ndarray:
+    """Ferguson marginals: ``size`` draws of (P_a(A_1), ..., P_a(A_k)) over a
+    partition with cell measures H(A_j), distributed
+    Dirichlet(a*H(A_1), ..., a*H(A_k)); returns shape (size, k).
 
     Callers check the partition with ``validate_partition`` first.  Cells
     with H(A_j) <= 0 receive exactly zero mass, and a single positive cell
-    exactly one.  All ``size`` draws come from ``rng`` in one vectorised
-    call.  Returns shape (k,), or (size, k) when ``size`` is given.
+    exactly one.  All draws come from ``rng`` in one vectorised call.
     """
-    if not np.isfinite(a) or a <= 0:
-        raise ParameterError("concentration a must be positive")
+    check_concentration(a)
     measures = np.asarray(measures, dtype=float)
-    n = 1 if size is None else int(size)
+    n = int(size)
     if n < 1:
         raise ArgumentError("size must be positive")
     out = np.zeros((n, measures.size))
@@ -458,7 +455,7 @@ def sample_fidi(a: float, measures, rng: RngStream, size: int | None = None):
     else:
         params = DirichletParams(tuple(a * measures[positive]))
         out[:, positive] = sample_dirichlet(params, rng, size=n)
-    return out[0] if size is None else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +486,6 @@ class PosteriorParams:
     def n(self) -> int:
         return self.data.size
 
-    def cdf(self, t):
-        counts = np.searchsorted(self.data, t, side="right")
-        out = (self.prior_concentration * self.base.cdf(t) + counts) / self.a_star
-        return float(out) if np.isscalar(t) else out
-
     def measure(self, s: BorelSet) -> float:
         if s.is_empty:
             return 0.0
@@ -510,8 +502,7 @@ class PosteriorParams:
 
 def posterior_update(a: float, base: BaseMeasure, data) -> PosteriorParams:
     """Conjugate update after observing ``data``: DP(a, H) -> DP(a + n, H*)."""
-    if not np.isfinite(a) or a <= 0:
-        raise ParameterError("concentration a must be positive")
+    check_concentration(a)
     data = np.asarray(data, dtype=float).ravel()
     return PosteriorParams(a + data.size, float(a), base, data)
 
@@ -523,8 +514,7 @@ def posterior_update(a: float, base: BaseMeasure, data) -> PosteriorParams:
 
 def dp_moments(a: float, base: MeasureLike, s: BorelSet) -> tuple[float, float]:
     """Exact (mean, variance) of P_a(S): (H(S), H(S)(1 - H(S)) / (1 + a))."""
-    if not np.isfinite(a) or a <= 0:
-        raise ParameterError("concentration a must be positive")
+    check_concentration(a)
     m = base.measure(s)
     return m, m * (1.0 - m) / (1.0 + a)
 
@@ -535,8 +525,7 @@ def dp_cross_moment(a: float, base: MeasureLike, s1: BorelSet, s2: BorelSet) -> 
     For disjoint sets this reduces to a/(1+a) * H(S1) H(S2); the intersection
     term is required whenever the sets overlap.
     """
-    if not np.isfinite(a) or a <= 0:
-        raise ParameterError("concentration a must be positive")
+    check_concentration(a)
     m1 = base.measure(s1)
     m2 = base.measure(s2)
     m12 = base.measure(s1.intersect(s2))

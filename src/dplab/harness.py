@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -26,6 +26,7 @@ from .dp_core import (
     BaseMeasure,
     BorelSet,
     TruncationPolicy,
+    check_concentration,
     exponential_base,
     normal_base,
     uniform_base,
@@ -43,17 +44,8 @@ FAMILY_STREAM_BASE = {name: i << 40 for i, name in enumerate(FAMILIES)}
 # A family's built run: (master seed, stream base, worker threads) -> result.
 Call = Callable[[int, int, int], verify.McSummary]
 
-# The tolerances each family reads, with their defaults: all that its
-# tolerance_overrides may set.  gc and density read none and take none.
-_FAMILY_TOLERANCES = {
-    "moments": {"mean": verify.DEFAULT_MEAN_TOL, "moment": verify.DEFAULT_MOMENT_TOL},
-    "fidi": {"moment": verify.DEFAULT_MOMENT_TOL, "ks_level": verify.DEFAULT_KS_LEVEL},
-    "modulus": {"moment": verify.DEFAULT_MOMENT_TOL},
-    "quantile": {"variance": verify.DEFAULT_VARIANCE_TOL, "ks_level": verify.DEFAULT_KS_LEVEL},
-    "posterior": {"moment": verify.DEFAULT_MOMENT_TOL},
-}
-
 _THIRD = 1.0 / 3.0
+_TRUNCATION = asdict(TruncationPolicy())
 
 _FAMILY_DEFAULTS: dict[str, dict] = {
     "moments": {
@@ -77,19 +69,19 @@ _FAMILY_DEFAULTS: dict[str, dict] = {
         "a_values": [10.0, 100.0, 1000.0, 10000.0],
         "replications": 1000,
         "gc_grid_resolution": 512,
-        "truncation": {"epsilon": 1e-10, "max_atoms": None},
+        "truncation": _TRUNCATION,
     },
     "quantile": {
         "base_measure": {"label": "uniform"},
         "a_values": [10000.0, 1000000.0, 100000000.0],
         "u_points": [0.25, 0.5, 0.75],
         "replications": 10000,
-        "truncation": {"epsilon": 1e-10, "max_atoms": None},
+        "truncation": _TRUNCATION,
     },
     "density": {
         "density": {"l1": _THIRD, "l2": _THIRD, "grid_lo": -2.5, "grid_hi": 2.5, "grid_points": 11},
         "a_values": [100.0, 1000.0, 10000.0],
-        "quadrature": {"half_width": 8.0, "n_start": 65, "n_max": 1025, "tol": 1e-4},
+        "quadrature": asdict(QuadratureSpec()),
     },
     "posterior": {
         "base_measure": {"label": "uniform"},
@@ -101,10 +93,7 @@ _FAMILY_DEFAULTS: dict[str, dict] = {
     },
 }
 
-_FAMILY_KEYS = {
-    name: {*params, *(["tolerance_overrides"] if name in _FAMILY_TOLERANCES else [])}
-    for name, params in _FAMILY_DEFAULTS.items()
-}
+_FAMILY_KEYS = {name: set(params) for name, params in _FAMILY_DEFAULTS.items()}
 _TOP_KEYS = {"schema_version", "experiment", "seed", "output_dir", "families"}
 
 
@@ -180,11 +169,10 @@ def _validate_sets(value, path: str) -> list:
 
 def _validate_family(family: str, raw: dict, path: str, config_dir: Path | None):
     """The family's params with defaults filled in, and its built call."""
-    allowed = _FAMILY_KEYS[family]
-    _check_keys(raw, allowed, path)
+    if not isinstance(raw, dict):
+        _fail(path, "expected an object")
+    _check_keys(raw, _FAMILY_KEYS[family], path)
     params = json.loads(json.dumps(_FAMILY_DEFAULTS[family]))  # deep copy
-    if family in _FAMILY_TOLERANCES:
-        params["tolerance_overrides"] = dict(_FAMILY_TOLERANCES[family])
 
     def sub(key: str) -> str:
         return f"{path}.{key}" if path else key
@@ -195,10 +183,8 @@ def _validate_family(family: str, raw: dict, path: str, config_dir: Path | None)
         elif key == "sets":
             params[key] = _validate_sets(value, sub(key))
         elif key == "a":
-            a = _as_number(value, sub(key))
-            if a <= 0:
-                _fail(sub(key), "must be positive")
-            params[key] = a
+            params[key] = _as_number(value, sub(key))
+            _make(sub(key), check_concentration, params[key])
         elif key in ("a_values", "u_points"):
             params[key] = _as_numbers(value, sub(key))
         elif key in ("replications", "gc_grid_resolution"):
@@ -215,8 +201,8 @@ def _validate_family(family: str, raw: dict, path: str, config_dir: Path | None)
         elif key == "truncation":
             if not isinstance(value, dict):
                 _fail(sub(key), "expected an object {epsilon, max_atoms}")
-            _check_keys(value, {"epsilon", "max_atoms"}, sub(key))
-            eps = _as_number(value.get("epsilon", 1e-10), f"{sub(key)}.epsilon")
+            _check_keys(value, set(_TRUNCATION), sub(key))
+            eps = _as_number(value.get("epsilon", _TRUNCATION["epsilon"]), f"{sub(key)}.epsilon")
             cap = value.get("max_atoms")
             if cap is not None:
                 cap = _as_int(cap, f"{sub(key)}.max_atoms")
@@ -244,15 +230,6 @@ def _validate_family(family: str, raw: dict, path: str, config_dir: Path | None)
             params[key] = value
             if value:
                 params["data"] = None  # the file is the single source
-        elif key == "tolerance_overrides":
-            if not isinstance(value, dict):
-                _fail(sub(key), "expected an object")
-            _check_keys(value, set(params[key]), sub(key))
-            for k, v in value.items():
-                v = _as_number(v, f"{sub(key)}.{k}")
-                if v <= 0:
-                    _fail(f"{sub(key)}.{k}", "must be positive")
-                params["tolerance_overrides"][k] = v
     return params, _FAMILY_BUILDERS[family](params, sub, config_dir)
 
 
@@ -383,27 +360,24 @@ def _load_data(p: dict, sub, config_dir: Path | None) -> list[float]:
 
 def _moments(p: dict, sub, config_dir) -> Call:
     _make(sub("replications"), verify.check_moment_replications, p["replications"])
-    base, sets, tol = _base(p, sub), _sets(p, sub), p["tolerance_overrides"]
+    base, sets = _base(p, sub), _sets(p, sub)
     return lambda seed, stream, threads: verify.moment_check(
-        p["a"], base, sets, p["replications"], seed, base_stream=stream,
-        mean_tol=tol["mean"], moment_tol=tol["moment"],
+        p["a"], base, sets, p["replications"], seed, base_stream=stream
     )
 
 
 def _fidi(p: dict, sub, config_dir) -> Call:
-    sets, tol = _sets(p, sub), p["tolerance_overrides"]
+    sets = _sets(p, sub)
     return lambda seed, stream, threads: verify.fidi_normality_check(
-        p["a"], sets, p["replications"], seed, base_stream=stream,
-        tol=tol["moment"], ks_level=tol["ks_level"],
+        p["a"], sets, p["replications"], seed, base_stream=stream
     )
 
 
 def _modulus(p: dict, sub, config_dir) -> Call:
-    t, tol = p["modulus"], p["tolerance_overrides"]
+    t = p["modulus"]
     _make(sub("modulus"), verify.check_modulus_points, t["t1"], t["t"], t["t2"])
     return lambda seed, stream, threads: verify.modulus_check(
-        p["a"], t["t1"], t["t"], t["t2"], p["replications"], seed, base_stream=stream,
-        tol=tol["moment"],
+        p["a"], t["t1"], t["t"], t["t2"], p["replications"], seed, base_stream=stream
     )
 
 
@@ -419,11 +393,11 @@ def _gc(p: dict, sub, config_dir) -> Call:
 def _quantile(p: dict, sub, config_dir) -> Call:
     _make(sub("a_values"), verify.check_a_values, p["a_values"])
     _make(sub("u_points"), verify.check_levels, p["u_points"])
-    base, trunc, tol = _base(p, sub), _trunc(p, sub), p["tolerance_overrides"]
+    base, trunc = _base(p, sub), _trunc(p, sub)
     _make(sub("truncation"), verify.check_resolution, trunc)
     return lambda seed, stream, threads: verify.quantile_limit_study(
         p["a_values"], base, p["u_points"], p["replications"], seed, trunc=trunc,
-        tol=tol["variance"], ks_level=tol["ks_level"], base_stream=stream,
+        base_stream=stream,
     )
 
 
@@ -443,11 +417,10 @@ def _density(p: dict, sub, config_dir) -> Call:
 
 
 def _posterior(p: dict, sub, config_dir) -> Call:
-    base, sets, tol = _base(p, sub), _sets(p, sub), p["tolerance_overrides"]
+    base, sets = _base(p, sub), _sets(p, sub)
     data = _load_data(p, sub, config_dir)
     return lambda seed, stream, threads: verify.posterior_check(
-        p["a"], base, data, sets, p["replications"], seed, base_stream=stream,
-        tol=tol["moment"],
+        p["a"], base, data, sets, p["replications"], seed, base_stream=stream
     )
 
 

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import gammaln
 
-from .dp_core import BaseMeasure, BorelSet, MeasureLike
+from .dp_core import BaseMeasure, BorelSet, MeasureLike, check_concentration
 from .errors import ArgumentError, ParameterError, SingularDensityError
 
 
@@ -123,8 +123,7 @@ def scaled_bivariate_density(y1, y2, l1: float, l2: float, a: float):
     outside the open simplex have density zero.
     """
     l1, l2 = _check_cells(l1, l2)
-    if not np.isfinite(a) or a <= 0:
-        raise ParameterError("concentration a must be positive")
+    check_concentration(a)
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
     l3 = 1.0 - l1 - l2

@@ -79,7 +79,7 @@ def _check_positive(name: str, value: float) -> float:
 
 
 def _safe_uniform(rng: RngStream, n: int) -> np.ndarray:
-    u = np.atleast_1d(rng.uniform(n))
+    u = rng.uniform(n)
     if u.min() <= 0.0:
         u = np.where(u <= 0.0, _TINY, u)
     return u
@@ -96,7 +96,7 @@ def _mt_gamma(rng: RngStream, shape: float, n: int) -> np.ndarray:
     out = np.empty(n)
     pending = np.arange(n)
     while pending.size:
-        x = np.atleast_1d(rng.normal(pending.size))
+        x = rng.normal(pending.size)
         u = _safe_uniform(rng, pending.size)
         t = 1.0 + c * x
         v = t * t * t
@@ -124,8 +124,9 @@ def _log_gamma_draws(rng: RngStream, shape: float, n: int) -> np.ndarray:
     return np.log(boosted) + np.log(u) / shape
 
 
-def sample_beta(alpha: float, beta: float, rng: RngStream, size: int | None = None):
-    """Draw from Beta(alpha, beta) as G1 / (G1 + G2) with independent gammas.
+def sample_beta(alpha: float, beta: float, rng: RngStream, size: int) -> np.ndarray:
+    """``size`` draws from Beta(alpha, beta), each G1 / (G1 + G2) with
+    independent gammas.
 
     The ratio is formed in log space (expit of the log-gamma difference), so
     extreme parameter pairs such as (1, 1e4) or (1, 0.01) keep full precision,
@@ -134,11 +135,9 @@ def sample_beta(alpha: float, beta: float, rng: RngStream, size: int | None = No
     """
     alpha = _check_positive("alpha", alpha)
     beta = _check_positive("beta", beta)
-    n = 1 if size is None else int(size)
-    la = _log_gamma_draws(rng, alpha, n)
-    lb = _log_gamma_draws(rng, beta, n)
-    out = expit(la - lb)
-    return float(out[0]) if size is None else out
+    la = _log_gamma_draws(rng, alpha, size)
+    lb = _log_gamma_draws(rng, beta, size)
+    return expit(la - lb)
 
 
 @dataclass(frozen=True)
@@ -153,29 +152,26 @@ class DirichletParams:
         if len(alphas) < 2:
             raise ParameterError("a Dirichlet needs at least two parameters")
         for a in alphas:
-            if not np.isfinite(a) or a <= 0.0:
-                raise ParameterError(f"Dirichlet parameters must be positive, got {a!r}")
+            _check_positive("a Dirichlet parameter", a)
 
     @property
     def k(self) -> int:
         return len(self.alphas)
 
 
-def sample_dirichlet(params: DirichletParams, rng: RngStream, size: int | None = None):
-    """Draw a probability vector from the Dirichlet distribution.
+def sample_dirichlet(params: DirichletParams, rng: RngStream, size: int) -> np.ndarray:
+    """``size`` probability vectors from the Dirichlet distribution; returns
+    shape (size, k).
 
     Independent gammas are drawn coordinate by coordinate in log space and
     normalized by softmax, so the output sums to one and tiny parameters do
-    not underflow to an all-zero vector.  Returns shape (k,), or (size, k).
+    not underflow to an all-zero vector.
     """
-    if not isinstance(params, DirichletParams):
-        params = DirichletParams(tuple(params))
-    n = 1 if size is None else int(size)
-    logs = np.empty((n, params.k))
+    logs = np.empty((size, params.k))
     for j, alpha in enumerate(params.alphas):
-        logs[:, j] = _log_gamma_draws(rng, alpha, n)
+        logs[:, j] = _log_gamma_draws(rng, alpha, size)
     logs -= logs.max(axis=1, keepdims=True)
     out = np.exp(logs)
     out /= out.sum(axis=1, keepdims=True)
-    return out[0] if size is None else out
+    return out
 

@@ -6,12 +6,15 @@ Dirichlet marginals and on quantiles draw all replications of a leg in one
 vectorised call from stream base + leg; stick-breaking checks give
 replication r of leg l its own stream, base + l*R + r.  Every check returns
 an ``McSummary`` whose verdict is a list of named checks: a comparison passes
-when the estimate sits within a stated multiple of its Monte Carlo standard
-error (an exact rule, such as a count that must be zero, is a comparison at
-zero standard error); a distributional check passes when its
-Kolmogorov-Smirnov p-value exceeds a stated level.  The summary passes when
-every check does.  Stick-breaking replication loops are data-parallel and
-reduce in fixed index order, so results are independent of thread count.
+when the estimate sits within a pinned multiple of its Monte Carlo standard
+error (MEAN_TOL for headline means, MOMENT_TOL for other moment identities,
+VARIANCE_TOL for the quantile family's variances; an exact rule, such as a
+count that must be zero, is a comparison at zero standard error); a
+distributional check passes when its Kolmogorov-Smirnov p-value exceeds
+KS_LEVEL.  These multiples are the acceptance suite's and cannot be changed
+by a caller or a config.  The summary passes when every check does.
+Stick-breaking replication loops are data-parallel and reduce in fixed index
+order, so results are independent of thread count.
 """
 
 from __future__ import annotations
@@ -57,10 +60,12 @@ from .rvgen import RngStream
 # Unused here; bench/tracing.py patches verify.sample_dirichlet by name.
 from .rvgen import sample_dirichlet  # noqa: F401
 
-DEFAULT_MEAN_TOL = 3.0
-DEFAULT_MOMENT_TOL = 4.0
-DEFAULT_VARIANCE_TOL = 5.0
-DEFAULT_KS_LEVEL = 0.01
+# The pass rule: comparisons at these multiples of their standard error,
+# Kolmogorov-Smirnov checks at this level.
+MEAN_TOL = 3.0
+MOMENT_TOL = 4.0
+VARIANCE_TOL = 5.0
+KS_LEVEL = 0.01
 
 # Fewest replications moment_check accepts, and fewest concentrations gc_study
 # can fit a decay rate to.
@@ -222,10 +227,13 @@ def check_a_values(a_values: Sequence[float], min_count: int = 1) -> np.ndarray:
 
 
 def check_levels(u_points: Sequence[float]) -> list[float]:
-    """The quantile levels as floats; each must lie strictly inside (0, 1)."""
+    """The quantile levels as floats; each must lie strictly inside (0, 1),
+    and no two may be equal."""
     u_points = [float(u) for u in u_points]
     if any(not 0.0 < u < 1.0 for u in u_points):
         raise ArgumentError("u_points must lie strictly inside (0, 1)")
+    if len(set(u_points)) < len(u_points):
+        raise ArgumentError("u_points must be distinct")
     return u_points
 
 
@@ -346,14 +354,14 @@ def _compare(estimates, comparisons, name, estimate, target, tol, one_sided=Fals
     comparisons.append(Comparison.build(name, *estimate, target, tol, one_sided))
 
 
-def ks_normal_check(name: str, sample: np.ndarray, level: float = DEFAULT_KS_LEVEL) -> LevelCheck:
+def ks_normal_check(name: str, sample: np.ndarray) -> LevelCheck:
     stat, p = scipy.stats.kstest(np.asarray(sample, dtype=float), "norm")
-    return LevelCheck.build(name, stat, p, level)
+    return LevelCheck.build(name, stat, p, KS_LEVEL)
 
 
-def ks_two_sample_check(name, x, y, level: float = DEFAULT_KS_LEVEL) -> LevelCheck:
+def ks_two_sample_check(name, x, y) -> LevelCheck:
     stat, p = scipy.stats.ks_2samp(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    return LevelCheck.build(name, stat, p, level)
+    return LevelCheck.build(name, stat, p, KS_LEVEL)
 
 
 # ---------------------------------------------------------------------------
@@ -400,24 +408,25 @@ def dp_set_mass(sample: DpSample, s: BorelSet) -> float:
 
 def _moment_checks(
     a: float, base: BaseMeasure, sets: Sequence[BorelSet], vals: np.ndarray, prefix: str,
-    mean_tol: float, moment_tol: float,
+    mean_k: float,
 ) -> tuple[dict[str, tuple[float, float]], list[Comparison]]:
     """Estimates and comparisons of the mean and variance of each column of
     ``vals`` (replications of the masses P_a gives ``sets``) and of each
     pairwise cross-moment, against their closed forms; names carry
-    ``prefix``."""
+    ``prefix``.  Means are judged at ``mean_k`` (MEAN_TOL when they are the
+    headline, MOMENT_TOL otherwise), the rest at MOMENT_TOL."""
     estimates: dict[str, tuple[float, float]] = {}
     comparisons: list[Comparison] = []
     for i, s in enumerate(sets):
         m, v = dp_moments(a, base, s)
         col = vals[:, i]
-        _compare(estimates, comparisons, f"{prefix}mean[S{i + 1}]", mc_mean_se(col), m, mean_tol)
-        _compare(estimates, comparisons, f"{prefix}var[S{i + 1}]", mc_var_se(col), v, moment_tol)
+        _compare(estimates, comparisons, f"{prefix}mean[S{i + 1}]", mc_mean_se(col), m, mean_k)
+        _compare(estimates, comparisons, f"{prefix}var[S{i + 1}]", mc_var_se(col), v, MOMENT_TOL)
     for i, j in combinations(range(len(sets)), 2):
         name = f"{prefix}cross[S{i + 1},S{j + 1}]"
         cross = mc_mean_se(vals[:, i] * vals[:, j])
         target = dp_cross_moment(a, base, sets[i], sets[j])
-        _compare(estimates, comparisons, name, cross, target, moment_tol)
+        _compare(estimates, comparisons, name, cross, target, MOMENT_TOL)
     return estimates, comparisons
 
 
@@ -429,8 +438,6 @@ def moment_check(
     seed: int,
     *,
     base_stream: int = 0,
-    mean_tol: float = DEFAULT_MEAN_TOL,
-    moment_tol: float = DEFAULT_MOMENT_TOL,
 ) -> McSummary:
     """Monte Carlo means, variances, and pairwise cross-moments of P_a over
     the sets, each against its closed form; all replications come from
@@ -441,7 +448,7 @@ def moment_check(
     validate_partition(cells, measures)
     draws = sample_fidi(a, measures, RngStream(seed, base_stream), size=replications)
     estimates, comparisons = _moment_checks(
-        a, base, sets, draws @ member.T.astype(float), "", mean_tol, moment_tol
+        a, base, sets, draws @ member.T.astype(float), "", MEAN_TOL
     )
     return McSummary(
         replications,
@@ -465,7 +472,6 @@ def modulus_check(
     seed: int,
     *,
     base_stream: int = 0,
-    tol: float = DEFAULT_MOMENT_TOL,
 ) -> McSummary:
     """Estimate E[(P_a(t) - P_a(t1)) (P_a(t2) - P_a(t))] under the uniform
     base, compare it with the exact a/(a+1) (t - t1)(t2 - t), and assert the
@@ -479,8 +485,8 @@ def modulus_check(
     p = sample_fidi(a, measures, RngStream(seed, base_stream), size=replications)
     mean, se = mc_mean_se(p[:, 0] * p[:, 1])
     comparisons = [
-        Comparison.build("increment_product", mean, se, exact, tol),
-        Comparison.build("increment_product_bound", mean, se, bound, tol, one_sided=True),
+        Comparison.build("increment_product", mean, se, exact, MOMENT_TOL),
+        Comparison.build("increment_product_bound", mean, se, bound, MOMENT_TOL, one_sided=True),
     ]
     return McSummary(
         replications,
@@ -502,8 +508,6 @@ def fidi_normality_check(
     seed: int,
     *,
     base_stream: int = 0,
-    tol: float = DEFAULT_MOMENT_TOL,
-    ks_level: float = DEFAULT_KS_LEVEL,
 ) -> McSummary:
     """Simulate the centered-scaled vector (sqrt(a)(P_a(S_i) - lam(S_i)))_i
     under the uniform base and check mean, covariance, and marginal normality
@@ -522,18 +526,17 @@ def fidi_normality_check(
     comparisons: list[Comparison] = []
     level_checks: list[LevelCheck] = []
     for i in range(len(sets)):
-        _compare(estimates, comparisons, f"mean[S{i + 1}]", mc_mean_se(vals[:, i]), 0.0, tol)
+        mean = mc_mean_se(vals[:, i])
+        _compare(estimates, comparisons, f"mean[S{i + 1}]", mean, 0.0, MOMENT_TOL)
     for i in range(len(sets)):
         for j in range(i, len(sets)):
             est = mc_var_se(vals[:, i]) if i == j else mc_cov_se(vals[:, i], vals[:, j])
             target = bb_cov(sets[i], sets[j], lam)
-            _compare(estimates, comparisons, f"cov[S{i + 1},S{j + 1}]", est, target, tol)
+            _compare(estimates, comparisons, f"cov[S{i + 1},S{j + 1}]", est, target, MOMENT_TOL)
     for i in range(len(sets)):
         sd = np.sqrt(set_masses[i] * (1.0 - set_masses[i]))
         if sd > 0:
-            level_checks.append(
-                ks_normal_check(f"ks_normal[S{i + 1}]", vals[:, i] / sd, ks_level)
-            )
+            level_checks.append(ks_normal_check(f"ks_normal[S{i + 1}]", vals[:, i] / sd))
     return McSummary(
         replications,
         estimates,
@@ -694,8 +697,6 @@ def representation_check(
     *,
     trunc: TruncationPolicy | None = None,
     threads: int | None = None,
-    tol: float = DEFAULT_MOMENT_TOL,
-    ks_level: float = DEFAULT_KS_LEVEL,
     base_stream: int = 0,
 ) -> McSummary:
     """Compare the two exact representations over one partition: cell masses
@@ -717,10 +718,10 @@ def representation_check(
     fidi_stream = RngStream(seed, base_stream + replications)
     fidis = sample_fidi(a, measures, fidi_stream, size=replications)
 
-    stick = _moment_checks(a, base, cells, sticks, "stick_", tol, tol)
-    fidi = _moment_checks(a, base, cells, fidis, "fidi_", tol, tol)
+    stick = _moment_checks(a, base, cells, sticks, "stick_", MOMENT_TOL)
+    fidi = _moment_checks(a, base, cells, fidis, "fidi_", MOMENT_TOL)
     level_checks = [
-        ks_two_sample_check(f"ks_2samp[S{i + 1}]", sticks[:, i], fidis[:, i], ks_level)
+        ks_two_sample_check(f"ks_2samp[S{i + 1}]", sticks[:, i], fidis[:, i])
         for i in range(len(cells))
     ]
     return McSummary(
@@ -732,9 +733,7 @@ def representation_check(
     )
 
 
-def quantile_sampler_check(
-    a: float, replications: int, seed: int, *, ks_level: float = DEFAULT_KS_LEVEL
-) -> McSummary:
+def quantile_sampler_check(a: float, replications: int, seed: int) -> McSummary:
     """Compare the two exact quantile samplers of DP(a, U[0, 1]): quartiles
     of stick-breaking realizations against ``bisection_quantiles``, both at
     the default truncation epsilon, by two-sample KS tests on Q(.25), Q(.5),
@@ -755,11 +754,11 @@ def quantile_sampler_check(
     bisect = bisection_quantiles(a, levels, bisect_stream, replications, trunc.epsilon)
 
     level_checks = [
-        ks_two_sample_check(f"ks_2samp[Q({u:g})]", sticks[:, i], bisect[:, i], ks_level)
+        ks_two_sample_check(f"ks_2samp[Q({u:g})]", sticks[:, i], bisect[:, i])
         for i, u in enumerate(levels)
     ]
     level_checks.append(ks_two_sample_check(
-        "ks_2samp[iqr]", sticks[:, 2] - sticks[:, 0], bisect[:, 2] - bisect[:, 0], ks_level
+        "ks_2samp[iqr]", sticks[:, 2] - sticks[:, 0], bisect[:, 2] - bisect[:, 0]
     ))
     return McSummary(2 * replications, {}, [], level_checks, seed_info=(seed, (0, replications)))
 
@@ -778,7 +777,6 @@ def posterior_check(
     seed: int,
     *,
     base_stream: int = 0,
-    tol: float = DEFAULT_MOMENT_TOL,
 ) -> McSummary:
     """Conjugacy: the posterior concentration is a + n exactly, and the
     Monte Carlo mean of the posterior mass of each test set matches the
@@ -792,7 +790,8 @@ def posterior_check(
         m = post.measure(s)
         rng = RngStream(seed, base_stream + i)
         vals = sample_fidi(post.a_star, [m, 1.0 - m], rng, size=replications)[:, 0]
-        _compare(estimates, comparisons, f"posterior_mean[S{i + 1}]", mc_mean_se(vals), m, tol)
+        mean = mc_mean_se(vals)
+        _compare(estimates, comparisons, f"posterior_mean[S{i + 1}]", mean, m, MOMENT_TOL)
     return McSummary(
         replications * len(sets),
         estimates,
@@ -814,8 +813,6 @@ def quantile_limit_study(
     seed: int,
     *,
     trunc: TruncationPolicy | None = None,
-    tol: float = DEFAULT_VARIANCE_TOL,
-    ks_level: float = DEFAULT_KS_LEVEL,
     base_stream: int = 0,
 ) -> McSummary:
     """Quantile-process limit checks per concentration: the covariance matrix
@@ -874,16 +871,15 @@ def quantile_limit_study(
                 x, y = vals[:, col[ui]], vals[:, col[uj]]
                 est = mc_var_se(x) if ui == uj else mc_cov_se(x, y)
                 name = f"{tag}/qcov[{ui:g},{uj:g}]"
-                _compare(estimates, comparisons, name, est, cov_targets[(ui, uj)], tol)
+                _compare(estimates, comparisons, name, est, cov_targets[(ui, uj)], VARIANCE_TOL)
 
         med = vals[:, col[0.5]]
-        _compare(estimates, comparisons, f"{tag}/median_var", mc_var_se(med), median_target, tol)
+        med_var = mc_var_se(med)
+        _compare(estimates, comparisons, f"{tag}/median_var", med_var, median_target, VARIANCE_TOL)
         iqr_dev = vals[:, col[0.75]] - vals[:, col[0.25]]
-        _compare(estimates, comparisons, f"{tag}/iqr_var", mc_var_se(iqr_dev), iqr_target, tol)
-
-        level_checks.append(
-            ks_normal_check(f"{tag}/ks_median", med / np.sqrt(median_target), ks_level)
-        )
+        iqr_var = mc_var_se(iqr_dev)
+        _compare(estimates, comparisons, f"{tag}/iqr_var", iqr_var, iqr_target, VARIANCE_TOL)
+        level_checks.append(ks_normal_check(f"{tag}/ks_median", med / np.sqrt(median_target)))
 
     return McSummary(
         int(replications) * a_values.size,

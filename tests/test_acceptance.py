@@ -151,16 +151,12 @@ def test_criterion_7_glivenko_cantelli():
     """Mean sup-norm strictly decreasing over a in {10,...,10^4} at R=10^3,
     fitted log-log rate inside [-0.6, -0.4], and the cubic deviation bound
     holding on every one of the >= 4*10^3 generated samples."""
-    curve = gc_study(
-        [10.0, 100.0, 1000.0, 10000.0], uniform_base(), 1000, 512, 8808
-    ).details
-    decreasing = bool(np.all(np.diff(curve["mean_sup"]) < 0.0))
-    rate_ok = -0.6 <= curve["fitted_rate"] <= -0.4
-    dl_ok = curve["dl_checked"] >= 4000 and curve["dl_violations"] == 0
+    result = gc_study([10.0, 100.0, 1000.0, 10000.0], uniform_base(), 1000, 512, 8808)
+    curve = result.details
     _criterion(
         7,
         "uniform-distance decay",
-        decreasing and rate_ok and dl_ok,
+        result.passed and curve["dl_checked"] >= 4000,
         f"rate={curve['fitted_rate']:.3f}, bound checked on {curve['dl_checked']} samples",
     )
 

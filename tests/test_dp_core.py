@@ -128,7 +128,7 @@ class TestSampleFidi:
         with pytest.raises(PartitionError):  # overlapping cells
             _measures(uniform01, [BorelSet.interval(0.0, 0.6), BorelSet.interval(0.4, 1.0)])
         with pytest.raises(ParameterError):
-            sample_fidi(0.0, [0.5, 0.5], RngStream(0, 0))
+            sample_fidi(0.0, [0.5, 0.5], RngStream(0, 0), size=1)
 
     def test_single_cell_partition(self, uniform01):
         cells = [BorelSet.interval(*uniform01.support)]
@@ -396,7 +396,7 @@ class TestBisectionQuantiles:
 class TestPosterior:
     def test_mixture_cdf_value(self, uniform01):
         post = posterior_update(2.0, uniform01, [0.2, 0.4, 0.6])
-        assert post.cdf(0.5) == pytest.approx((2.0 * 0.5 + 2) / 5.0)
+        assert post.measure(BorelSet.interval(0.0, 0.5)) == pytest.approx((2.0 * 0.5 + 2) / 5.0)
 
     def test_concentration_adds_sample_size(self, uniform01):
         assert posterior_update(2.0, uniform01, [0.2, 0.4, 0.6]).a_star == 5.0
@@ -405,7 +405,7 @@ class TestPosterior:
         post = posterior_update(2.0, uniform01, [])
         assert post.a_star == 2.0
         for t in (0.1, 0.5, 0.9):
-            assert post.cdf(t) == pytest.approx(uniform01.cdf(t))
+            assert post.measure(BorelSet.interval(0.0, t)) == pytest.approx(uniform01.cdf(t))
 
     def test_measure_counts_data(self, uniform01):
         post = posterior_update(2.0, uniform01, [0.2, 0.4, 0.6])

@@ -23,6 +23,17 @@ def _config(**overrides):
     return cfg
 
 
+# A config whose run fails on its own: at tol 1e-9 the TV quadrature stops at
+# n_max, which fails the density family's unconverged_quadratures check.
+FAILING = {
+    "schema_version": 1,
+    "experiment": "density",
+    "seed": 42,
+    "a_values": [1000.0],
+    "quadrature": {"tol": 1e-9},
+}
+
+
 def _run_to_dir(cfg, out):
     config = validate_config(cfg)
     report = run_experiment(config)
@@ -124,6 +135,8 @@ class TestConfigValidation:
                 {"experiment": "all", "families": {"quantile": {"u_points": [0.5, 1.0]}}},
                 "families.quantile.u_points",
             ),
+            ({"experiment": "posterior", "a": 0.0}, "a"),
+            ({"experiment": "quantile", "u_points": [0.5, 0.5]}, "u_points"),
         ],
     )
     def test_verify_argument_rules_name_the_field(self, extra, path):
@@ -148,21 +161,6 @@ class TestConfigValidation:
             again = validate_config(config.echo())
             assert again.family_params == config.family_params
             assert again.seed == config.seed
-
-    def test_tolerance_overrides_hold_only_what_the_family_reads(self):
-        config = validate_config({"schema_version": 1, "experiment": "all", "seed": 3})
-        settable = {
-            family: sorted(params["tolerance_overrides"])
-            for family, params in config.family_params.items()
-            if "tolerance_overrides" in params
-        }
-        assert settable == {
-            "moments": ["mean", "moment"],
-            "fidi": ["ks_level", "moment"],
-            "modulus": ["moment"],
-            "quantile": ["ks_level", "variance"],
-            "posterior": ["moment"],
-        }
 
 
 class TestRunAndEmit:
@@ -269,17 +267,15 @@ class TestRunAndEmit:
             tmp_path / "default" / "density_summary.csv"
         ).read_text()
 
-        cfg["quadrature"] = {"tol": 1e-9}
-        report = _run_to_dir(cfg, tmp_path / "strict")
+        report = _run_to_dir(FAILING, tmp_path / "strict")
         assert not report.family_passed["density"]
         # the TV quadrature stops at n_max; the integral still converges
         assert "comparison,unconverged_quadratures,1,0,0,0,false,false" in (
             tmp_path / "strict" / "density_summary.csv"
         ).read_text()
 
-    def test_failing_tolerance_fails_run(self, tmp_path):
-        cfg = _config(tolerance_overrides={"mean": 1e-9, "moment": 1e-9})
-        report = _run_to_dir(cfg, tmp_path)
+    def test_failing_check_fails_run(self, tmp_path):
+        report = _run_to_dir(FAILING, tmp_path)
         assert not report.overall_pass
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["pass"] is False
@@ -328,10 +324,10 @@ class TestCli:
         assert "[PASS] moments" in capsys.readouterr().out
 
     def test_run_failing_exit_one(self, tmp_path, capsys):
-        cfg = _config(tolerance_overrides={"mean": 1e-9, "moment": 1e-9})
-        path = self._write(tmp_path, cfg)
+        path = self._write(tmp_path, FAILING)
         rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
         assert rc == 1
+        assert "[FAIL] density" in capsys.readouterr().out
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert payload["pass"] is False
 
@@ -374,20 +370,35 @@ class TestCli:
             ({"experiment": "gc", "tolerance_overrides": {"moment": 2.0}}, "tolerance_overrides"),
             (
                 {"experiment": "modulus", "tolerance_overrides": {"mean": 1e-9}},
-                "tolerance_overrides.mean",
+                "tolerance_overrides",
             ),
             (
                 {"experiment": "all", "families": {"density": {"tolerance_overrides": {}}}},
                 "families.density.tolerance_overrides",
             ),
+            ({"experiment": "all", "tolerance_overrides": {"mean": 2.0}}, "tolerance_overrides"),
+            (
+                {"experiment": "all", "families": {"moments": {"tolerance_overrides": {}}}},
+                "families.moments.tolerance_overrides",
+            ),
         ],
     )
     def test_tolerance_a_family_does_not_read_exits_2(self, tmp_path, capsys, cfg, path):
+        """No family reads a settable tolerance: the pass rule is pinned."""
         path_arg = self._write(tmp_path, {"schema_version": 1, "seed": 1, **cfg})
         rc = cli_main(["validate", "--config", path_arg])
         self._assert_clean_exit_2(capsys, rc, f"{path}: unknown field")
         rc = cli_main(["run", "--config", path_arg, "--out", str(tmp_path / "out")])
         self._assert_clean_exit_2(capsys, rc, f"{path}: unknown field")
+
+    @pytest.mark.parametrize("value", [None, 5, [{}], "x"])
+    def test_family_value_not_an_object_exits_2(self, tmp_path, capsys, value):
+        cfg = {"schema_version": 1, "seed": 1, "experiment": "all", "families": {"gc": value}}
+        path = self._write(tmp_path, cfg)
+        rc = cli_main(["validate", "--config", path])
+        self._assert_clean_exit_2(capsys, rc, "families.gc: expected an object")
+        rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
+        self._assert_clean_exit_2(capsys, rc, "families.gc: expected an object")
 
     def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch):
         path = self._write(tmp_path, _config())

@@ -69,7 +69,7 @@ class TestSampleGamma:
     def test_invalid_shape(self, shape):
         """The public gamma-based samplers reject the shape before drawing."""
         with pytest.raises(ParameterError):
-            sample_beta(shape, 1.0, RngStream(0, 0))
+            sample_beta(shape, 1.0, RngStream(0, 0), size=1)
         with pytest.raises(ParameterError):
             DirichletParams((shape, 1.0))
 
@@ -109,9 +109,9 @@ class TestSampleBeta:
 
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):
-            sample_beta(0.0, 1.0, RngStream(0, 0))
+            sample_beta(0.0, 1.0, RngStream(0, 0), size=1)
         with pytest.raises(ParameterError):
-            sample_beta(1.0, -2.0, RngStream(0, 0))
+            sample_beta(1.0, -2.0, RngStream(0, 0), size=1)
 
 
 class TestSampleDirichlet:
