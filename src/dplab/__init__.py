@@ -55,7 +55,6 @@ from .processes import (
     tv_distance_bivariate,
 )
 from .rvgen import (
-    DirichletParams,
     RngStream,
     sample_beta,
     sample_dirichlet,

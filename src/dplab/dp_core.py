@@ -10,13 +10,13 @@ alongside them so Monte Carlo output can be checked against exact targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import ArgumentError, ParameterError, PartitionError, TruncationError
-from .rvgen import DirichletParams, RngStream, sample_beta, sample_dirichlet
+from .rvgen import RngStream, sample_beta, sample_dirichlet
 
 # Clipping window applied to uniforms before quantile transforms, so bases
 # with unbounded support never produce infinite atoms.
@@ -85,12 +85,6 @@ class BorelSet:
     def contains_interval(self, lo: float, hi: float) -> bool:
         """True when (lo, hi] sits inside one of this set's intervals."""
         return any(l <= lo and hi <= h for l, h in self.intervals)
-
-
-class MeasureLike(Protocol):
-    """Anything that can assign probability mass to a BorelSet."""
-
-    def measure(self, s: BorelSet) -> float: ...
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +447,7 @@ def sample_fidi(a: float, measures, rng: RngStream, size: int) -> np.ndarray:
     if positive.size == 1:
         out[:, positive[0]] = 1.0
     else:
-        params = DirichletParams(tuple(a * measures[positive]))
-        out[:, positive] = sample_dirichlet(params, rng, size=n)
+        out[:, positive] = sample_dirichlet(a * measures[positive], rng, size=n)
     return out
 
 
@@ -512,14 +505,14 @@ def posterior_update(a: float, base: BaseMeasure, data) -> PosteriorParams:
 # ---------------------------------------------------------------------------
 
 
-def dp_moments(a: float, base: MeasureLike, s: BorelSet) -> tuple[float, float]:
+def dp_moments(a: float, base: BaseMeasure, s: BorelSet) -> tuple[float, float]:
     """Exact (mean, variance) of P_a(S): (H(S), H(S)(1 - H(S)) / (1 + a))."""
     check_concentration(a)
     m = base.measure(s)
     return m, m * (1.0 - m) / (1.0 + a)
 
 
-def dp_cross_moment(a: float, base: MeasureLike, s1: BorelSet, s2: BorelSet) -> float:
+def dp_cross_moment(a: float, base: BaseMeasure, s1: BorelSet, s2: BorelSet) -> float:
     """Exact E[P_a(S1) P_a(S2)] = (H(S1 and S2) + a H(S1) H(S2)) / (1 + a).
 
     For disjoint sets this reduces to a/(1+a) * H(S1) H(S2); the intersection

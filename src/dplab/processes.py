@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import gammaln
 
-from .dp_core import BaseMeasure, BorelSet, MeasureLike, check_concentration
+from .dp_core import BaseMeasure, BorelSet, check_concentration
 from .errors import ArgumentError, ParameterError, SingularDensityError
 
 
@@ -38,7 +38,7 @@ class Grid:
 # ---------------------------------------------------------------------------
 
 
-def bb_cov(s1: BorelSet, s2: BorelSet, mu: MeasureLike) -> float:
+def bb_cov(s1: BorelSet, s2: BorelSet, mu: BaseMeasure) -> float:
     """Bridge covariance mu(S1 and S2) - mu(S1) mu(S2)."""
     return mu.measure(s1.intersect(s2)) - mu.measure(s1) * mu.measure(s2)
 

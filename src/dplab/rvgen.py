@@ -140,35 +140,19 @@ def sample_beta(alpha: float, beta: float, rng: RngStream, size: int) -> np.ndar
     return expit(la - lb)
 
 
-@dataclass(frozen=True)
-class DirichletParams:
-    """Parameter vector (a_1, ..., a_k) of a Dirichlet distribution, k >= 2."""
-
-    alphas: tuple[float, ...]
-
-    def __post_init__(self):
-        alphas = tuple(float(a) for a in self.alphas)
-        object.__setattr__(self, "alphas", alphas)
-        if len(alphas) < 2:
-            raise ParameterError("a Dirichlet needs at least two parameters")
-        for a in alphas:
-            _check_positive("a Dirichlet parameter", a)
-
-    @property
-    def k(self) -> int:
-        return len(self.alphas)
-
-
-def sample_dirichlet(params: DirichletParams, rng: RngStream, size: int) -> np.ndarray:
-    """``size`` probability vectors from the Dirichlet distribution; returns
-    shape (size, k).
+def sample_dirichlet(alphas, rng: RngStream, size: int) -> np.ndarray:
+    """``size`` probability vectors from Dirichlet(alphas), which needs at
+    least two positive parameters; returns shape (size, len(alphas)).
 
     Independent gammas are drawn coordinate by coordinate in log space and
     normalized by softmax, so the output sums to one and tiny parameters do
     not underflow to an all-zero vector.
     """
-    logs = np.empty((size, params.k))
-    for j, alpha in enumerate(params.alphas):
+    alphas = [_check_positive("a Dirichlet parameter", a) for a in alphas]
+    if len(alphas) < 2:
+        raise ParameterError("a Dirichlet needs at least two parameters")
+    logs = np.empty((size, len(alphas)))
+    for j, alpha in enumerate(alphas):
         logs[:, j] = _log_gamma_draws(rng, alpha, size)
     logs -= logs.max(axis=1, keepdims=True)
     out = np.exp(logs)

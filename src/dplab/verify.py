@@ -148,7 +148,8 @@ class McSummary:
     """Outcome of one Monte Carlo experiment.
 
     ``estimates`` maps a name to (value, standard_error); ``comparisons`` and
-    ``level_checks`` carry the pass/fail verdicts; ``seed_info`` records the
+    ``level_checks`` carry the pass/fail verdicts, and ``compare`` records an
+    estimate with its comparison; ``seed_info`` records the
     master seed and the inclusive stream-index range consumed (None when the
     experiment draws nothing).  A stick-breaking replication can be
     reproduced alone from its stream; a Dirichlet-marginal leg only whole,
@@ -156,9 +157,9 @@ class McSummary:
     summary, and ``details`` extra JSON entries.
     """
 
-    replications: int
-    estimates: dict[str, tuple[float, float]]
-    comparisons: list[Comparison]
+    replications: int = 0
+    estimates: dict[str, tuple[float, float]] = field(default_factory=dict)
+    comparisons: list[Comparison] = field(default_factory=list)
     level_checks: list[LevelCheck] = field(default_factory=list)
     seed_info: tuple[int, tuple[int, int]] | None = None
     tables: dict[str, Table] = field(default_factory=dict)
@@ -167,6 +168,12 @@ class McSummary:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in [*self.comparisons, *self.level_checks])
+
+    def compare(self, name, estimate, target, tol, one_sided=False) -> None:
+        """Record ``estimate``, a (value, standard error) pair, under ``name``
+        and compare it with ``target`` at ``tol`` standard errors."""
+        self.estimates[name] = estimate
+        self.comparisons.append(Comparison.build(name, *estimate, target, tol, one_sided))
 
     def csv_tables(self) -> dict[str, Table]:
         """The extra tables, then the summary: one row per estimate,
@@ -347,13 +354,6 @@ def mc_cov_se(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return cov, se
 
 
-def _compare(estimates, comparisons, name, estimate, target, tol, one_sided=False) -> None:
-    """Record ``estimate``, a (value, standard error) pair, under ``name`` and
-    compare it with ``target`` at ``tol`` standard errors."""
-    estimates[name] = estimate
-    comparisons.append(Comparison.build(name, *estimate, target, tol, one_sided))
-
-
 def ks_normal_check(name: str, sample: np.ndarray) -> LevelCheck:
     stat, p = scipy.stats.kstest(np.asarray(sample, dtype=float), "norm")
     return LevelCheck.build(name, stat, p, KS_LEVEL)
@@ -407,27 +407,23 @@ def dp_set_mass(sample: DpSample, s: BorelSet) -> float:
 
 
 def _moment_checks(
-    a: float, base: BaseMeasure, sets: Sequence[BorelSet], vals: np.ndarray, prefix: str,
-    mean_k: float,
-) -> tuple[dict[str, tuple[float, float]], list[Comparison]]:
-    """Estimates and comparisons of the mean and variance of each column of
-    ``vals`` (replications of the masses P_a gives ``sets``) and of each
-    pairwise cross-moment, against their closed forms; names carry
-    ``prefix``.  Means are judged at ``mean_k`` (MEAN_TOL when they are the
-    headline, MOMENT_TOL otherwise), the rest at MOMENT_TOL."""
-    estimates: dict[str, tuple[float, float]] = {}
-    comparisons: list[Comparison] = []
+    summary: McSummary, a: float, base: BaseMeasure, sets: Sequence[BorelSet], vals: np.ndarray,
+    prefix: str, mean_k: float,
+) -> None:
+    """Record in ``summary`` the mean and variance of each column of ``vals``
+    (replications of the masses P_a gives ``sets``) and each pairwise
+    cross-moment, compared with their closed forms; names carry ``prefix``.
+    Means are judged at ``mean_k`` (MEAN_TOL when they are the headline,
+    MOMENT_TOL otherwise), the rest at MOMENT_TOL."""
     for i, s in enumerate(sets):
         m, v = dp_moments(a, base, s)
         col = vals[:, i]
-        _compare(estimates, comparisons, f"{prefix}mean[S{i + 1}]", mc_mean_se(col), m, mean_k)
-        _compare(estimates, comparisons, f"{prefix}var[S{i + 1}]", mc_var_se(col), v, MOMENT_TOL)
+        summary.compare(f"{prefix}mean[S{i + 1}]", mc_mean_se(col), m, mean_k)
+        summary.compare(f"{prefix}var[S{i + 1}]", mc_var_se(col), v, MOMENT_TOL)
     for i, j in combinations(range(len(sets)), 2):
-        name = f"{prefix}cross[S{i + 1},S{j + 1}]"
-        cross = mc_mean_se(vals[:, i] * vals[:, j])
         target = dp_cross_moment(a, base, sets[i], sets[j])
-        _compare(estimates, comparisons, name, cross, target, MOMENT_TOL)
-    return estimates, comparisons
+        cross = mc_mean_se(vals[:, i] * vals[:, j])
+        summary.compare(f"{prefix}cross[S{i + 1},S{j + 1}]", cross, target, MOMENT_TOL)
 
 
 def moment_check(
@@ -447,15 +443,9 @@ def moment_check(
     measures = np.array([base.measure(c) for c in cells])
     validate_partition(cells, measures)
     draws = sample_fidi(a, measures, RngStream(seed, base_stream), size=replications)
-    estimates, comparisons = _moment_checks(
-        a, base, sets, draws @ member.T.astype(float), "", MEAN_TOL
-    )
-    return McSummary(
-        replications,
-        estimates,
-        comparisons,
-        seed_info=(seed, (base_stream, base_stream)),
-    )
+    summary = McSummary(replications, seed_info=(seed, (base_stream, base_stream)))
+    _moment_checks(summary, a, base, sets, draws @ member.T.astype(float), "", MEAN_TOL)
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -484,16 +474,12 @@ def modulus_check(
     measures = [w1, w2, 1.0 - w1 - w2]
     p = sample_fidi(a, measures, RngStream(seed, base_stream), size=replications)
     mean, se = mc_mean_se(p[:, 0] * p[:, 1])
-    comparisons = [
-        Comparison.build("increment_product", mean, se, exact, MOMENT_TOL),
-        Comparison.build("increment_product_bound", mean, se, bound, MOMENT_TOL, one_sided=True),
-    ]
-    return McSummary(
-        replications,
-        {"increment_product": (mean, se)},
-        comparisons,
-        seed_info=(seed, (base_stream, base_stream)),
+    summary = McSummary(replications, seed_info=(seed, (base_stream, base_stream)))
+    summary.compare("increment_product", (mean, se), exact, MOMENT_TOL)
+    summary.comparisons.append(
+        Comparison.build("increment_product_bound", mean, se, bound, MOMENT_TOL, one_sided=True)
     )
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -522,28 +508,19 @@ def fidi_normality_check(
     draws = sample_fidi(a, measures, RngStream(seed, base_stream), size=replications)
     vals = np.sqrt(a) * (draws @ weights.T - set_masses)
 
-    estimates: dict[str, tuple[float, float]] = {}
-    comparisons: list[Comparison] = []
-    level_checks: list[LevelCheck] = []
+    summary = McSummary(replications, seed_info=(seed, (base_stream, base_stream)))
     for i in range(len(sets)):
-        mean = mc_mean_se(vals[:, i])
-        _compare(estimates, comparisons, f"mean[S{i + 1}]", mean, 0.0, MOMENT_TOL)
+        summary.compare(f"mean[S{i + 1}]", mc_mean_se(vals[:, i]), 0.0, MOMENT_TOL)
     for i in range(len(sets)):
         for j in range(i, len(sets)):
             est = mc_var_se(vals[:, i]) if i == j else mc_cov_se(vals[:, i], vals[:, j])
             target = bb_cov(sets[i], sets[j], lam)
-            _compare(estimates, comparisons, f"cov[S{i + 1},S{j + 1}]", est, target, MOMENT_TOL)
+            summary.compare(f"cov[S{i + 1},S{j + 1}]", est, target, MOMENT_TOL)
     for i in range(len(sets)):
         sd = np.sqrt(set_masses[i] * (1.0 - set_masses[i]))
         if sd > 0:
-            level_checks.append(ks_normal_check(f"ks_normal[S{i + 1}]", vals[:, i] / sd))
-    return McSummary(
-        replications,
-        estimates,
-        comparisons,
-        level_checks,
-        seed_info=(seed, (base_stream, base_stream)),
-    )
+            summary.level_checks.append(ks_normal_check(f"ks_normal[S{i + 1}]", vals[:, i] / sd))
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -644,9 +621,10 @@ def gc_study(
     trunc = trunc or TruncationPolicy()
     grid = np.linspace(0.0, 1.0, int(grid_resolution)) if grid_resolution else None
 
+    n_samples = int(replications) * a_values.size
+    summary = McSummary(n_samples, seed_info=(seed, (base_stream, base_stream + n_samples - 1)))
     curve = np.empty((a_values.size, 5))  # a, mean_sup, se_sup, mean_cvm, se_cvm
     curve[:, 0] = a_values
-    estimates: dict[str, tuple[float, float]] = {}
     violations = 0
     for leg, a in enumerate(a_values):
 
@@ -659,28 +637,23 @@ def gc_study(
         excess = float(np.max(vals[:, 2] - vals[:, 0]))
         if excess > 1e-9:
             raise DplabError(f"an exact sup-norm fell {excess} below its grid evaluation")
-        curve[leg, 1:3] = estimates[f"a={a:g}/mean_sup"] = mc_mean_se(vals[:, 0])
-        curve[leg, 3:5] = estimates[f"a={a:g}/mean_cvm"] = mc_mean_se(vals[:, 1])
+        curve[leg, 1:3] = summary.estimates[f"a={a:g}/mean_sup"] = mc_mean_se(vals[:, 0])
+        curve[leg, 3:5] = summary.estimates[f"a={a:g}/mean_cvm"] = mc_mean_se(vals[:, 1])
         violations += int(np.sum(~donoho_liu_bounds(vals[:, 0], vals[:, 1])[2]))
 
     mean_sup = curve[:, 1]
     rate = float(np.polyfit(np.log(a_values), np.log(mean_sup), 1)[0])
-    estimates["fitted_rate"] = (rate, 0.0)
-    n_samples = int(replications) * a_values.size
-    return McSummary(
-        n_samples,
-        estimates,
-        _gc_comparisons(mean_sup, rate, violations),
-        seed_info=(seed, (base_stream, base_stream + n_samples - 1)),
-        tables={"curve": (["a", "mean_sup", "se_sup", "mean_cvm", "se_cvm"], curve.tolist())},
-        details={
-            "a_values": a_values.tolist(),
-            "mean_sup": mean_sup.tolist(),
-            "fitted_rate": rate,
-            "dl_checked": n_samples,
-            "dl_violations": violations,
-        },
-    )
+    summary.estimates["fitted_rate"] = (rate, 0.0)
+    summary.comparisons = _gc_comparisons(mean_sup, rate, violations)
+    summary.tables["curve"] = (["a", "mean_sup", "se_sup", "mean_cvm", "se_cvm"], curve.tolist())
+    summary.details = {
+        "a_values": a_values.tolist(),
+        "mean_sup": mean_sup.tolist(),
+        "fitted_rate": rate,
+        "dl_checked": n_samples,
+        "dl_violations": violations,
+    }
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -718,19 +691,16 @@ def representation_check(
     fidi_stream = RngStream(seed, base_stream + replications)
     fidis = sample_fidi(a, measures, fidi_stream, size=replications)
 
-    stick = _moment_checks(a, base, cells, sticks, "stick_", MOMENT_TOL)
-    fidi = _moment_checks(a, base, cells, fidis, "fidi_", MOMENT_TOL)
-    level_checks = [
+    summary = McSummary(
+        2 * replications, seed_info=(seed, (base_stream, base_stream + replications))
+    )
+    _moment_checks(summary, a, base, cells, sticks, "stick_", MOMENT_TOL)
+    _moment_checks(summary, a, base, cells, fidis, "fidi_", MOMENT_TOL)
+    summary.level_checks = [
         ks_two_sample_check(f"ks_2samp[S{i + 1}]", sticks[:, i], fidis[:, i])
         for i in range(len(cells))
     ]
-    return McSummary(
-        2 * replications,
-        {**stick[0], **fidi[0]},
-        stick[1] + fidi[1],
-        level_checks,
-        seed_info=(seed, (base_stream, base_stream + replications)),
-    )
+    return summary
 
 
 def quantile_sampler_check(a: float, replications: int, seed: int) -> McSummary:
@@ -760,7 +730,9 @@ def quantile_sampler_check(a: float, replications: int, seed: int) -> McSummary:
     level_checks.append(ks_two_sample_check(
         "ks_2samp[iqr]", sticks[:, 2] - sticks[:, 0], bisect[:, 2] - bisect[:, 0]
     ))
-    return McSummary(2 * replications, {}, [], level_checks, seed_info=(seed, (0, replications)))
+    return McSummary(
+        2 * replications, level_checks=level_checks, seed_info=(seed, (0, replications))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -783,21 +755,16 @@ def posterior_check(
     posterior base measure.  Set i's replications come from stream
     base_stream + i."""
     post = posterior_update(a, base, data)
-    estimates: dict[str, tuple[float, float]] = {}
-    comparisons: list[Comparison] = []
-    _compare(estimates, comparisons, "a_star", (post.a_star, 0.0), a + post.n, 0.0)
+    summary = McSummary(
+        replications * len(sets), seed_info=(seed, (base_stream, base_stream + len(sets) - 1))
+    )
+    summary.compare("a_star", (post.a_star, 0.0), a + post.n, 0.0)
     for i, s in enumerate(sets):
         m = post.measure(s)
         rng = RngStream(seed, base_stream + i)
         vals = sample_fidi(post.a_star, [m, 1.0 - m], rng, size=replications)[:, 0]
-        mean = mc_mean_se(vals)
-        _compare(estimates, comparisons, f"posterior_mean[S{i + 1}]", mean, m, MOMENT_TOL)
-    return McSummary(
-        replications * len(sets),
-        estimates,
-        comparisons,
-        seed_info=(seed, (base_stream, base_stream + len(sets) - 1)),
-    )
+        summary.compare(f"posterior_mean[S{i + 1}]", mc_mean_se(vals), m, MOMENT_TOL)
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -852,12 +819,12 @@ def quantile_limit_study(
     h3 = float(base.density(base.quantile(0.75)))
     printed_iqr = 3.0 / h3**2 + 3.0 / (16.0 * h1**2) - 2.0 / (h1 * h3)
 
-    estimates: dict[str, tuple[float, float]] = {
-        "iqr_var_printed_reference": (printed_iqr, 0.0),
-        "iqr_var_limit_target": (iqr_target, 0.0),
-    }
-    comparisons: list[Comparison] = []
-    level_checks: list[LevelCheck] = []
+    summary = McSummary(
+        int(replications) * a_values.size,
+        seed_info=(seed, (base_stream, base_stream + a_values.size - 1)),
+    )
+    summary.estimates["iqr_var_printed_reference"] = (printed_iqr, 0.0)
+    summary.estimates["iqr_var_limit_target"] = (iqr_target, 0.0)
     base_quantiles = np.asarray(base.quantile(u_arr), dtype=float)
 
     for leg, a in enumerate(a_values):
@@ -871,23 +838,16 @@ def quantile_limit_study(
                 x, y = vals[:, col[ui]], vals[:, col[uj]]
                 est = mc_var_se(x) if ui == uj else mc_cov_se(x, y)
                 name = f"{tag}/qcov[{ui:g},{uj:g}]"
-                _compare(estimates, comparisons, name, est, cov_targets[(ui, uj)], VARIANCE_TOL)
+                summary.compare(name, est, cov_targets[(ui, uj)], VARIANCE_TOL)
 
         med = vals[:, col[0.5]]
-        med_var = mc_var_se(med)
-        _compare(estimates, comparisons, f"{tag}/median_var", med_var, median_target, VARIANCE_TOL)
+        summary.compare(f"{tag}/median_var", mc_var_se(med), median_target, VARIANCE_TOL)
         iqr_dev = vals[:, col[0.75]] - vals[:, col[0.25]]
-        iqr_var = mc_var_se(iqr_dev)
-        _compare(estimates, comparisons, f"{tag}/iqr_var", iqr_var, iqr_target, VARIANCE_TOL)
-        level_checks.append(ks_normal_check(f"{tag}/ks_median", med / np.sqrt(median_target)))
-
-    return McSummary(
-        int(replications) * a_values.size,
-        estimates,
-        comparisons,
-        level_checks,
-        seed_info=(seed, (base_stream, base_stream + a_values.size - 1)),
-    )
+        summary.compare(f"{tag}/iqr_var", mc_var_se(iqr_dev), iqr_target, VARIANCE_TOL)
+        summary.level_checks.append(
+            ks_normal_check(f"{tag}/ks_median", med / np.sqrt(median_target))
+        )
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -935,29 +895,26 @@ def density_convergence_study(
     g = grid.points
     flim = limit_bivariate_density(g[:, None], g[None, :], spec)
     origin = float(limit_bivariate_density(0.0, 0.0, spec))
-    estimates = {"limit_density_at_origin": (origin, 0.0)}
+    summary = McSummary(estimates={"limit_density_at_origin": (origin, 0.0)})
     rows, tvs = [], []
     for a, integral in zip(a_values, integrals):
         fa = scaled_bivariate_density(g[:, None], g[None, :], l1, l2, a)
         tv = tv_distance_bivariate(l1, l2, a, quad)
         tvs.append(tv)
         rows.append([float(a), float(np.max(np.abs(fa - flim))), tv.value, tv.quad_error])
-        estimates[f"tv[a={a:g}]"] = (tv.value, tv.quad_error)
-        estimates[f"integral[a={a:g}]"] = (integral.value, integral.quad_error)
-    return McSummary(
-        0,
-        estimates,
-        _density_comparisons(
-            a_values,
-            [row[1] for row in rows],
-            [tv.value for tv in tvs],
-            [est.value for est in integrals],
-            [est.converged for est in [*tvs, *integrals]],
-        ),
-        tables={"gap": (["a", "max_gap", "tv_distance", "quad_error"], rows)},
-        details={
-            "limit_density_at_origin": origin,
-            "integrals": {f"a={a:g}": [e.value, e.quad_error] for a, e in zip(a_values, integrals)},
-            "rows": [{"tv_distance": tv.value} for tv in tvs],
-        },
+        summary.estimates[f"tv[a={a:g}]"] = (tv.value, tv.quad_error)
+        summary.estimates[f"integral[a={a:g}]"] = (integral.value, integral.quad_error)
+    summary.comparisons = _density_comparisons(
+        a_values,
+        [row[1] for row in rows],
+        [tv.value for tv in tvs],
+        [est.value for est in integrals],
+        [est.converged for est in [*tvs, *integrals]],
     )
+    summary.tables["gap"] = (["a", "max_gap", "tv_distance", "quad_error"], rows)
+    summary.details = {
+        "limit_density_at_origin": origin,
+        "integrals": {f"a={a:g}": [e.value, e.quad_error] for a, e in zip(a_values, integrals)},
+        "rows": [{"tv_distance": tv.value} for tv in tvs],
+    }
+    return summary

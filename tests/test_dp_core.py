@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dplab import (
     ArgumentError,
@@ -30,6 +32,18 @@ from dplab import (
 from dplab import dp_core
 from dplab.dp_core import validate_partition
 from conftest import make_sample
+
+# Borel sets on the grid k/4 (exact in binary floating point): sorted distinct
+# endpoints paired off into disjoint intervals (lo, hi].
+_borel_sets = st.lists(
+    st.integers(-8, 8).map(lambda k: k / 4.0), min_size=2, max_size=8, unique=True
+).map(lambda ends: sorted(ends)[: len(ends) // 2 * 2]).map(
+    lambda ends: BorelSet(tuple(zip(ends[::2], ends[1::2])))
+)
+
+
+def _contains(s: BorelSet, x: float) -> bool:
+    return any(lo < x <= hi for lo, hi in s.intervals)
 
 
 class TestBaseMeasure:
@@ -88,6 +102,17 @@ class TestBorelSet:
         s = BorelSet(((0.0, 0.4), (0.6, 1.0)))
         assert s.contains_interval(0.1, 0.3)
         assert not s.contains_interval(0.3, 0.7)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_borel_sets, _borel_sets)
+    def test_intersect_matches_point_membership(self, a, b):
+        """A point lies in the intersection iff it lies in both sets, at every
+        endpoint, every midpoint between endpoints, and beyond both ends."""
+        both = a.intersect(b)
+        ends = sorted({x for s in (a, b) for pair in s.intervals for x in pair})
+        points = [-3.0, 3.0, *ends, *((x + y) / 2.0 for x, y in zip(ends, ends[1:]))]
+        for x in points:
+            assert _contains(both, x) == (_contains(a, x) and _contains(b, x)), x
 
 
 def _measures(base, cells):
@@ -295,6 +320,28 @@ class TestDpSampleValidation:
         s = make_sample([0.2, 0.2, 0.7], [0.1, 0.2, 0.7])
         assert s.n_atoms == 2
         np.testing.assert_allclose(s.weights, [0.3, 0.7])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, 0.2, 0.5, 0.7, 1.0]), st.floats(1e-3, 1.0)),
+            min_size=1,
+            max_size=20,
+        ),
+        st.one_of(st.just(0.0), st.floats(1e-12, 0.5)),
+    )
+    def test_tie_merging_conserves_weight(self, pairs, remainder):
+        """Atoms come out unique and strictly increasing, each carrying the
+        total weight of its ties, in any input order."""
+        atoms = np.array([x for x, _ in pairs])
+        weights = np.array([w for _, w in pairs])
+        weights *= (1.0 - remainder) / weights.sum()
+        s = make_sample(atoms, weights, remainder)
+        assert np.all(np.diff(s.atoms) > 0.0)
+        np.testing.assert_array_equal(s.atoms, np.unique(atoms))
+        for x, w in zip(s.atoms, s.weights):
+            assert w == pytest.approx(weights[atoms == x].sum(), rel=0, abs=1e-15)
+        assert s.weights.sum() == pytest.approx(weights.sum(), rel=0, abs=1e-15)
 
 
 class TestDpCdf:

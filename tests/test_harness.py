@@ -4,6 +4,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dplab import ConfigError, validate_config
 from dplab.cli import main as cli_main
@@ -161,6 +163,46 @@ class TestConfigValidation:
             again = validate_config(config.echo())
             assert again.family_params == config.family_params
             assert again.seed == config.seed
+
+
+# Arbitrary JSON values.  Integers stay small because density.grid_points
+# sizes an array when the config is validated.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**4) | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _field_paths(value, path=()):
+    """Every field and list element inside ``value``, as key paths."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _field_paths(child, path + (key,))
+
+
+class TestValidationProperty:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_only_config_errors_at_the_field(self, family, data, tmp_path_factory):
+        """One arbitrary JSON value in one field of a family's default config
+        either validates or raises ConfigError at that field's top-level key."""
+        config_dir = tmp_path_factory.getbasetemp()
+        cfg = validate_config({"schema_version": 1, "experiment": family, "seed": 1}).echo()
+        fields = validate_config(cfg).family_params[family]
+        path = data.draw(st.sampled_from(list(_field_paths(fields))))
+        holder = cfg
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = data.draw(_json_values)
+        try:
+            validate_config(cfg, config_dir)
+        except ConfigError as err:
+            assert err.path.startswith(path[0]), (err.path, path)
 
 
 class TestRunAndEmit:
@@ -399,6 +441,26 @@ class TestCli:
         self._assert_clean_exit_2(capsys, rc, "families.gc: expected an object")
         rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
         self._assert_clean_exit_2(capsys, rc, "families.gc: expected an object")
+
+    @pytest.mark.parametrize("family", ["moments", "gc", "quantile", "posterior"])
+    @pytest.mark.parametrize("label", [[], {}], ids=["list", "object"])
+    def test_non_string_base_label_exits_2(self, tmp_path, capsys, family, label):
+        cfg = {"schema_version": 1, "seed": 1, "experiment": family,
+               "base_measure": {"label": label}}
+        path = self._write(tmp_path, cfg)
+        needle = "base_measure.label: must be one of uniform | exponential | normal"
+        rc = cli_main(["validate", "--config", path])
+        self._assert_clean_exit_2(capsys, rc, needle)
+        rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
+        self._assert_clean_exit_2(capsys, rc, needle)
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(_config()).encode("utf-16-le"))
+        rc = cli_main(["validate", "--config", str(path)])
+        self._assert_clean_exit_2(capsys, rc, "not valid UTF-8 JSON")
+        rc = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        self._assert_clean_exit_2(capsys, rc, "not valid UTF-8 JSON")
 
     def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch):
         path = self._write(tmp_path, _config())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from dplab import DirichletParams, ParameterError, RngStream
+from dplab import ParameterError, RngStream
 from dplab.rvgen import _log_gamma_draws, sample_beta, sample_dirichlet
 
 
@@ -20,9 +20,9 @@ class TestRngStream:
         assert not np.array_equal(a, b)
 
     def test_gamma_sequence_reproducible_through_rejection(self):
-        params = DirichletParams((2.7, 0.3))  # both gamma branches reject
-        a = sample_dirichlet(params, RngStream(5, 3), size=5000)
-        b = sample_dirichlet(params, RngStream(5, 3), size=5000)
+        alphas = (2.7, 0.3)  # both gamma branches reject
+        a = sample_dirichlet(alphas, RngStream(5, 3), size=5000)
+        b = sample_dirichlet(alphas, RngStream(5, 3), size=5000)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n", [1, 2, 1000, 70_000])
@@ -71,7 +71,7 @@ class TestSampleGamma:
         with pytest.raises(ParameterError):
             sample_beta(shape, 1.0, RngStream(0, 0), size=1)
         with pytest.raises(ParameterError):
-            DirichletParams((shape, 1.0))
+            sample_dirichlet((shape, 1.0), RngStream(0, 0), size=1)
 
 
 class TestSampleBeta:
@@ -119,24 +119,24 @@ class TestSampleDirichlet:
         "alphas", [(2.0, 2.0), (1.0, 2.0, 3.0), (0.01, 0.005, 5.0), (0.3, 0.7)]
     )
     def test_simplex_constraint(self, alphas):
-        draws = sample_dirichlet(DirichletParams(alphas), RngStream(3, 0), size=2000)
+        draws = sample_dirichlet(alphas, RngStream(3, 0), size=2000)
         assert np.all(draws >= 0.0)
         np.testing.assert_allclose(draws.sum(axis=1), 1.0, atol=1e-12)
 
     def test_symmetric_mean(self):
-        draws = sample_dirichlet(DirichletParams((2.0, 2.0)), RngStream(3, 1), size=100_000)
+        draws = sample_dirichlet((2.0, 2.0), RngStream(3, 1), size=100_000)
         se = draws[:, 0].std(ddof=1) / np.sqrt(draws.shape[0])
         assert abs(draws[:, 0].mean() - 0.5) <= 3 * se
 
     def test_first_moment(self):
-        draws = sample_dirichlet(DirichletParams((1.0, 2.0, 3.0)), RngStream(3, 2), size=100_000)
+        draws = sample_dirichlet((1.0, 2.0, 3.0), RngStream(3, 2), size=100_000)
         se = draws[:, 0].std(ddof=1) / np.sqrt(draws.shape[0])
         assert abs(draws[:, 0].mean() - 1.0 / 6.0) <= 3 * se
 
     @pytest.mark.parametrize("alphas", [(1.0, 2.0, 3.0), (0.5, 0.5), (2.0, 3.0, 4.0, 5.0)])
     def test_pairwise_covariance(self, alphas):
         """Empirical covariances against -a_i a_j / (A^2 (A + 1))."""
-        draws = sample_dirichlet(DirichletParams(alphas), RngStream(3, 3), size=100_000)
+        draws = sample_dirichlet(alphas, RngStream(3, 3), size=100_000)
         total = sum(alphas)
         n = draws.shape[0]
         for i in range(len(alphas)):
@@ -148,12 +148,9 @@ class TestSampleDirichlet:
                 assert abs(cov - target) <= 4 * se, (alphas, i, j)
 
     def test_invalid_params(self):
-        with pytest.raises(ParameterError):
-            DirichletParams((1.0,))
-        with pytest.raises(ParameterError):
-            DirichletParams((1.0, 0.0))
-        with pytest.raises(ParameterError):
-            DirichletParams((1.0, -1.0, 2.0))
+        for alphas in [(1.0,), (1.0, 0.0), (1.0, -1.0, 2.0)]:
+            with pytest.raises(ParameterError):
+                sample_dirichlet(alphas, RngStream(0, 0), size=1)
 
 
 def _simpson(values, h):

@@ -224,6 +224,36 @@ def _exact_deviation(atoms, weights, grid):
 _unit_atoms = st.one_of(st.sampled_from([0.0, 0.125, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
 
 
+class TestRefineToPartition:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 8), min_size=2, max_size=6, unique=True),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_cells_sum_to_set_masses(self, endpoint_lists):
+        """Cells tile the support, and each set is exactly the union of its
+        member cells: membership agrees with the cell midpoint, and the set's
+        mass is the sum of its members' masses."""
+        base = uniform_base()
+        sets = []
+        for ends in endpoint_lists:
+            ends = sorted(k / 8.0 for k in ends)[: len(ends) // 2 * 2]
+            sets.append(BorelSet(tuple(zip(ends[::2], ends[1::2]))))
+        cells, member = refine_to_partition(sets, base)
+        bounds = [cell.intervals[0] for cell in cells]
+        assert bounds[0][0] == 0.0 and bounds[-1][1] == 1.0
+        assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+        masses = np.array([base.measure(cell) for cell in cells])
+        for i, s in enumerate(sets):
+            for j, (lo, hi) in enumerate(bounds):
+                mid = (lo + hi) / 2.0
+                assert member[i, j] == any(l < mid <= h for l, h in s.intervals), (i, j)
+            assert masses[member[i]].sum() == pytest.approx(base.measure(s), rel=0, abs=1e-12)
+
+
 class TestExactDeviationStats:
     def test_single_atom_values(self, uniform01):
         s = make_sample([0.5], [1.0])
