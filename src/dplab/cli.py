@@ -13,6 +13,15 @@ from .harness import (
     load_config,
     run_experiment,
 )
+from .rvgen import check_seed
+
+
+def _seed(text: str) -> int:
+    """``--seed``, held to the rule of the config's ``seed`` field."""
+    try:
+        return check_seed(int(text), "seed")
+    except ValueError as exc:  # a ParameterError is a ValueError too
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -27,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run an experiment config and emit artifacts")
     run_p.add_argument("--config", required=True, help="path to a JSON config")
-    run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    run_p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     run_p.add_argument("--out", default=None, help="override the output directory")
 
     val_p = sub.add_parser("validate", help="validate a config without running it")

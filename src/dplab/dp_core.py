@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ArgumentError, ParameterError, PartitionError, TruncationError
 from .rvgen import RngStream, sample_beta, sample_dirichlet
@@ -149,6 +148,8 @@ def exponential_base(rate: float = 1.0) -> BaseMeasure:
 def normal_base(mu: float = 0.0, sigma: float = 1.0) -> BaseMeasure:
     if not np.isfinite(mu) or not np.isfinite(sigma) or sigma <= 0:
         raise ParameterError("normal base needs finite mu and positive sigma")
+    from scipy.special import ndtr, ndtri  # loaded by the first normal base
+
     norm_const = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
     return BaseMeasure(
         cdf=lambda x: ndtr((np.asarray(x, dtype=float) - mu) / sigma),

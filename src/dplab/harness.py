@@ -37,6 +37,7 @@ from .dp_core import (
 )
 from .errors import ConfigError, DplabError
 from .processes import BivariateGaussianSpec, Grid, QuadratureSpec, bivariate_density_integral
+from .rvgen import check_seed
 
 SCHEMA_VERSION = 1
 
@@ -252,8 +253,8 @@ def _fidi(f: _Fields, config_dir) -> Call:
 
 def _modulus(f: _Fields, config_dir) -> Call:
     a = f.read("a", 1.0, _concentration)
-    m = f.obj("modulus", {"t1": 0.1, "t": 0.4, "t2": 0.9})
-    t1, t, t2 = (m.read(k, None, _number) for k in ("t1", "t", "t2"))
+    m = f.obj("modulus")
+    t1, t, t2 = (m.read(k, d, _number) for k, d in (("t1", 0.1), ("t", 0.4), ("t2", 0.9)))
     _make(f.sub("modulus"), verify.check_modulus_points, t1, t, t2)
     r = f.read("replications", 100000, _count)
     return lambda seed, stream, threads: verify.modulus_check(
@@ -382,7 +383,7 @@ def validate_config(raw: dict, config_dir: Path | None = None) -> ExperimentConf
         _fail("experiment", f"must be one of {', '.join(FAMILIES + ('all',))}")
     if "seed" not in raw:
         _fail("seed", "required")
-    seed = _int(raw["seed"], "seed")
+    seed = _make("seed", check_seed, _int(raw["seed"], "seed"), "seed")
     output_dir = raw.get("output_dir", "dplab-out")
     if not isinstance(output_dir, str) or not output_dir:
         _fail("output_dir", "expected a non-empty string")

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .dp_core import BaseMeasure, BorelSet, check_concentration
 from .errors import ArgumentError, ParameterError, SingularDensityError
@@ -122,6 +121,8 @@ def scaled_bivariate_density(y1, y2, l1: float, l2: float, a: float):
     the centering-scaling map, evaluated in log space; arguments mapping
     outside the open simplex have density zero.
     """
+    from scipy.special import gammaln  # loaded by the first density evaluation
+
     l1, l2 = _check_cells(l1, l2)
     check_concentration(a)
     y1 = np.asarray(y1, dtype=float)

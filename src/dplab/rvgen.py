@@ -12,15 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ParameterError
-
-_MASK64 = (1 << 64) - 1
 
 # Uniform draws live in [0, 1); exact zeros (probability 2^-53) are nudged to
 # the smallest normal double before taking logs.
 _TINY = np.finfo(np.float64).tiny
+
+
+def check_seed(value, name: str) -> int:
+    """``value`` as a stream coordinate: an integer in [0, 2^64), one Philox
+    key word.  Anything wider is rejected, not reduced, because two seeds
+    that agree modulo 2^64 would run the same stream."""
+    if not isinstance(value, (int, np.integer)) or not 0 <= value < 1 << 64:
+        raise ParameterError(f"{name} must be an integer in [0, 2^64), got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -38,12 +44,9 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.master_seed, (int, np.integer)):
-            raise ParameterError("master_seed must be an integer")
-        if not isinstance(self.stream_index, (int, np.integer)) or self.stream_index < 0:
-            raise ParameterError("stream_index must be a non-negative integer")
         key = np.array(
-            [int(self.master_seed) & _MASK64, int(self.stream_index) & _MASK64],
+            [check_seed(self.master_seed, "master_seed"),
+             check_seed(self.stream_index, "stream_index")],
             dtype=np.uint64,
         )
         self._gen = np.random.Generator(np.random.Philox(key=key))
@@ -133,6 +136,8 @@ def sample_beta(alpha: float, beta: float, rng: RngStream, size: int) -> np.ndar
     and tiny shapes such as the 3e-7 of deep bisection cells give exactly 0
     or 1, never NaN.
     """
+    from scipy.special import expit  # loaded by the first Beta draw
+
     alpha = _check_positive("alpha", alpha)
     beta = _check_positive("beta", beta)
     la = _log_gamma_draws(rng, alpha, size)

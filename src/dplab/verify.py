@@ -27,7 +27,6 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.stats
 
 from .dp_core import (
     BaseMeasure,
@@ -354,12 +353,18 @@ def mc_cov_se(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return cov, se
 
 
+# scipy.stats takes longer to import than most runs take, so the KS checks
+# load it on first use and the families without one never do.
 def ks_normal_check(name: str, sample: np.ndarray) -> LevelCheck:
+    import scipy.stats
+
     stat, p = scipy.stats.kstest(np.asarray(sample, dtype=float), "norm")
     return LevelCheck.build(name, stat, p, KS_LEVEL)
 
 
 def ks_two_sample_check(name, x, y) -> LevelCheck:
+    import scipy.stats
+
     stat, p = scipy.stats.ks_2samp(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     return LevelCheck.build(name, stat, p, KS_LEVEL)
 

@@ -146,6 +146,19 @@ class TestConfigValidation:
             validate_config({"schema_version": 1, "seed": 1, **extra})
         assert err.value.path == path
 
+    @pytest.mark.parametrize("seed", [-1, 1 + 2**64, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        """Seeds that agree modulo 2^64 would run the same streams."""
+        with pytest.raises(ConfigError) as err:
+            validate_config(_config(seed=seed))
+        assert err.value.path == "seed"
+        assert validate_config(_config(seed=2**64 - 1)).seed == 2**64 - 1
+
+    def test_partial_modulus_takes_field_defaults(self):
+        config = validate_config({"schema_version": 1, "seed": 1, "experiment": "modulus",
+                                  "modulus": {"t1": 0.2}})
+        assert config.echo()["modulus"] == {"t1": 0.2, "t": 0.4, "t2": 0.9}
+
     def test_constructor_errors_name_the_family_path(self):
         cfg = {
             "schema_version": 1,
@@ -461,6 +474,22 @@ class TestCli:
         self._assert_clean_exit_2(capsys, rc, "not valid UTF-8 JSON")
         rc = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         self._assert_clean_exit_2(capsys, rc, "not valid UTF-8 JSON")
+
+    @pytest.mark.parametrize("seed", [-1, 1 + 2**64])
+    def test_config_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        path = self._write(tmp_path, _config(seed=seed))
+        rc = cli_main(["validate", "--config", path])
+        self._assert_clean_exit_2(capsys, rc, "seed: ")
+        rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
+        self._assert_clean_exit_2(capsys, rc, "seed: ")
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 + 2**64)])
+    def test_seed_flag_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        path = self._write(tmp_path, _config())
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["run", "--config", path, "--out", str(tmp_path / "out"), "--seed", seed])
+        self._assert_clean_exit_2(capsys, exit_.value.code, "--seed")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch):
         path = self._write(tmp_path, _config())

@@ -36,11 +36,18 @@ class TestRngStream:
         reference.permutation(n)
         assert twin.uniform() == reference.uniform()
 
-    def test_invalid_coordinates(self):
+    @pytest.mark.parametrize(
+        "seed, index", [(1.5, 0), (1, -1), (-1, 0), (1 + 2**64, 0), (1, 2**64)]
+    )
+    def test_invalid_coordinates(self, seed, index):
+        """Coordinates are one Philox key word each: a value outside
+        [0, 2^64) is rejected, not reduced onto another stream."""
         with pytest.raises(ParameterError):
-            RngStream(1.5, 0)
-        with pytest.raises(ParameterError):
-            RngStream(1, -1)
+            RngStream(seed, index)
+
+    def test_largest_coordinates_open(self):
+        top = RngStream(2**64 - 1, 2**64 - 1).uniform(4)
+        assert not np.array_equal(top, RngStream(0, 0).uniform(4))
 
 
 class TestSampleGamma:
