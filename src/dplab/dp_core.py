@@ -9,6 +9,7 @@ alongside them so Monte Carlo output can be checked against exact targets.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,6 +26,10 @@ _U_HI = 1.0 - 1e-16
 # Deepest bisection level: dyadic cells of width 2^-52 are at the resolution
 # of doubles near 1, and their midpoints are exact doubles inside (0, 1).
 _MAX_BISECTION_DEPTH = 52
+
+# Most sticks one stick-breaking draw may hold (256 MiB of float64): a larger
+# budget is rejected before anything is drawn, not left to fail in numpy.
+MAX_STICKS = 2**25
 
 
 def check_concentration(a: float) -> None:
@@ -209,11 +214,12 @@ class DpSample:
         self.concentration = float(self.concentration)
         self._levels = None
 
-    def cdf_levels(self) -> np.ndarray:
+    def cdf_levels(self, out: np.ndarray | None = None) -> np.ndarray:
         """The realization's cdf between atoms: entry k is the total weight of
-        the k smallest atoms, for k = 0..n_atoms (computed once, then cached)."""
+        the k smallest atoms, for k = 0..n_atoms (computed once, into ``out``
+        when given, then cached)."""
         if self._levels is None:
-            self._levels = np.empty(self.weights.size + 1)
+            self._levels = np.empty(self.weights.size + 1) if out is None else out
             self._levels[0] = 0.0
             np.cumsum(self.weights, out=self._levels[1:])
         return self._levels
@@ -249,11 +255,70 @@ class TruncationPolicy:
         )
 
 
+class Scratch:
+    """Grow-only float64 work buffers, one per role, so that realization
+    after realization is drawn without allocating its arrays afresh.
+
+    A sample drawn into a scratch holds views of its buffers and is valid
+    only until the next draw into the same scratch.  A scratch belongs to one
+    thread.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, n: int, keep: int = 0) -> np.ndarray:
+        """The first ``n`` entries of the buffer for ``role``.  A shorter
+        buffer is replaced by a longer one that carries over its first
+        ``keep`` entries; it is made 1/64 longer than asked, so that sizes
+        creeping up from one realization to the next do not replace it
+        again."""
+        buf = self._buffers.get(role)
+        if buf is None or buf.size < n:
+            grown = _buffer(max(n + n // 64, 2 * keep))
+            if keep:
+                grown[:keep] = buf[:keep]
+            self._buffers[role] = buf = grown
+        return buf[:n]
+
+
+# Scratch buffers of at least this many entries get an anonymous mapping of
+# their own, which returns its pages to the system as soon as the buffer is
+# dropped.  malloc can keep a freed buffer's pages resident in its heaps, so
+# the scratches of successive replication loops would pile up there.
+_MAPPED_ENTRIES = 1 << 15
+
+
+def _buffer(n: int) -> np.ndarray:
+    if n < _MAPPED_ENTRIES:
+        return np.empty(n)
+    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
+
+
+def stick_budget(a: float, trunc: TruncationPolicy) -> int:
+    """Sticks a stick-breaking draw at concentration ``a`` is sized for: with
+    epsilon > 0 its first block, int(a ln(1/epsilon) 1.04) + 64, capped by
+    max_atoms; otherwise max_atoms.  The one rule for a draw's size: a budget
+    above MAX_STICKS raises ParameterError."""
+    count = np.inf if trunc.max_atoms is None else trunc.max_atoms
+    if trunc.epsilon > 0:
+        first = a * np.log(1.0 / trunc.epsilon) * 1.04
+        if first < MAX_STICKS:  # compared as a float, so a huge a never reaches int()
+            count = min(count, int(first) + 64)
+    if count > MAX_STICKS:
+        raise ParameterError(
+            f"a stick-breaking draw at a = {a:g} needs more than MAX_STICKS = 2^25 sticks;"
+            " lower a or max_atoms, or raise epsilon"
+        )
+    return int(count)
+
+
 def stick_breaking_sample(
     a: float,
     base: BaseMeasure,
     trunc: TruncationPolicy,
     rng: RngStream,
+    scratch: Scratch | None = None,
 ) -> DpSample:
     """One truncated stick-breaking realization of DP(a, H).
 
@@ -270,66 +335,64 @@ def stick_breaking_sample(
     The pairing is an in-place ``RngStream.shuffle`` of the weights, which
     consumes the same draws as ``permutation(n)`` and gives the same pairing
     as indexing by it.
+
+    The sticks, atoms and cdf levels are drawn into the buffers of
+    ``scratch``, and the sample holds views of them; without one, a fresh
+    scratch makes every array the sample's own.  Either way the draws and
+    the arithmetic are the same.
     """
     check_concentration(a)
     if not isinstance(trunc, TruncationPolicy):
         raise TruncationError("trunc must be a TruncationPolicy")
+    budget = stick_budget(a, trunc)
+    buffers = Scratch() if scratch is None else scratch
 
     # log of remaining mass must fall below this to stop on epsilon
     log_target = a * np.log(trunc.epsilon) if trunc.epsilon > 0 else -np.inf
     cap = trunc.max_atoms
+    block = budget if trunc.epsilon > 0 else min(256, budget)
 
-    if trunc.epsilon > 0:
-        block = int(a * np.log(1.0 / trunc.epsilon) * 1.04) + 64
-    else:
-        block = 256
-    if cap is not None:
-        block = min(block, cap)
-
-    log_stick_chunks: list[np.ndarray] = []
+    # Blocks follow one another in "sticks"; each block's cumsum goes to
+    # "levels" after its first entry, which the cdf levels take over last.
+    count = 0  # sticks in the blocks before this one
     carry = 0.0
-    count = 0
-    stop_total = None
     while True:
-        log_q = rng.uniform(block)
+        log_q = buffers.take("sticks", count + block, keep=count)[count:]
+        rng.uniform(block, out=log_q)
         with np.errstate(divide="ignore"):  # U == 0 has probability 2^-53
             np.log(log_q, out=log_q)  # log(1 - V_j)
-        neg_cs = np.cumsum(log_q)
+        neg_cs = buffers.take("levels", block + 1)[1:]
+        np.cumsum(log_q, out=neg_cs)
         neg_cs += carry
         np.negative(neg_cs, out=neg_cs)  # -log of the mass left, increasing
         hit = np.searchsorted(neg_cs, -log_target, side="left")
-        if hit < neg_cs.size:
-            log_stick_chunks.append(log_q[: hit + 1])
-            stop_total = count + hit + 1
+        if hit < block or (cap is not None and count + block >= cap):
+            n = count + min(hit + 1, block)
             break
-        log_stick_chunks.append(log_q)
-        count += log_q.size
+        count += block
         carry = -neg_cs[-1]
-        if cap is not None and count >= cap:
-            stop_total = cap
-            break
         block = max(block // 2, 256)
         if cap is not None:
             block = min(block, cap - count)
 
     # remaining mass after each stick; weights telescope: w_j = R_{j-1} - R_j
-    if len(log_stick_chunks) == 1:
+    log_q = buffers.take("sticks", n)
+    if count == 0:
         # One block: its cumsum is already the log of the mass left.
-        log_q = log_stick_chunks[0][:stop_total]
-        remaining = neg_cs[: log_q.size]
+        remaining = neg_cs[:n]
         np.divide(remaining, -a, out=remaining)
     else:
-        log_q = np.concatenate(log_stick_chunks)[:stop_total]
-        remaining = np.cumsum(log_q)
+        remaining = buffers.take("levels", n + 1)[1:]
+        np.cumsum(log_q, out=remaining)
         remaining /= a
     np.exp(remaining, out=remaining)
-    n = log_q.size
     weights = log_q  # the stick logs are spent; reuse their buffer
     weights[0] = 1.0 - remaining[0]
     np.subtract(remaining[:-1], remaining[1:], out=weights[1:])
     remainder = float(remaining[-1])
 
-    atoms = rng.uniform(n)
+    atoms = buffers.take("atoms", n)
+    rng.uniform(n, out=atoms)
     atoms.sort()
     np.clip(atoms, _U_LO, _U_HI, out=atoms)
     atoms = np.asarray(base.quantile(atoms), dtype=float)
@@ -337,7 +400,9 @@ def stick_breaking_sample(
     if weights.min() <= 0.0:
         keep = weights > 0.0
         atoms, weights = atoms[keep], weights[keep]
-    return DpSample(atoms, weights, remainder, a)
+    sample = DpSample(atoms, weights, remainder, a)
+    sample.cdf_levels(out=buffers.take("levels", sample.n_atoms + 1))
+    return sample
 
 
 def dp_cdf(sample: DpSample, t):

@@ -33,6 +33,7 @@ from .dp_core import (
     check_concentration,
     exponential_base,
     normal_base,
+    stick_budget,
     uniform_base,
 )
 from .errors import ConfigError, DplabError
@@ -269,6 +270,10 @@ def _gc(f: _Fields, config_dir) -> Call:
     r = f.read("replications", 1000, _count)
     resolution = f.read("gc_grid_resolution", 512, _count)
     trunc = _read_spec(f, "truncation", TruncationPolicy)
+    # With epsilon > 0 the stick budget grows with a; otherwise it is max_atoms.
+    for i, a in enumerate(a_values):
+        path = f"{f.sub('a_values')}[{i}]" if trunc.epsilon > 0 else f.sub("truncation")
+        _make(path, stick_budget, a, trunc)
     return lambda seed, stream, threads: verify.gc_study(
         a_values, base, r, resolution, seed, trunc=trunc, threads=threads, base_stream=stream
     )

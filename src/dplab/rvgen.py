@@ -51,9 +51,9 @@ class RngStream:
         )
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def uniform(self, size: int | None = None):
-        """Uniform draw(s) on [0, 1)."""
-        return self._gen.random(size=size)
+    def uniform(self, size: int | None = None, out: np.ndarray | None = None):
+        """Uniform draw(s) on [0, 1), written into ``out`` when it is given."""
+        return self._gen.random(size=size, out=out)
 
     def normal(self, size: int | None = None):
         """Standard normal draw(s)."""

@@ -14,7 +14,10 @@ distributional check passes when its Kolmogorov-Smirnov p-value exceeds
 KS_LEVEL.  These multiples are the acceptance suite's and cannot be changed
 by a caller or a config.  The summary passes when every check does.
 Stick-breaking replication loops are data-parallel and reduce in fixed index
-order, so results are independent of thread count.
+order, so results are independent of thread count.  Each share of such a loop
+(the calling thread's, or one worker thread's) draws its realizations into
+one ``dp_core.Scratch``, reused from replication to replication and dropped
+when the share ends; a replication returns plain values, never a view of it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .dp_core import (
     BaseMeasure,
     BorelSet,
     DpSample,
+    Scratch,
     TruncationPolicy,
     bisection_quantiles,
     dp_cdf,
@@ -80,12 +84,16 @@ DENSITY_SLACK = 1e-3
 
 # Shortest first replication for which map_replications fans out.  Shorter
 # ones hold the GIL between numpy calls and run slower on two threads than on
-# one (measured on a 2-core machine: a gc replication at a = 100 takes about
-# 0.45 ms and is 1.8x slower on 2 threads; at a = 10^3, about 2.5 ms and
-# 1.7x faster).
+# one (medians of four runs on a shared 2-core machine, drawing into a
+# scratch: a gc replication at a = 100 takes about 0.47 ms and is 1.8x slower
+# on 2 threads; at a = 10^3, about 2.4 ms and 1.35x faster; at a = 10^4,
+# about 27 ms and 1.8x faster).
 MIN_PARALLEL_REP_SECONDS = 1e-3
 
 _DL_SLACK = 1e-12
+
+# Entries per step when _deviation_stats cubes its segment ends in place.
+_CUBE_CHUNK = 8192
 
 _SUMMARY_HEADER = ["kind", "name", "estimate", "se", "target", "tolerance_se", "one_sided", "passed"]
 
@@ -280,43 +288,49 @@ def resolve_threads(threads: int | None = None) -> int:
 
 
 def map_replications(
-    fn: Callable[[RngStream], np.ndarray],
+    fn: Callable[[RngStream, Scratch], np.ndarray],
     replications: int,
     master_seed: int,
     base_stream: int = 0,
     threads: int | None = None,
 ) -> np.ndarray:
-    """Evaluate ``fn`` once per replication, replication r on stream
-    base_stream + r, and stack the results as rows.
+    """Evaluate ``fn(rng, scratch)`` once per replication, replication r on
+    stream base_stream + r, and stack the results as rows.
 
     Replication 0 runs on the calling thread and is timed.  The rest fan out
     over up to ``threads`` worker threads (``resolve_threads``) only when it
     took at least MIN_PARALLEL_REP_SECONDS; shorter replications are bound by
-    the GIL and stay on the calling thread.  Rows are written into a
-    preallocated array keyed by index and reduced in fixed order afterwards,
-    so the output is identical for any thread count.
+    the GIL and stay on the calling thread.  Each share of the replications
+    (the calling thread's, or one worker's) draws into one ``Scratch`` that
+    lives as long as the share, so ``fn`` must return nothing that views it.
+    Rows are written into a preallocated array keyed by index and reduced in
+    fixed order afterwards, so the output is identical for any thread count.
     """
     replications = int(replications)
     if replications < 1:
         raise ArgumentError("replications must be positive")
+    scratch = Scratch()
     start = time.perf_counter()
-    first = np.atleast_1d(np.asarray(fn(RngStream(master_seed, base_stream)), dtype=float))
+    first = fn(RngStream(master_seed, base_stream), scratch)
+    first = np.atleast_1d(np.asarray(first, dtype=float))
     first_seconds = time.perf_counter() - start
     out = np.empty((replications, first.size))
     out[0] = first
 
-    def run_range(lo: int, hi: int) -> None:
+    def run_range(lo: int, hi: int, scratch: Scratch) -> None:
         for r in range(lo, hi):
-            out[r] = fn(RngStream(master_seed, base_stream + r))
+            out[r] = fn(RngStream(master_seed, base_stream + r), scratch)
 
     threads = min(resolve_threads(threads), replications)
     if threads == 1 or replications <= 2 or first_seconds < MIN_PARALLEL_REP_SECONDS:
-        run_range(1, replications)
+        run_range(1, replications, scratch)
     else:
+        del scratch  # the calling thread's share ends with replication 0
         bounds = np.linspace(1, replications, threads + 1).astype(int)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(run_range, bounds[i], bounds[i + 1]) for i in range(threads)
+                pool.submit(run_range, bounds[i], bounds[i + 1], Scratch())
+                for i in range(threads)
             ]
             for fut in futures:
                 fut.result()
@@ -534,7 +548,10 @@ def fidi_normality_check(
 
 
 def _deviation_stats(
-    sample: DpSample, base: BaseMeasure, grid: np.ndarray | None = None
+    sample: DpSample,
+    base: BaseMeasure,
+    grid: np.ndarray | None = None,
+    scratch: Scratch | None = None,
 ) -> tuple[float, float, float]:
     """Exact (sup-norm, integral of squared deviation dH) of P_a - H, and the
     largest |P_a - H| over the H-levels in ``grid`` (0.0 without a grid).
@@ -543,29 +560,34 @@ def _deviation_stats(
     step function against the identity: the sup is attained at an atom (from
     the left or the right), and the integral is a closed-form sum of cubics
     over the inter-atom segments.  The grid value can never exceed the exact
-    sup, which makes it a check on it.
+    sup, which makes it a check on it.  The two segment arrays are worked in
+    the buffers of ``scratch`` when one is given.
     """
+    buffers = Scratch() if scratch is None else scratch
     s = np.asarray(base.cdf(sample.atoms), dtype=float)
     lev = sample.cdf_levels()
     w = lev[1:]
     # Segment k runs from H-level s_{k-1} to s_k (s_{-1} = 0, s_n = 1) at cdf
     # level lev[k]; d and e are P_a - H at its left and right ends.
-    d = np.empty(lev.size)
+    d = buffers.take("d", lev.size)
     d[0] = 0.0
     np.subtract(w, s, out=d[1:])
-    e = np.empty(lev.size)
+    e = buffers.take("e", lev.size)
     e[0] = -s[0]
     np.subtract(w[:-1], s[1:], out=e[1:-1])
     e[-1] = w[-1] - 1.0
     sup = float(max(d.max(), -e.min()))
 
-    # integral over segment k of (lev[k] - x)^2 dx is (d_k^3 - e_k^3) / 3
-    cubes = d * d
-    cubes *= d
-    e_cubes = np.multiply(e, e, out=d)  # d is spent; reuse its buffer
-    e_cubes *= e
-    cubes -= e_cubes
-    cvm = float(np.sum(cubes) / 3.0)
+    # integral over segment k of (lev[k] - x)^2 dx is (d_k^3 - e_k^3) / 3;
+    # the terms overwrite d a chunk at a time, so no third segment array is made
+    for lo in range(0, d.size, _CUBE_CHUNK):
+        dk, ek = d[lo : lo + _CUBE_CHUNK], e[lo : lo + _CUBE_CHUNK]
+        cubes = dk * dk
+        cubes *= dk
+        e_cubes = ek * ek
+        e_cubes *= ek
+        np.subtract(cubes, e_cubes, out=dk)
+    cvm = float(np.sum(d) / 3.0)
     grid_sup = 0.0
     if grid is not None:
         grid_sup = float(np.max(np.abs(lev[np.searchsorted(s, grid, side="right")] - grid)))
@@ -633,9 +655,9 @@ def gc_study(
     violations = 0
     for leg, a in enumerate(a_values):
 
-        def rep(rng: RngStream, a=a) -> np.ndarray:
-            sample = stick_breaking_sample(a, base, trunc, rng)
-            return np.array(_deviation_stats(sample, base, grid))
+        def rep(rng: RngStream, scratch: Scratch, a=a) -> np.ndarray:
+            sample = stick_breaking_sample(a, base, trunc, rng, scratch)
+            return np.array(_deviation_stats(sample, base, grid, scratch))
 
         leg_stream = base_stream + leg * replications
         vals = map_replications(rep, replications, seed, leg_stream, threads)
@@ -688,8 +710,8 @@ def representation_check(
     measures = np.array([base.measure(c) for c in cells])
     validate_partition(list(cells), measures)
 
-    def stick_rep(rng: RngStream) -> np.ndarray:
-        sample = stick_breaking_sample(a, base, trunc, rng)
+    def stick_rep(rng: RngStream, scratch: Scratch) -> np.ndarray:
+        sample = stick_breaking_sample(a, base, trunc, rng, scratch)
         return np.array([dp_set_mass(sample, c) for c in cells])
 
     sticks = map_replications(stick_rep, replications, seed, base_stream, threads)
@@ -721,8 +743,8 @@ def quantile_sampler_check(a: float, replications: int, seed: int) -> McSummary:
     levels = np.array([0.25, 0.5, 0.75])
     uniform = uniform_base()
 
-    def stick_rep(rng: RngStream) -> np.ndarray:
-        return dp_quantile(stick_breaking_sample(a, uniform, trunc, rng), levels)
+    def stick_rep(rng: RngStream, scratch: Scratch) -> np.ndarray:
+        return dp_quantile(stick_breaking_sample(a, uniform, trunc, rng, scratch), levels)
 
     sticks = map_replications(stick_rep, replications, seed)
     bisect_stream = RngStream(seed, replications)

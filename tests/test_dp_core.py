@@ -298,13 +298,90 @@ class TestStickBreakingDrawLayout:
         sizes = []
         draw = rng.uniform
 
-        def counted(n=None):
+        def counted(n=None, out=None):
             sizes.append(n)
-            return draw(n)
+            return draw(n, out=out)
 
         rng.uniform = counted
         assert _stick_digest(100.0, uniform01, TruncationPolicy(1e-10), rng) == _TWO_BLOCK_DIGEST
         assert len(sizes) == 4  # two stick blocks, the atoms, the digest's draw
+
+
+class TestStickBudget:
+    def test_first_block_capped_by_max_atoms(self):
+        trunc = TruncationPolicy(1e-10)
+        expected = int(1e6 * np.log(1e10) * 1.04) + 64  # about 2.4e7 sticks
+        assert dp_core.stick_budget(1e6, trunc) == expected <= dp_core.MAX_STICKS
+        assert dp_core.stick_budget(1e6, TruncationPolicy(1e-10, max_atoms=500)) == 500
+        assert dp_core.stick_budget(10.0, TruncationPolicy(0.0, max_atoms=700)) == 700
+
+    def test_limit_is_inclusive(self):
+        limit = dp_core.MAX_STICKS
+        assert dp_core.stick_budget(10.0, TruncationPolicy(0.0, max_atoms=limit)) == limit
+        with pytest.raises(ParameterError, match="MAX_STICKS"):
+            dp_core.stick_budget(10.0, TruncationPolicy(0.0, max_atoms=limit + 1))
+
+    @pytest.mark.parametrize(
+        "a, trunc",
+        [
+            (1e15, TruncationPolicy(1e-10)),
+            (1e300, TruncationPolicy(1e-10)),
+            (10.0, TruncationPolicy(0.0, max_atoms=10**12)),
+        ],
+        ids=["a_1e15", "a_1e300", "huge_max_atoms"],
+    )
+    def test_sampler_rejects_before_drawing(self, uniform01, a, trunc):
+        rng = RngStream(41, 0)
+        with pytest.raises(ParameterError, match="MAX_STICKS"):
+            stick_breaking_sample(a, uniform01, trunc, rng)
+        assert rng.uniform() == RngStream(41, 0).uniform()  # nothing was drawn
+
+
+class TestScratch:
+    """Realizations drawn into one reused scratch are bit-identical to fresh
+    ones, and a scratch never touches a sample drawn without it."""
+
+    DRAWS = [
+        (10.0, TruncationPolicy(1e-10)),
+        (1e4, TruncationPolicy(1e-10)),
+        (10.0, TruncationPolicy(1e-10)),
+        (1e3, TruncationPolicy(1e-10)),
+        (10.0, TruncationPolicy(0.0, max_atoms=1000)),  # four blocks: 256, 256, 256, 232
+        (50.0, TruncationPolicy(1e-10, max_atoms=40)),
+    ]
+
+    @staticmethod
+    def _parts(s):
+        return s.atoms, s.weights, s.truncation_remainder, s.cdf_levels()
+
+    def test_reused_scratch_is_bit_identical(self, uniform01, exp1):
+        scratch = dp_core.Scratch()
+        for i, (a, trunc) in enumerate(self.DRAWS * 2):
+            base = uniform01 if i < len(self.DRAWS) else exp1
+            fresh = stick_breaking_sample(a, base, trunc, RngStream(43, i))
+            reused = stick_breaking_sample(a, base, trunc, RngStream(43, i), scratch)
+            for x, y in zip(self._parts(fresh), self._parts(reused)):
+                assert np.array_equal(x, y)
+            if trunc.epsilon == 0.0:
+                assert reused.n_atoms == trunc.max_atoms  # every block was kept
+
+    def test_scratch_draws_leave_a_fresh_sample_alone(self, uniform01):
+        kept = stick_breaking_sample(1e3, uniform01, TruncationPolicy(1e-10), RngStream(44, 0))
+        before = [np.copy(x) for x in self._parts(kept)]
+        scratch = dp_core.Scratch()
+        for i, (a, trunc) in enumerate(self.DRAWS):
+            stick_breaking_sample(a, uniform01, trunc, RngStream(44, 1 + i), scratch)
+        for x, y in zip(before, self._parts(kept)):
+            assert np.array_equal(x, y)
+
+    def test_take_grows_and_carries_over(self):
+        scratch = dp_core.Scratch()
+        first = scratch.take("x", 3)
+        first[:] = [1.0, 2.0, 3.0]
+        assert scratch.take("x", 2).base is first.base  # shorter requests reuse it
+        grown = scratch.take("x", 10**5, keep=3)
+        assert grown.size == 10**5
+        assert np.array_equal(grown[:3], [1.0, 2.0, 3.0])
 
 
 class TestDpSampleValidation:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dplab import ConfigError, validate_config
+from dplab import ConfigError, validate_config, verify
 from dplab.cli import main as cli_main
 from dplab.harness import FAMILIES, FAMILY_STREAM_BASE, emit_report, run_experiment
 
@@ -482,6 +482,36 @@ class TestCli:
         self._assert_clean_exit_2(capsys, rc, "seed: ")
         rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
         self._assert_clean_exit_2(capsys, rc, "seed: ")
+
+    @pytest.mark.parametrize(
+        "cfg, path",
+        [
+            ({"a_values": [10.0, 1e15]}, "a_values[1]: "),
+            ({"truncation": {"epsilon": 0.0, "max_atoms": 10**12}}, "truncation: "),
+        ],
+        ids=["a_value", "max_atoms"],
+    )
+    def test_stick_budget_over_the_limit_exits_2(self, tmp_path, capsys, monkeypatch, cfg, path):
+        """A gc draw that could not be allocated is rejected at its field, and
+        no realization is drawn."""
+
+        def never(*args, **kwargs):
+            raise AssertionError("a stick-breaking draw was attempted")
+
+        monkeypatch.setattr(verify, "stick_breaking_sample", never)
+        path_arg = self._write(
+            tmp_path, {"schema_version": 1, "seed": 1, "experiment": "gc", "replications": 10, **cfg}
+        )
+        rc = cli_main(["validate", "--config", path_arg])
+        self._assert_clean_exit_2(capsys, rc, path, "MAX_STICKS")
+        rc = cli_main(["run", "--config", path_arg, "--out", str(tmp_path / "out")])
+        self._assert_clean_exit_2(capsys, rc, path, "MAX_STICKS")
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_paper_concentration_is_within_the_stick_budget(self):
+        """a = 10^6 at epsilon 1e-10 (about 2.4e7 sticks) still validates."""
+        validate_config({"schema_version": 1, "seed": 1, "experiment": "gc",
+                         "a_values": [10.0, 1e6]})
 
     @pytest.mark.parametrize("seed", ["-1", str(1 + 2**64)])
     def test_seed_flag_outside_64_bits_exits_2(self, tmp_path, capsys, seed):

@@ -76,12 +76,12 @@ class TestComparisonSemantics:
 
 class TestReplicationEngine:
     def test_stream_allocation(self):
-        vals = map_replications(lambda rng: np.array([rng.uniform()]), 5, 99, 10, threads=1)
+        vals = map_replications(lambda rng, scratch: np.array([rng.uniform()]), 5, 99, 10, threads=1)
         direct = [RngStream(99, 10 + r).uniform() for r in range(5)]
         np.testing.assert_array_equal(vals[:, 0], direct)
 
     def test_thread_count_does_not_change_results(self):
-        def rep(rng):
+        def rep(rng, scratch):
             return rng.uniform(3)
 
         a = map_replications(rep, 200, 7, 0, threads=1)
@@ -91,7 +91,7 @@ class TestReplicationEngine:
     def test_slow_replications_fan_out_without_changing_results(self):
         ran_on = set()
 
-        def rep(rng):
+        def rep(rng, scratch):
             ran_on.add(threading.get_ident())
             time.sleep(0.002)  # above MIN_PARALLEL_REP_SECONDS
             return rng.uniform(3)
@@ -104,7 +104,7 @@ class TestReplicationEngine:
     def test_fast_replications_stay_on_the_calling_thread(self):
         ran_on = set()
 
-        def rep(rng):
+        def rep(rng, scratch):
             ran_on.add(threading.get_ident())
             return rng.uniform(3)
 
@@ -713,8 +713,9 @@ def _nominal_false_fail_rate(check) -> float:
 
 class TestCalibration:
     """Over fixed seeds, each comparison and KS check of the Dirichlet-marginal
-    and quantile families fails no more often than its nominal rate allows:
-    at most the count a Binomial(seeds, rate) exceeds with probability 1e-6."""
+    and quantile families, and of both halves of ``representation_check``,
+    fails no more often than its nominal rate allows: at most the count a
+    Binomial(seeds, rate) exceeds with probability 1e-6."""
 
     SEEDS = range(500)
     R = 2000
@@ -749,6 +750,14 @@ class TestCalibration:
         """200 seeds at R = 1,000 and a = 10^4."""
         self._assert_false_fails_bounded(
             lambda seed: quantile_limit_study([1e4], uniform01, [0.25, 0.5, 0.75], 1000, seed),
+            range(200),
+        )
+
+    def test_representation_false_fail_counts(self, uniform01, canonical_cells):
+        """200 seeds at R = 200 and a = 10: the stick-breaking moments, the
+        marginal moments and the two-sample KS checks between them."""
+        self._assert_false_fails_bounded(
+            lambda seed: representation_check(10.0, uniform01, canonical_cells, 200, seed),
             range(200),
         )
 
