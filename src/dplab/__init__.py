@@ -46,7 +46,6 @@ from .harness import (
 from .processes import (
     BivariateGaussianSpec,
     Grid,
-    QuadratureSpec,
     bb_cov,
     bivariate_density_integral,
     limit_bivariate_density,

@@ -188,7 +188,7 @@ class DpSample:
             raise ParameterError("atoms and weights must be equal-length, non-empty")
         if not np.all(np.isfinite(atoms)):
             raise ParameterError("atoms must be finite")
-        if np.any(weights <= 0.0):
+        if not np.all(weights > 0.0):  # NaN fails too
             raise ParameterError("weights must be strictly positive")
         rem = float(self.truncation_remainder)
         if not 0.0 <= rem < 1.0:
@@ -350,7 +350,7 @@ def stick_breaking_sample(
     # log of remaining mass must fall below this to stop on epsilon
     log_target = a * np.log(trunc.epsilon) if trunc.epsilon > 0 else -np.inf
     cap = trunc.max_atoms
-    block = budget if trunc.epsilon > 0 else min(256, budget)
+    block = budget
 
     # Blocks follow one another in "sticks"; each block's cumsum goes to
     # "levels" after its first entry, which the cdf levels take over last.

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -37,7 +37,7 @@ from .dp_core import (
     uniform_base,
 )
 from .errors import ConfigError, DplabError
-from .processes import BivariateGaussianSpec, Grid, QuadratureSpec, bivariate_density_integral
+from .processes import BivariateGaussianSpec, bivariate_density_integral
 from .rvgen import check_seed
 
 SCHEMA_VERSION = 1
@@ -137,12 +137,6 @@ def _file(value, path: str):
     return value
 
 
-# Conversions of the dataclass field types that _read_spec reads.
-_BY_TYPE = {
-    "float": _number, "int": _int, "int | None": lambda v, p: None if v is None else _int(v, p)
-}
-
-
 # ---------------------------------------------------------------------------
 # Reading a config object
 # ---------------------------------------------------------------------------
@@ -199,12 +193,11 @@ def _read_sets(f: _Fields, default: list) -> list[BorelSet]:
     return [_make(f"{f.sub('sets')}[{i}]", BorelSet, s) for i, s in enumerate(sets)]
 
 
-def _read_spec(f: _Fields, key: str, cls: type):
-    """``cls`` built from the nested object ``key``; each dataclass field
-    defaults to the class's own default."""
-    s = f.obj(key)
-    kwargs = {x.name: s.read(x.name, x.default, _BY_TYPE[x.type]) for x in fields(cls)}
-    return _make(f.sub(key), cls, **kwargs)
+def _read_truncation(f: _Fields) -> TruncationPolicy:
+    t = f.obj("truncation")
+    epsilon = t.read("epsilon", 1e-10, _number)
+    max_atoms = t.read("max_atoms", None, lambda v, p: None if v is None else _int(v, p))
+    return _make(f.sub("truncation"), TruncationPolicy, epsilon, max_atoms)
 
 
 def _load_data(data_file: str, path: str, config_dir: Path | None) -> list[float]:
@@ -269,7 +262,7 @@ def _gc(f: _Fields, config_dir) -> Call:
     _make(f.sub("a_values"), verify.check_a_values, a_values, verify.MIN_GC_A_VALUES)
     r = f.read("replications", 1000, _count)
     resolution = f.read("gc_grid_resolution", 512, _count)
-    trunc = _read_spec(f, "truncation", TruncationPolicy)
+    trunc = _read_truncation(f)
     # With epsilon > 0 the stick budget grows with a; otherwise it is max_atoms.
     for i, a in enumerate(a_values):
         path = f"{f.sub('a_values')}[{i}]" if trunc.epsilon > 0 else f.sub("truncation")
@@ -286,7 +279,7 @@ def _quantile(f: _Fields, config_dir) -> Call:
     u_points = f.read("u_points", [0.25, 0.5, 0.75], _numbers)
     _make(f.sub("u_points"), verify.check_levels, u_points)
     r = f.read("replications", 10000, _count)
-    trunc = _read_spec(f, "truncation", TruncationPolicy)
+    trunc = _read_truncation(f)
     _make(f.sub("truncation"), verify.check_resolution, trunc)
     return lambda seed, stream, threads: verify.quantile_limit_study(
         a_values, base, u_points, r, seed, trunc=trunc, base_stream=stream
@@ -296,20 +289,14 @@ def _quantile(f: _Fields, config_dir) -> Call:
 def _density(f: _Fields, config_dir) -> Call:
     d = f.obj("density")
     l1, l2 = d.read("l1", 1.0 / 3.0, _number), d.read("l2", 1.0 / 3.0, _number)
-    lo, hi = d.read("grid_lo", -2.5, _number), d.read("grid_hi", 2.5, _number)
-    points = d.read("grid_points", 11, _int)
-    if points < 2:
-        _fail(f.sub("density"), "grid needs at least 2 points")
     _make(f.sub("density"), BivariateGaussianSpec.from_cell_measures, l1, l2)
-    grid = _make(f.sub("density"), Grid, np.linspace(lo, hi, points))
     a_values = f.read("a_values", [100.0, 1000.0, 10000.0], _numbers)
     _make(f.sub("a_values"), verify.check_a_values, a_values)
-    quad = _read_spec(f, "quadrature", QuadratureSpec)
 
     def run(seed: int, stream: int, threads: int) -> verify.McSummary:
         # Computed here, where bench/tracing.py times them as their own layer.
-        integrals = [bivariate_density_integral(l1, l2, a, quad) for a in a_values]
-        return verify.density_convergence_study(l1, l2, a_values, grid, integrals, quad)
+        integrals = [bivariate_density_integral(l1, l2, a) for a in a_values]
+        return verify.density_convergence_study(l1, l2, a_values, verify.DENSITY_GRID, integrals)
 
     return run
 

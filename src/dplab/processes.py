@@ -3,7 +3,9 @@
 The Brownian-bridge covariance of the centered-scaled process
 sqrt(a) (P_a - H), the Gaussian limit covariance of the quantile process
 sqrt(a) (P_a^{-1} - H^{-1}), and the exact vs limiting bivariate cell
-densities together with their total-variation gap.
+densities together with their total-variation gap.  The bivariate integrals
+use one tensor-Simpson quadrature whose box, grid sizes and tolerance are
+the pinned constants HALF_WIDTH, N_START, N_MAX and QUAD_TOL.
 """
 
 from __future__ import annotations
@@ -158,38 +160,22 @@ def scaled_bivariate_density(y1, y2, l1: float, l2: float, a: float):
 
 class TvEstimate(NamedTuple):
     """A quadrature estimate, its refinement error, and whether the last
-    refinement moved it by less than the spec's ``tol`` (False when the
-    grid reached ``n_max`` first)."""
+    refinement moved it by less than ``QUAD_TOL`` (False when the grid
+    reached ``N_MAX`` first)."""
 
     value: float
     quad_error: float
     converged: bool
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive tensor-Simpson settings for the bivariate integrals.
-
-    The grid is refined (n -> 2n - 1 per axis) until the estimate moves by
-    less than ``tol``; the last move is reported as the quadrature error.
-    """
-
-    half_width: float = 8.0
-    n_start: int = 65
-    n_max: int = 1025
-    tol: float = 1e-4
-
-    def __post_init__(self):
-        if self.half_width <= 0:
-            raise ParameterError("half_width must be positive")
-        for name in ("n_start", "n_max"):
-            n = getattr(self, name)
-            if n < 3 or n % 2 == 0:
-                raise ParameterError(f"{name} must be an odd integer >= 3")
-        if self.n_max < self.n_start:
-            raise ParameterError("n_max must be >= n_start")
-        if self.tol <= 0:
-            raise ParameterError("tol must be positive")
+# The one tensor-Simpson quadrature of the bivariate integrals: the box
+# [-HALF_WIDTH, HALF_WIDTH]^2 (cut to the density's support), N_START points
+# per axis, refined n -> 2n - 1 until the estimate moves by less than
+# QUAD_TOL; the last move is reported as the quadrature error.
+HALF_WIDTH = 8.0
+N_START = 65
+N_MAX = 1025
+QUAD_TOL = 1e-4
 
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:
@@ -203,12 +189,11 @@ def _refine_simpson_2d(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     xbox: tuple[float, float],
     ybox: tuple[float, float],
-    quad: QuadratureSpec,
 ) -> TvEstimate:
     """Integrate f over the box, doubling resolution until the estimate
-    settles within quad.tol (or n_max is reached, reported as not
+    settles within QUAD_TOL (or N_MAX is reached, reported as not
     converged)."""
-    n = quad.n_start
+    n = N_START
     prev = None
     while True:
         x = np.linspace(xbox[0], xbox[1], n)
@@ -217,58 +202,44 @@ def _refine_simpson_2d(
         wx = _simpson_weights(n, x[1] - x[0])
         wy = _simpson_weights(n, y[1] - y[0])
         est = float(wx @ vals @ wy)
-        if prev is not None and abs(est - prev) < quad.tol:
+        if prev is not None and abs(est - prev) < QUAD_TOL:
             return TvEstimate(est, abs(est - prev), True)
-        if 2 * n - 1 > quad.n_max:
-            return TvEstimate(est, abs(est - prev) if prev is not None else quad.tol, False)
+        if 2 * n - 1 > N_MAX:
+            return TvEstimate(est, abs(est - prev) if prev is not None else QUAD_TOL, False)
         prev = est
         n = 2 * n - 1
 
 
-def _support_box(l1: float, l2: float, a: float, half_width: float):
+def _support_box(l1: float, l2: float, a: float):
     root_a = np.sqrt(a)
-    xbox = (max(-root_a * l1, -half_width), min(root_a * (1.0 - l1), half_width))
-    ybox = (max(-root_a * l2, -half_width), min(root_a * (1.0 - l2), half_width))
+    xbox = (max(-root_a * l1, -HALF_WIDTH), min(root_a * (1.0 - l1), HALF_WIDTH))
+    ybox = (max(-root_a * l2, -HALF_WIDTH), min(root_a * (1.0 - l2), HALF_WIDTH))
     return xbox, ybox
 
 
-def tv_distance_bivariate(
-    l1: float,
-    l2: float,
-    a: float,
-    quad: QuadratureSpec | None = None,
-) -> TvEstimate:
+def tv_distance_bivariate(l1: float, l2: float, a: float) -> TvEstimate:
     """Total-variation distance between the exact scaled cell-mass density at
     concentration ``a`` and its Gaussian limit: half the L1 gap by quadrature.
 
     Returns the estimate together with the refinement-based error bound.
     """
-    quad = quad or QuadratureSpec()
     spec = BivariateGaussianSpec.from_cell_measures(l1, l2)  # checks the cells
-    xbox, ybox = _support_box(l1, l2, a, quad.half_width)
+    xbox, ybox = _support_box(l1, l2, a)
 
     def gap(x, y):
         return np.abs(
             scaled_bivariate_density(x, y, l1, l2, a) - limit_bivariate_density(x, y, spec)
         )
 
-    est = _refine_simpson_2d(gap, xbox, ybox, quad)
+    est = _refine_simpson_2d(gap, xbox, ybox)
     # |f - g| integrates to at most 2, so TV cannot exceed 1 beyond
     # quadrature noise; clip the noise.
     return TvEstimate(min(0.5 * est.value, 1.0), 0.5 * est.quad_error, est.converged)
 
 
-def bivariate_density_integral(
-    l1: float,
-    l2: float,
-    a: float,
-    quad: QuadratureSpec | None = None,
-) -> TvEstimate:
+def bivariate_density_integral(l1: float, l2: float, a: float) -> TvEstimate:
     """Quadrature of the exact scaled density over its (boxed) support;
     should be 1 up to quadrature error plus truncated tail mass."""
-    quad = quad or QuadratureSpec()
     l1, l2 = _check_cells(l1, l2)
-    xbox, ybox = _support_box(l1, l2, a, quad.half_width)
-    return _refine_simpson_2d(
-        lambda x, y: scaled_bivariate_density(x, y, l1, l2, a), xbox, ybox, quad
-    )
+    xbox, ybox = _support_box(l1, l2, a)
+    return _refine_simpson_2d(lambda x, y: scaled_bivariate_density(x, y, l1, l2, a), xbox, ybox)

@@ -51,7 +51,6 @@ from .dp_core import (
 from .errors import ArgumentError, ConfigError, DplabError
 from .processes import bb_cov, limit_quantile_cov
 from .processes import (
-    QuadratureSpec,
     BivariateGaussianSpec,
     Grid,
     TvEstimate,
@@ -81,6 +80,9 @@ GC_RATE_WINDOW = (-0.6, -0.4)
 # How far a density_convergence_study gap column may rise from one
 # concentration to the next, and the exact density's integral sit from one.
 DENSITY_SLACK = 1e-3
+
+# The density family's pointwise-gap grid, per axis.
+DENSITY_GRID = Grid(np.linspace(-2.5, 2.5, 11))
 
 # Shortest first replication for which map_replications fans out.  Shorter
 # ones hold the GIL between numpy calls and run slower on two threads than on
@@ -886,7 +888,8 @@ def _density_comparisons(a_values, max_gaps, tvs, integrals, converged) -> list[
     """The density verdict as exact comparisons at zero standard error:
     each rise of the gap and TV columns from one concentration to the next
     at most DENSITY_SLACK, each integral of the exact density within
-    DENSITY_SLACK of one, and no quadrature that stopped at ``n_max``."""
+    DENSITY_SLACK of one, and no quadrature that stopped at
+    ``processes.N_MAX`` before meeting ``processes.QUAD_TOL``."""
     steps = [
         (f"{column}_step[a={a:g}]", step)
         for column, values in (("max_gap", max_gaps), ("tv", tvs))
@@ -906,7 +909,6 @@ def density_convergence_study(
     a_values: Sequence[float],
     grid: Grid,
     integrals: Sequence[TvEstimate],
-    quad: QuadratureSpec | None = None,
 ) -> McSummary:
     """Tabulate, per concentration, the max pointwise gap on the tensor grid
     and the total-variation distance between the exact scaled bivariate
@@ -914,7 +916,6 @@ def density_convergence_study(
     are the quadratures of the exact density, one per concentration.
     ``_density_comparisons`` gives the verdict; quadratures report their
     refinement error as their standard error.  Nothing is drawn."""
-    quad = quad or QuadratureSpec()
     a_values = check_a_values(a_values)
     if len(integrals) != a_values.size:
         raise ArgumentError("need one density integral per concentration")
@@ -926,7 +927,7 @@ def density_convergence_study(
     rows, tvs = [], []
     for a, integral in zip(a_values, integrals):
         fa = scaled_bivariate_density(g[:, None], g[None, :], l1, l2, a)
-        tv = tv_distance_bivariate(l1, l2, a, quad)
+        tv = tv_distance_bivariate(l1, l2, a)
         tvs.append(tv)
         rows.append([float(a), float(np.max(np.abs(fa - flim))), tv.value, tv.quad_error])
         summary.estimates[f"tv[a={a:g}]"] = (tv.value, tv.quad_error)

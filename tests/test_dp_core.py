@@ -231,7 +231,7 @@ class TestStickBreaking:
 _STICK_POLICIES = {
     "eps": TruncationPolicy(1e-10),
     "eps_cap50": TruncationPolicy(1e-10, max_atoms=50),
-    "cap3000": TruncationPolicy(0.0, max_atoms=3000),  # many 256-stick blocks
+    "cap3000": TruncationPolicy(0.0, max_atoms=3000),  # one block of 3000 sticks
 }
 _STICK_BASES = {"uniform": uniform_base, "exponential": exponential_base, "normal": normal_base}
 _STICK_DIGESTS = {
@@ -346,7 +346,7 @@ class TestScratch:
         (1e4, TruncationPolicy(1e-10)),
         (10.0, TruncationPolicy(1e-10)),
         (1e3, TruncationPolicy(1e-10)),
-        (10.0, TruncationPolicy(0.0, max_atoms=1000)),  # four blocks: 256, 256, 256, 232
+        (10.0, TruncationPolicy(0.0, max_atoms=1000)),  # one block of 1000 sticks
         (50.0, TruncationPolicy(1e-10, max_atoms=40)),
     ]
 
@@ -363,7 +363,7 @@ class TestScratch:
             for x, y in zip(self._parts(fresh), self._parts(reused)):
                 assert np.array_equal(x, y)
             if trunc.epsilon == 0.0:
-                assert reused.n_atoms == trunc.max_atoms  # every block was kept
+                assert reused.n_atoms == trunc.max_atoms  # every stick was kept
 
     def test_scratch_draws_leave_a_fresh_sample_alone(self, uniform01):
         kept = stick_breaking_sample(1e3, uniform01, TruncationPolicy(1e-10), RngStream(44, 0))
@@ -385,9 +385,16 @@ class TestScratch:
 
 
 class TestDpSampleValidation:
-    def test_weights_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            make_sample([0.1, 0.2], [0.5, 0.0], 0.5)
+    @pytest.mark.parametrize(
+        "weights",
+        [[0.5, 0.0], [np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]],
+        ids=["zero", "nan_first", "nan_last", "all_nan"],
+    )
+    def test_weights_must_be_positive(self, weights):
+        """A NaN weight is not > 0: it must not slip past the positivity and
+        mass checks, which both compare False against NaN."""
+        with pytest.raises(ParameterError, match="strictly positive"):
+            make_sample([0.1, 0.2], weights, 0.5)
 
     def test_mass_must_close_to_one(self):
         with pytest.raises(ParameterError):

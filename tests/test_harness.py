@@ -3,11 +3,20 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dplab import ConfigError, validate_config, verify
+from dplab import (
+    ConfigError,
+    Grid,
+    bivariate_density_integral,
+    density_convergence_study,
+    processes,
+    validate_config,
+    verify,
+)
 from dplab.cli import main as cli_main
 from dplab.harness import FAMILIES, FAMILY_STREAM_BASE, emit_report, run_experiment
 
@@ -25,14 +34,16 @@ def _config(**overrides):
     return cfg
 
 
-# A config whose run fails on its own: at tol 1e-9 the TV quadrature stops at
-# n_max, which fails the density family's unconverged_quadratures check.
+# A config whose run fails on its own: a one-stick truncation is not a DP
+# realization, so the mean sup rises with a and the fitted rate leaves the
+# gc family's window.
 FAILING = {
     "schema_version": 1,
-    "experiment": "density",
+    "experiment": "gc",
     "seed": 42,
-    "a_values": [1000.0],
-    "quadrature": {"tol": 1e-9},
+    "a_values": [10.0, 100.0],
+    "replications": 20,
+    "truncation": {"epsilon": 0.0, "max_atoms": 1},
 }
 
 
@@ -164,11 +175,35 @@ class TestConfigValidation:
             "schema_version": 1,
             "experiment": "all",
             "seed": 1,
-            "families": {"density": {"quadrature": {"n_start": 64}}},
+            "families": {"gc": {"truncation": {"epsilon": 2.0}}},
         }
         with pytest.raises(ConfigError) as err:
             validate_config(cfg)
-        assert err.value.path == "families.density.quadrature"
+        assert err.value.path == "families.gc.truncation"
+
+    def test_settable_fields_per_family(self):
+        """Every field path a family's default config echoes: a new knob
+        shows up here as a diff."""
+
+        def paths(obj, prefix=""):
+            for key, value in obj.items():
+                if isinstance(value, dict):
+                    yield from paths(value, f"{prefix}{key}.")
+                else:
+                    yield prefix + key
+
+        echo = validate_config({"schema_version": 1, "experiment": "all", "seed": 1}).echo()
+        assert {family: set(paths(params)) for family, params in echo["families"].items()} == {
+            "moments": {"base_measure.label", "a", "sets", "replications"},
+            "fidi": {"a", "sets", "replications"},
+            "modulus": {"a", "modulus.t1", "modulus.t", "modulus.t2", "replications"},
+            "gc": {"base_measure.label", "a_values", "replications", "gc_grid_resolution",
+                   "truncation.epsilon", "truncation.max_atoms"},
+            "quantile": {"base_measure.label", "a_values", "u_points", "replications",
+                         "truncation.epsilon", "truncation.max_atoms"},
+            "density": {"density.l1", "density.l2", "a_values"},
+            "posterior": {"base_measure.label", "a", "data", "data_file", "sets", "replications"},
+        }
 
     def test_echo_revalidates_to_same_params(self):
         for cfg in (_config(), {"schema_version": 1, "experiment": "all", "seed": 3}):
@@ -178,8 +213,8 @@ class TestConfigValidation:
             assert again.seed == config.seed
 
 
-# Arbitrary JSON values.  Integers stay small because density.grid_points
-# sizes an array when the config is validated.
+# Arbitrary JSON values.  Integers stay in [-3, 10^4], which straddles every
+# integer field's lower bound (2 replications, 1,000 for moments; 1 atom).
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 10**4) | st.floats() | st.text(max_size=6),
     lambda children: st.lists(children, max_size=3)
@@ -277,6 +312,19 @@ class TestRunAndEmit:
         assert lines[0] == "a,max_gap,tv_distance,quad_error"
         assert len(lines) == 3
 
+    def test_density_run_matches_criterion_9_numerics(self):
+        """dplab run's density family computes exactly what criterion 9 does."""
+        cfg = {"schema_version": 1, "experiment": "density", "seed": 1}
+        run = run_experiment(validate_config(cfg)).results["density"]
+        a_values = [1e2, 1e3, 1e4]
+        direct = density_convergence_study(
+            1 / 3, 1 / 3, a_values, Grid(np.linspace(-2.5, 2.5, 11)),
+            [bivariate_density_integral(1 / 3, 1 / 3, a) for a in a_values],
+        )
+        assert run.estimates == direct.estimates
+        assert run.tables == direct.tables
+        assert run.passed and direct.passed
+
     def test_every_family_reports_seed_info_and_pass(self, tmp_path):
         """gc consumed streams base .. base + n_a*R - 1; density draws nothing."""
         cfg = {
@@ -313,7 +361,7 @@ class TestRunAndEmit:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["results"]["posterior"]["estimates"]["a_star"] == [5.0, 0.0]
 
-    def test_unconverged_quadrature_fails_density(self, tmp_path):
+    def test_unconverged_quadrature_fails_density(self, tmp_path, monkeypatch):
         cfg = {"schema_version": 1, "experiment": "density", "seed": 42, "a_values": [1000.0]}
         _run_to_dir(cfg, tmp_path / "default")
         default = json.loads((tmp_path / "default" / "report.json").read_text())
@@ -322,7 +370,9 @@ class TestRunAndEmit:
             tmp_path / "default" / "density_summary.csv"
         ).read_text()
 
-        report = _run_to_dir(FAILING, tmp_path / "strict")
+        # At tol 1e-9 the TV quadrature stops at N_MAX.
+        monkeypatch.setattr(processes, "QUAD_TOL", 1e-9)
+        report = _run_to_dir(cfg, tmp_path / "strict")
         assert not report.family_passed["density"]
         # the TV quadrature stops at n_max; the integral still converges
         assert "comparison,unconverged_quadratures,1,0,0,0,false,false" in (
@@ -382,7 +432,7 @@ class TestCli:
         path = self._write(tmp_path, FAILING)
         rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert "[FAIL] density" in capsys.readouterr().out
+        assert "[FAIL] gc" in capsys.readouterr().out
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert payload["pass"] is False
 
@@ -436,10 +486,27 @@ class TestCli:
                 {"experiment": "all", "families": {"moments": {"tolerance_overrides": {}}}},
                 "families.moments.tolerance_overrides",
             ),
+            ({"experiment": "density", "quadrature": {"tol": 1e-9}}, "quadrature"),
+            (
+                {"experiment": "all", "families": {"density": {"quadrature": {}}}},
+                "families.density.quadrature",
+            ),
+        ]
+        + [
+            ({"experiment": "density", "density": {key: 0}}, f"density.{key}")
+            for key in ("grid_lo", "grid_hi", "grid_points")
+        ]
+        + [
+            (
+                {"experiment": "all", "families": {"density": {"density": {key: 0}}}},
+                f"families.density.density.{key}",
+            )
+            for key in ("grid_lo", "grid_hi", "grid_points")
         ],
     )
     def test_tolerance_a_family_does_not_read_exits_2(self, tmp_path, capsys, cfg, path):
-        """No family reads a settable tolerance: the pass rule is pinned."""
+        """No family reads a settable tolerance, quadrature setting or density
+        gap grid: the pass rule is pinned."""
         path_arg = self._write(tmp_path, {"schema_version": 1, "seed": 1, **cfg})
         rc = cli_main(["validate", "--config", path_arg])
         self._assert_clean_exit_2(capsys, rc, f"{path}: unknown field")

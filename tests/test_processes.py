@@ -9,7 +9,6 @@ from dplab import (
     BorelSet,
     Grid,
     ParameterError,
-    QuadratureSpec,
     SingularDensityError,
     bb_cov,
     bivariate_density_integral,
@@ -17,6 +16,7 @@ from dplab import (
     limit_bivariate_density,
     limit_quantile_cov,
     normal_base,
+    processes,
     scaled_bivariate_density,
     tv_distance_bivariate,
     uniform_base,
@@ -162,7 +162,7 @@ class TestTvDistance:
             f = scaled_bivariate_density(x, y, THIRD, THIRD, 100.0)
             return np.abs(f - f)
 
-        est = _refine_simpson_2d(zero_gap, (-8.0, 8.0), (-8.0, 8.0), QuadratureSpec())
+        est = _refine_simpson_2d(zero_gap, (-8.0, 8.0), (-8.0, 8.0))
         assert est.value == 0.0
 
     def test_decreases_with_concentration(self):
@@ -170,14 +170,14 @@ class TestTvDistance:
         tv_large = tv_distance_bivariate(THIRD, THIRD, 1e4)
         assert tv_large.value < tv_small.value
 
-    def test_flags_tolerance_not_met(self):
+    def test_flags_tolerance_not_met(self, monkeypatch):
         """At tol 1e-9 the refinement reaches n_max first and says so; the
-        default tolerance is met."""
+        pinned tolerance is met."""
         assert tv_distance_bivariate(THIRD, THIRD, 1e3).converged
         assert bivariate_density_integral(THIRD, THIRD, 1e3).converged
-        strict = QuadratureSpec(tol=1e-9)
-        tv = tv_distance_bivariate(THIRD, THIRD, 1e3, strict)
-        assert not tv.converged and tv.quad_error > strict.tol
+        monkeypatch.setattr(processes, "QUAD_TOL", 1e-9)
+        tv = tv_distance_bivariate(THIRD, THIRD, 1e3)
+        assert not tv.converged and tv.quad_error > processes.QUAD_TOL
 
     @pytest.mark.parametrize("a", [1e2, 1e3, 1e4])
     def test_bounded_by_one(self, a):
