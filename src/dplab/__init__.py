@@ -12,7 +12,6 @@ from .dp_core import (
     BaseMeasure,
     BorelSet,
     DpSample,
-    PosteriorParams,
     TruncationPolicy,
     bisection_quantiles,
     dp_cdf,
@@ -21,7 +20,7 @@ from .dp_core import (
     dp_quantile,
     exponential_base,
     normal_base,
-    posterior_update,
+    posterior_mean,
     sample_fidi,
     stick_breaking_sample,
     uniform_base,

@@ -3,14 +3,15 @@
 Three exact samplers are provided: finite-dimensional Dirichlet marginals
 over a partition, truncated stick-breaking realizations carrying explicit
 truncation bookkeeping, and quantiles located by dyadic Beta bisection.
-Closed-form mean/variance/cross-moment formulas and posterior conjugacy live
-alongside them so Monte Carlo output can be checked against exact targets.
+Closed-form targets live alongside them so Monte Carlo output can be checked
+against exact values: the mean, variance and cross moment of P_a, and the
+posterior mean that conjugacy gives after observing data.
 """
 
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -352,41 +353,34 @@ def stick_breaking_sample(
     cap = trunc.max_atoms
     block = budget
 
-    # Blocks follow one another in "sticks"; each block's cumsum goes to
-    # "levels" after its first entry, which the cdf levels take over last.
-    count = 0  # sticks in the blocks before this one
-    carry = 0.0
+    # Each block is appended to "sticks", and the cumsum of every stick drawn
+    # so far goes to "levels" after its first entry, which the cdf levels take
+    # over last.  A second block is rare (under 1e-3 at epsilon 1e-10), so
+    # summing the whole prefix again costs nothing measurable.
+    drawn = 0
     while True:
-        log_q = buffers.take("sticks", count + block, keep=count)[count:]
+        sticks = buffers.take("sticks", drawn + block, keep=drawn)
+        log_q = sticks[drawn:]
         rng.uniform(block, out=log_q)
         with np.errstate(divide="ignore"):  # U == 0 has probability 2^-53
             np.log(log_q, out=log_q)  # log(1 - V_j)
-        neg_cs = buffers.take("levels", block + 1)[1:]
-        np.cumsum(log_q, out=neg_cs)
-        neg_cs += carry
+        drawn += block
+        neg_cs = buffers.take("levels", drawn + 1)[1:]
+        np.cumsum(sticks, out=neg_cs)
         np.negative(neg_cs, out=neg_cs)  # -log of the mass left, increasing
         hit = np.searchsorted(neg_cs, -log_target, side="left")
-        if hit < block or (cap is not None and count + block >= cap):
-            n = count + min(hit + 1, block)
+        if hit < drawn or (cap is not None and drawn >= cap):
+            n = min(hit + 1, drawn)
             break
-        count += block
-        carry = -neg_cs[-1]
         block = max(block // 2, 256)
         if cap is not None:
-            block = min(block, cap - count)
+            block = min(block, cap - drawn)
 
     # remaining mass after each stick; weights telescope: w_j = R_{j-1} - R_j
-    log_q = buffers.take("sticks", n)
-    if count == 0:
-        # One block: its cumsum is already the log of the mass left.
-        remaining = neg_cs[:n]
-        np.divide(remaining, -a, out=remaining)
-    else:
-        remaining = buffers.take("levels", n + 1)[1:]
-        np.cumsum(log_q, out=remaining)
-        remaining /= a
+    remaining = neg_cs[:n]
+    np.divide(remaining, -a, out=remaining)
     np.exp(remaining, out=remaining)
-    weights = log_q  # the stick logs are spent; reuse their buffer
+    weights = sticks[:n]  # the stick logs are spent; reuse their buffer
     weights[0] = 1.0 - remaining[0]
     np.subtract(remaining[:-1], remaining[1:], out=weights[1:])
     remainder = float(remaining[-1])
@@ -518,55 +512,6 @@ def sample_fidi(a: float, measures, rng: RngStream, size: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Conjugacy
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class PosteriorParams:
-    """Posterior law DP(a + n, H*) where H* mixes the prior base with the
-    empirical measure of the data: H*(t) = (a*H(t) + #{X_k <= t}) / (a + n).
-    """
-
-    a_star: float
-    prior_concentration: float
-    base: BaseMeasure
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        data = np.sort(np.asarray(self.data, dtype=float).ravel())
-        if data.size and not np.all(np.isfinite(data)):
-            raise ParameterError("posterior data must be finite")
-        object.__setattr__(self, "data", data)
-        if self.a_star != self.prior_concentration + data.size:
-            raise ParameterError("a_star must equal a + n exactly")
-
-    @property
-    def n(self) -> int:
-        return self.data.size
-
-    def measure(self, s: BorelSet) -> float:
-        if s.is_empty:
-            return 0.0
-        total = 0.0
-        a = self.prior_concentration
-        for lo, hi in s.intervals:
-            prior_mass = float(self.base.cdf(hi)) - float(self.base.cdf(lo))
-            count = np.searchsorted(self.data, hi, side="right") - np.searchsorted(
-                self.data, lo, side="right"
-            )
-            total += (a * prior_mass + count) / self.a_star
-        return total
-
-
-def posterior_update(a: float, base: BaseMeasure, data) -> PosteriorParams:
-    """Conjugate update after observing ``data``: DP(a, H) -> DP(a + n, H*)."""
-    check_concentration(a)
-    data = np.asarray(data, dtype=float).ravel()
-    return PosteriorParams(a + data.size, float(a), base, data)
-
-
-# ---------------------------------------------------------------------------
 # Closed-form moments
 # ---------------------------------------------------------------------------
 
@@ -576,6 +521,24 @@ def dp_moments(a: float, base: BaseMeasure, s: BorelSet) -> tuple[float, float]:
     check_concentration(a)
     m = base.measure(s)
     return m, m * (1.0 - m) / (1.0 + a)
+
+
+def posterior_mean(a: float, base: BaseMeasure, data, s: BorelSet) -> float:
+    """H*(S), the mean of the posterior DP(a + n, H*) after observing ``data``
+    (Ferguson 1973): H*(t) = (a H(t) + #{X_k <= t}) / (a + n) mixes the prior
+    base with the empirical measure of the data."""
+    check_concentration(a)
+    data = np.asarray(data, dtype=float).ravel()
+    if not np.all(np.isfinite(data)):
+        raise ParameterError("posterior data must be finite")
+    if np.any(data[1:] < data[:-1]):  # a caller with several sets sorts once
+        data = np.sort(data)
+    total = 0.0
+    for lo, hi in s.intervals:
+        prior_mass = float(base.cdf(hi)) - float(base.cdf(lo))
+        count = np.searchsorted(data, hi, side="right") - np.searchsorted(data, lo, side="right")
+        total += (a * prior_mass + count) / (a + data.size)
+    return total
 
 
 def dp_cross_moment(a: float, base: BaseMeasure, s1: BorelSet, s2: BorelSet) -> float:

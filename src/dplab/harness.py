@@ -47,6 +47,12 @@ Call = Callable[[int, int, int], verify.McSummary]
 
 _TOP_KEYS = {"schema_version", "experiment", "seed", "output_dir", "families"}
 
+# Largest replication count or grid resolution.  Each sizes arrays that are
+# allocated whole (a fidi leg holds replications x cells doubles), so a far
+# larger count cannot run; it is rejected at its field, not inside numpy.
+# The bound is per count: it does not limit replications x cells.
+MAX_COUNT = 2**24
+
 
 # ---------------------------------------------------------------------------
 # Field conversions: (raw value, field path) -> the value echo() records
@@ -68,7 +74,10 @@ def _make(path: str, build: Callable, *args, **kwargs):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond float range
+        value = np.inf
     if not np.isfinite(value):
         _fail(path, "must be finite")
     return value
@@ -89,6 +98,8 @@ def _int(value, path: str) -> int:
 def _count(value, path: str) -> int:
     if _int(value, path) < 2:
         _fail(path, "must be at least 2")
+    if value > MAX_COUNT:
+        _fail(path, f"must be at most MAX_COUNT = {MAX_COUNT}")
     return value
 
 

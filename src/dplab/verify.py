@@ -42,7 +42,7 @@ from .dp_core import (
     dp_cross_moment,
     dp_moments,
     dp_quantile,
-    posterior_update,
+    posterior_mean,
     sample_fidi,
     stick_breaking_sample,
     uniform_base,
@@ -178,11 +178,11 @@ class McSummary:
     def passed(self) -> bool:
         return all(c.passed for c in [*self.comparisons, *self.level_checks])
 
-    def compare(self, name, estimate, target, tol, one_sided=False) -> None:
+    def compare(self, name, estimate, target, tol) -> None:
         """Record ``estimate``, a (value, standard error) pair, under ``name``
         and compare it with ``target`` at ``tol`` standard errors."""
         self.estimates[name] = estimate
-        self.comparisons.append(Comparison.build(name, *estimate, target, tol, one_sided))
+        self.comparisons.append(Comparison.build(name, *estimate, target, tol))
 
     def csv_tables(self) -> dict[str, Table]:
         """The extra tables, then the summary: one row per estimate,
@@ -698,7 +698,6 @@ def representation_check(
     seed: int,
     *,
     trunc: TruncationPolicy | None = None,
-    threads: int | None = None,
     base_stream: int = 0,
 ) -> McSummary:
     """Compare the two exact representations over one partition: cell masses
@@ -716,7 +715,7 @@ def representation_check(
         sample = stick_breaking_sample(a, base, trunc, rng, scratch)
         return np.array([dp_set_mass(sample, c) for c in cells])
 
-    sticks = map_replications(stick_rep, replications, seed, base_stream, threads)
+    sticks = map_replications(stick_rep, replications, seed, base_stream)
     fidi_stream = RngStream(seed, base_stream + replications)
     fidis = sample_fidi(a, measures, fidi_stream, size=replications)
 
@@ -779,19 +778,21 @@ def posterior_check(
     *,
     base_stream: int = 0,
 ) -> McSummary:
-    """Conjugacy: the posterior concentration is a + n exactly, and the
-    Monte Carlo mean of the posterior mass of each test set matches the
-    posterior base measure.  Set i's replications come from stream
-    base_stream + i."""
-    post = posterior_update(a, base, data)
+    """Conjugacy: after observing n = ``np.size(data)`` points the posterior
+    is DP(a + n, H*), so the posterior mass of each test set, drawn as a
+    Dirichlet marginal at concentration a + n, has Monte Carlo mean
+    ``posterior_mean``.  The concentration is recorded as the exact row
+    ``a_star``.  Set i's replications come from stream base_stream + i."""
+    data = np.sort(np.asarray(data, dtype=float).ravel())
+    a_star = a + data.size
     summary = McSummary(
         replications * len(sets), seed_info=(seed, (base_stream, base_stream + len(sets) - 1))
     )
-    summary.compare("a_star", (post.a_star, 0.0), a + post.n, 0.0)
+    summary.compare("a_star", (a_star, 0.0), a_star, 0.0)
     for i, s in enumerate(sets):
-        m = post.measure(s)
+        m = posterior_mean(a, base, data, s)
         rng = RngStream(seed, base_stream + i)
-        vals = sample_fidi(post.a_star, [m, 1.0 - m], rng, size=replications)[:, 0]
+        vals = sample_fidi(a_star, [m, 1.0 - m], rng, size=replications)[:, 0]
         summary.compare(f"posterior_mean[S{i + 1}]", mc_mean_se(vals), m, MOMENT_TOL)
     return summary
 
@@ -834,16 +835,9 @@ def quantile_limit_study(
     u_arr = np.array(u_all)
     col = {u: i for i, u in enumerate(u_all)}
 
-    cov_targets = {
-        (ui, uj): limit_quantile_cov(ui, uj, base)
-        for i, ui in enumerate(u_points)
-        for uj in u_points[i:]
-    }
-    median_target = limit_quantile_cov(0.5, 0.5, base)
-    c_11 = limit_quantile_cov(0.25, 0.25, base)
-    c_33 = limit_quantile_cov(0.75, 0.75, base)
-    c_13 = limit_quantile_cov(0.25, 0.75, base)
-    iqr_target = c_33 + c_11 - 2.0 * c_13
+    cov = {(u, v): limit_quantile_cov(u, v, base) for u in u_all for v in u_all}
+    median_target = cov[0.5, 0.5]
+    iqr_target = cov[0.75, 0.75] + cov[0.25, 0.25] - 2.0 * cov[0.25, 0.75]
     h1 = float(base.density(base.quantile(0.25)))
     h3 = float(base.density(base.quantile(0.75)))
     printed_iqr = 3.0 / h3**2 + 3.0 / (16.0 * h1**2) - 2.0 / (h1 * h3)
@@ -867,7 +861,7 @@ def quantile_limit_study(
                 x, y = vals[:, col[ui]], vals[:, col[uj]]
                 est = mc_var_se(x) if ui == uj else mc_cov_se(x, y)
                 name = f"{tag}/qcov[{ui:g},{uj:g}]"
-                summary.compare(name, est, cov_targets[(ui, uj)], VARIANCE_TOL)
+                summary.compare(name, est, cov[ui, uj], VARIANCE_TOL)
 
         med = vals[:, col[0.5]]
         summary.compare(f"{tag}/median_var", mc_var_se(med), median_target, VARIANCE_TOL)

@@ -24,7 +24,7 @@ from dplab import (
     dp_quantile,
     exponential_base,
     normal_base,
-    posterior_update,
+    posterior_mean,
     sample_fidi,
     stick_breaking_sample,
     uniform_base,
@@ -525,23 +525,27 @@ class TestBisectionQuantiles:
 
 
 class TestPosterior:
-    def test_mixture_cdf_value(self, uniform01):
-        post = posterior_update(2.0, uniform01, [0.2, 0.4, 0.6])
-        assert post.measure(BorelSet.interval(0.0, 0.5)) == pytest.approx((2.0 * 0.5 + 2) / 5.0)
+    DATA = [0.2, 0.4, 0.6]
 
-    def test_concentration_adds_sample_size(self, uniform01):
-        assert posterior_update(2.0, uniform01, [0.2, 0.4, 0.6]).a_star == 5.0
+    def test_mixture_cdf_value(self, uniform01):
+        mean = posterior_mean(2.0, uniform01, self.DATA, BorelSet.interval(0.0, 0.5))
+        assert mean == pytest.approx((2.0 * 0.5 + 2) / 5.0)
 
     def test_empty_data_is_identity(self, uniform01):
-        post = posterior_update(2.0, uniform01, [])
-        assert post.a_star == 2.0
         for t in (0.1, 0.5, 0.9):
-            assert post.measure(BorelSet.interval(0.0, t)) == pytest.approx(uniform01.cdf(t))
+            mean = posterior_mean(2.0, uniform01, [], BorelSet.interval(0.0, t))
+            assert mean == pytest.approx(uniform01.cdf(t))
 
     def test_measure_counts_data(self, uniform01):
-        post = posterior_update(2.0, uniform01, [0.2, 0.4, 0.6])
         s = BorelSet.interval(0.3, 0.6)  # contains 0.4 and 0.6
-        assert post.measure(s) == pytest.approx((2.0 * 0.3 + 2) / 5.0)
+        assert posterior_mean(2.0, uniform01, self.DATA, s) == pytest.approx((2.0 * 0.3 + 2) / 5.0)
+
+    def test_rejects_bad_concentration_and_data(self, uniform01):
+        s = BorelSet.interval(0.0, 0.5)
+        with pytest.raises(ParameterError, match="concentration"):
+            posterior_mean(0.0, uniform01, self.DATA, s)
+        with pytest.raises(ParameterError, match="finite"):
+            posterior_mean(2.0, uniform01, [0.2, np.nan], s)
 
 
 class TestClosedFormMoments:

@@ -18,7 +18,13 @@ from dplab import (
     verify,
 )
 from dplab.cli import main as cli_main
-from dplab.harness import FAMILIES, FAMILY_STREAM_BASE, emit_report, run_experiment
+from dplab.harness import (
+    FAMILIES,
+    FAMILY_STREAM_BASE,
+    MAX_COUNT,
+    emit_report,
+    run_experiment,
+)
 
 
 def _config(**overrides):
@@ -549,6 +555,67 @@ class TestCli:
         self._assert_clean_exit_2(capsys, rc, "seed: ")
         rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
         self._assert_clean_exit_2(capsys, rc, "seed: ")
+
+    @pytest.mark.parametrize(
+        "cfg, path",
+        [
+            ([1, 2], "config must be a JSON object"),
+            ({"schema_version": 1, "experiment": "moments"}, "seed: required"),
+            (_config(output_dir=""), "output_dir: expected a non-empty string"),
+            (_config(output_dir=5), "output_dir: expected a non-empty string"),
+            (
+                {"schema_version": 1, "seed": 1, "experiment": "all", "families": []},
+                "families: expected an object",
+            ),
+            (
+                {"schema_version": 1, "seed": 1, "experiment": "all", "families": {"bogus": {}}},
+                "families.bogus: unknown experiment family",
+            ),
+            # JSON integers beyond float range
+            (_config(a=10**400), "a: must be finite"),
+            (
+                {"schema_version": 1, "seed": 1, "experiment": "gc", "a_values": [10.0, 10**400]},
+                "a_values[1]: must be finite",
+            ),
+            (
+                _config(base_measure={"label": "exponential", "rate": 10**400}),
+                "base_measure.rate: must be finite",
+            ),
+        ],
+        ids=["not_an_object", "no_seed", "output_dir_empty", "output_dir_number",
+             "families_list", "families_bogus", "a", "a_values", "rate"],
+    )
+    def test_config_fault_exits_2(self, tmp_path, capsys, cfg, path):
+        path_arg = self._write(tmp_path, cfg)
+        rc = cli_main(["validate", "--config", path_arg])
+        self._assert_clean_exit_2(capsys, rc, path)
+        rc = cli_main(["run", "--config", path_arg, "--out", str(tmp_path / "out")])
+        self._assert_clean_exit_2(capsys, rc, path)
+
+    @pytest.mark.parametrize(
+        "family, key, value",
+        [
+            ("moments", "replications", 10**21),
+            ("gc", "replications", 10**17),
+            ("quantile", "replications", 10**14),
+            ("posterior", "replications", 10**15),
+            ("fidi", "replications", 4 * 10**9),
+            ("gc", "gc_grid_resolution", 10**12),
+        ],
+    )
+    def test_count_over_max_count_exits_2(self, tmp_path, capsys, family, key, value):
+        """A count whose arrays could not be allocated is rejected at its
+        field before anything runs."""
+        cfg = {"schema_version": 1, "seed": 1, "experiment": family, key: value}
+        path_arg = self._write(tmp_path, cfg)
+        rc = cli_main(["validate", "--config", path_arg])
+        self._assert_clean_exit_2(capsys, rc, f"{key}: must be at most MAX_COUNT")
+        rc = cli_main(["run", "--config", path_arg, "--out", str(tmp_path / "out")])
+        self._assert_clean_exit_2(capsys, rc, f"{key}: must be at most MAX_COUNT")
+        assert not (tmp_path / "out").exists()
+
+    def test_max_count_itself_validates(self):
+        validate_config(_config(replications=MAX_COUNT))
 
     @pytest.mark.parametrize(
         "cfg, path",

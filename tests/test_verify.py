@@ -383,6 +383,10 @@ class TestPosteriorCheck:
         assert out.estimates["a_star"][0] == 5.0
         assert out.passed
 
+    def test_empty_data_keeps_concentration(self, uniform01):
+        out = posterior_check(2.0, uniform01, [], [BorelSet.interval(0.0, 0.5)], 2_000, 162)
+        assert out.estimates["a_star"] == (2.0, 0.0)
+
 
 class TestQuantileLimitStudy:
     def test_uniform_base_targets(self, uniform01):
