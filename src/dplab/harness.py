@@ -48,10 +48,13 @@ Call = Callable[[int, int, int], verify.McSummary]
 _TOP_KEYS = {"schema_version", "experiment", "seed", "output_dir", "families"}
 
 # Largest replication count or grid resolution.  Each sizes arrays that are
-# allocated whole (a fidi leg holds replications x cells doubles), so a far
-# larger count cannot run; it is rejected at its field, not inside numpy.
-# The bound is per count: it does not limit replications x cells.
+# allocated whole, so a far larger count cannot run; it is rejected at its
+# field, not inside numpy.
 MAX_COUNT = 2**24
+# Largest draw table of the moments and fidi families: replications x its
+# columns (the partition cells or the sets, whichever are more), 2^26
+# doubles or 512 MiB.  MAX_COUNT replications over four columns fit.
+_MAX_TABLE = 2**26
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +207,14 @@ def _read_sets(f: _Fields, default: list) -> list[BorelSet]:
     return [_make(f"{f.sub('sets')}[{i}]", BorelSet, s) for i, s in enumerate(sets)]
 
 
+def _check_table(f: _Fields, r: int, sets: list[BorelSet], base: BaseMeasure) -> None:
+    """Reject ``replications`` when the draw table would exceed _MAX_TABLE."""
+    cells, _ = verify.refine_to_partition(sets, base)
+    width = max(len(cells), len(sets))
+    if r * width > _MAX_TABLE:
+        _fail(f.sub("replications"), f"replications x {width} columns must be at most {_MAX_TABLE}")
+
+
 def _read_truncation(f: _Fields) -> TruncationPolicy:
     t = f.obj("truncation")
     epsilon = t.read("epsilon", 1e-10, _number)
@@ -242,6 +253,7 @@ def _moments(f: _Fields, config_dir) -> Call:
     sets = _read_sets(f, [[[0.0, 0.3]], [[0.3, 0.5]]])
     r = f.read("replications", 100000, _count)
     _make(f.sub("replications"), verify.check_moment_replications, r)
+    _check_table(f, r, sets, base)
     return lambda seed, stream, threads: verify.moment_check(
         a, base, sets, r, seed, base_stream=stream
     )
@@ -251,6 +263,7 @@ def _fidi(f: _Fields, config_dir) -> Call:
     a = f.read("a", 10000.0, _concentration)
     sets = _read_sets(f, [[[0.0, 0.25]], [[0.25, 0.5]], [[0.5, 1.0]]])
     r = f.read("replications", 10000, _count)
+    _check_table(f, r, sets, uniform_base())
     return lambda seed, stream, threads: verify.fidi_normality_check(
         a, sets, r, seed, base_stream=stream
     )

@@ -6,6 +6,12 @@ sqrt(a) (P_a^{-1} - H^{-1}), and the exact vs limiting bivariate cell
 densities together with their total-variation gap.  The bivariate integrals
 use one tensor-Simpson quadrature whose box, grid sizes and tolerance are
 the pinned constants HALF_WIDTH, N_START, N_MAX and QUAD_TOL.
+
+The quadrature evaluates each point of its finest grid once: a refinement
+keeps the coarser grid's values in place and evaluates only the new points.
+The density kernels work in place, in one or two grid-sized buffers counting
+the output, with the operations and order of the plain array expressions,
+so their values do not depend on the buffering.
 """
 
 from __future__ import annotations
@@ -110,8 +116,15 @@ def limit_bivariate_density(y1, y2, spec: BivariateGaussianSpec):
     y2 = np.asarray(y2, dtype=float)
     z1 = y1 / np.sqrt(spec.sigma11)
     z2 = y2 / np.sqrt(spec.sigma22)
-    quad = (z1 * z1 - 2.0 * spec.rho12 * z1 * z2 + z2 * z2) / (1.0 - spec.rho12**2)
-    out = np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(spec.covariance_det))
+    # One output buffer carries the quadratic form to the density.
+    out = np.empty(np.broadcast_shapes(y1.shape, y2.shape))
+    np.multiply(2.0 * spec.rho12 * z1, z2, out=out)
+    np.subtract(z1 * z1, out, out=out)
+    out += z2 * z2
+    out /= 1.0 - spec.rho12**2
+    out *= -0.5
+    np.exp(out, out=out)
+    out /= 2.0 * np.pi * np.sqrt(spec.covariance_det)
     return float(out) if out.ndim == 0 else out
 
 
@@ -133,8 +146,6 @@ def scaled_bivariate_density(y1, y2, l1: float, l2: float, a: float):
     root_a = np.sqrt(a)
     x1 = y1 / root_a + l1
     x2 = y2 / root_a + l2
-    x3 = 1.0 - (y1 + y2) / root_a - l1 - l2
-    valid = (x1 > 0.0) & (x2 > 0.0) & (x3 > 0.0)
     log_norm = (
         gammaln(a)
         - np.log(a)
@@ -142,14 +153,23 @@ def scaled_bivariate_density(y1, y2, l1: float, l2: float, a: float):
         - gammaln(a * l2)
         - gammaln(a * l3)
     )
+    # Two grid buffers: x3 then its log term, and log f then the density.
+    # The x1 and x2 terms are taken on their own (unbroadcast) operands;
+    # every point outside the simplex is overwritten with log f = -inf.
+    x3 = np.add(y1, y2, out=np.empty(np.broadcast_shapes(y1.shape, y2.shape)))
+    x3 /= root_a
+    np.subtract(1.0, x3, out=x3)
+    x3 -= l1
+    x3 -= l2
+    valid = (x1 > 0.0) & (x2 > 0.0) & (x3 > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logf = (
-            log_norm
-            + (a * l1 - 1.0) * np.log(np.where(valid, x1, 1.0))
-            + (a * l2 - 1.0) * np.log(np.where(valid, x2, 1.0))
-            + (a * l3 - 1.0) * np.log(np.where(valid, x3, 1.0))
-        )
-    out = np.exp(np.where(valid, logf, -np.inf))
+        out = np.empty_like(x3)
+        np.add(log_norm + (a * l1 - 1.0) * np.log(x1), (a * l2 - 1.0) * np.log(x2), out=out)
+        np.log(x3, out=x3)
+        x3 *= a * l3 - 1.0
+        out += x3
+    out[~valid] = -np.inf
+    np.exp(out, out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -192,13 +212,19 @@ def _refine_simpson_2d(
 ) -> TvEstimate:
     """Integrate f over the box, doubling resolution until the estimate
     settles within QUAD_TOL (or N_MAX is reached, reported as not
-    converged)."""
+    converged).
+
+    Each point is evaluated once: the n-point grid is the even-index
+    subgrid of the (2n - 1)-point one (``linspace`` gives it bit for bit),
+    so a refinement keeps the previous values in place and calls f only on
+    the odd rows and on the even rows' odd columns.
+    """
     n = N_START
+    x = np.linspace(xbox[0], xbox[1], n)
+    y = np.linspace(ybox[0], ybox[1], n)
+    vals = f(x[:, None], y[None, :])
     prev = None
     while True:
-        x = np.linspace(xbox[0], xbox[1], n)
-        y = np.linspace(ybox[0], ybox[1], n)
-        vals = f(x[:, None], y[None, :])
         wx = _simpson_weights(n, x[1] - x[0])
         wy = _simpson_weights(n, y[1] - y[0])
         est = float(wx @ vals @ wy)
@@ -208,6 +234,13 @@ def _refine_simpson_2d(
             return TvEstimate(est, abs(est - prev) if prev is not None else QUAD_TOL, False)
         prev = est
         n = 2 * n - 1
+        x = np.linspace(xbox[0], xbox[1], n)
+        y = np.linspace(ybox[0], ybox[1], n)
+        fine = np.empty((n, n))
+        fine[::2, ::2] = vals
+        fine[1::2] = f(x[1::2, None], y[None, :])
+        fine[::2, 1::2] = f(x[::2, None], y[None, 1::2])
+        vals = fine
 
 
 def _support_box(l1: float, l2: float, a: float):
@@ -227,9 +260,9 @@ def tv_distance_bivariate(l1: float, l2: float, a: float) -> TvEstimate:
     xbox, ybox = _support_box(l1, l2, a)
 
     def gap(x, y):
-        return np.abs(
-            scaled_bivariate_density(x, y, l1, l2, a) - limit_bivariate_density(x, y, spec)
-        )
+        out = scaled_bivariate_density(x, y, l1, l2, a)
+        out -= limit_bivariate_density(x, y, spec)
+        return np.abs(out, out=out)
 
     est = _refine_simpson_2d(gap, xbox, ybox)
     # |f - g| integrates to at most 2, so TV cannot exceed 1 beyond

@@ -77,6 +77,46 @@ def test_tracer_patches_what_dplab_calls_and_restores_it(tmp_path):
     assert expected <= names, f"no spans for {sorted(expected - names)}"
 
 
+def test_uninstall_restores_every_patched_attribute():
+    """Install patches every traced name (a renamed one raises) and
+    uninstall leaves each patched namespace exactly as it found it."""
+    probe = tracing.Tracer()
+    probe.install()
+    owners = list({id(owner): owner for owner, _, _ in probe._saved}.values())
+    patched = [(owner, attr) for owner, attr, _ in probe._saved]
+    probe.uninstall()
+    before = [dict(vars(owner)) for owner in owners]
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for owner, attr in patched:
+            assert getattr(owner, attr) is not before[owners.index(owner)].get(attr), attr
+    finally:
+        tracer.uninstall()
+    for owner, saved in zip(owners, before):
+        now = vars(owner)
+        assert now.keys() == saved.keys(), owner
+        assert all(now[key] is value for key, value in saved.items()), owner
+
+
+def test_density_counter_counts_each_quadrature_point_once():
+    """``processes.density_evals`` sees every exact-density evaluation of the
+    density family: 3 TV ladders (a = 10^2 ends at 513 points per axis,
+    10^3 and 10^4 at 257), 3 integral ladders (129 each) and the 11 x 11 gap
+    grid at each a."""
+    config = harness.validate_config({"schema_version": 1, "seed": 1, "experiment": "density"})
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        harness.run_experiment(config)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["processes.density_evals"] == 513**2 + 2 * 257**2 + 3 * 129**2 + 3 * 11**2
+    assert metrics["processes.tv.calls"] == 3
+
+
 def test_emit_report_takes_a_representation_result(tmp_path):
     summary = _representation_summary(8804)
     report = harness.RunReport(

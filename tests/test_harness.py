@@ -22,6 +22,7 @@ from dplab.harness import (
     FAMILIES,
     FAMILY_STREAM_BASE,
     MAX_COUNT,
+    _MAX_TABLE,
     emit_report,
     run_experiment,
 )
@@ -616,6 +617,33 @@ class TestCli:
 
     def test_max_count_itself_validates(self):
         validate_config(_config(replications=MAX_COUNT))
+
+    @pytest.mark.parametrize("family", ["moments", "fidi"])
+    def test_draw_table_over_the_limit_exits_2(self, tmp_path, capsys, family):
+        """MAX_COUNT replications over 100 sets (101 cells) would ask numpy
+        for 12.6 GiB per table; the config is rejected at ``replications``."""
+        sets = [[[i / 200, (i + 1) / 200]] for i in range(100)]
+        cfg = {
+            "schema_version": 1, "seed": 1, "experiment": family,
+            "sets": sets, "replications": MAX_COUNT,
+        }
+        path_arg = self._write(tmp_path, cfg)
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            rc = cli_main([*argv, "--config", path_arg])
+            self._assert_clean_exit_2(capsys, rc, "replications: replications x 101 columns")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("family", ["moments", "fidi"])
+    def test_draw_table_limit_is_inclusive(self, family):
+        sets = [[[0.0, 0.2]], [[0.2, 0.4]], [[0.4, 0.6]], [[0.6, 0.8]]]  # five cells
+        largest = _MAX_TABLE // 5
+        families = {family: {"sets": sets, "replications": largest}}
+        validate_config({"schema_version": 1, "seed": 1, "experiment": "all", "families": families})
+        families[family]["replications"] += 1
+        with pytest.raises(ConfigError, match=f"families.{family}.replications: "):
+            validate_config(
+                {"schema_version": 1, "seed": 1, "experiment": "all", "families": families}
+            )
 
     @pytest.mark.parametrize(
         "cfg, path",

@@ -344,3 +344,102 @@ class TestDensityNumericsPinned:
     @pytest.mark.parametrize("key", list(_DENSITY_DIGESTS), ids=lambda k: "-".join(map(str, k)))
     def test_density_is_bit_identical(self, key):
         assert _digest(_density_values(*key)) == _DENSITY_DIGESTS[key]
+
+
+def _full_grid_ladder(f, xbox, ybox):
+    """Reference ladder: every refinement level evaluates its whole grid."""
+    n, prev = processes.N_START, None
+    while True:
+        x = np.linspace(xbox[0], xbox[1], n)
+        y = np.linspace(ybox[0], ybox[1], n)
+        vals = f(x[:, None], y[None, :])
+        wx = processes._simpson_weights(n, x[1] - x[0])
+        wy = processes._simpson_weights(n, y[1] - y[0])
+        est = float(wx @ vals @ wy)
+        settled = prev is not None and abs(est - prev) < processes.QUAD_TOL
+        if settled or 2 * n - 1 > processes.N_MAX:
+            return est
+        prev, n = est, 2 * n - 1
+
+
+class TestSimpsonLadder:
+    @staticmethod
+    def _record(f, xbox, ybox):
+        """Run the ladder on ``f``, counting the calls at each point of a
+        grid as fine as N_MAX; returns the estimate and the counts."""
+        fine_x = np.linspace(xbox[0], xbox[1], processes.N_MAX)
+        fine_y = np.linspace(ybox[0], ybox[1], processes.N_MAX)
+        counts = np.zeros((processes.N_MAX, processes.N_MAX), dtype=int)
+
+        def recording(x, y):
+            ix = np.searchsorted(fine_x, x.ravel())
+            iy = np.searchsorted(fine_y, y.ravel())
+            assert np.array_equal(fine_x[ix], x.ravel()) and np.array_equal(fine_y[iy], y.ravel())
+            counts[np.ix_(ix, iy)] += 1
+            return f(x, y)
+
+        return _refine_simpson_2d(recording, xbox, ybox), counts
+
+    @pytest.mark.parametrize(
+        "a, tol, n_final",
+        [(1e3, processes.QUAD_TOL, 129), (1e2, 0.0, processes.N_MAX)],
+        ids=["converged", "n_max_stopped"],
+    )
+    def test_each_point_of_the_final_grid_is_evaluated_once(self, monkeypatch, a, tol, n_final):
+        monkeypatch.setattr(processes, "QUAD_TOL", tol)
+        xbox, ybox = processes._support_box(THIRD, THIRD, a)
+
+        def density(x, y):
+            return scaled_bivariate_density(x, y, THIRD, THIRD, a)
+
+        est, counts = self._record(density, xbox, ybox)
+        assert est.converged == (n_final < processes.N_MAX)
+        stride = (processes.N_MAX - 1) // (n_final - 1)
+        assert counts.sum() == n_final**2
+        assert np.all(counts[::stride, ::stride] == 1)
+        assert est.value == _full_grid_ladder(density, xbox, ybox)
+
+    @pytest.mark.parametrize("cells", ["third", "small", "wide", "edge"])
+    @pytest.mark.parametrize("a", [2.0, 10.0, 1e2, 1e3, 1e4, 1e5])
+    def test_coarse_grid_is_the_even_subgrid(self, cells, a):
+        """The identity the nested refinement rests on, bit for bit."""
+        for lo, hi in processes._support_box(*_DENSITY_CELLS[cells], a):
+            n = processes.N_START
+            while 2 * n - 1 <= processes.N_MAX:
+                fine = np.linspace(lo, hi, 2 * n - 1)[::2]
+                assert fine.tobytes() == np.linspace(lo, hi, n).tobytes()
+                n = 2 * n - 1
+
+
+class TestDensityShapes:
+    SPEC = BivariateGaussianSpec.from_cell_measures(0.1, 0.2)
+
+    @pytest.mark.parametrize("kind", ["exact", "limit"])
+    def test_scalar_input_gives_a_float(self, kind):
+        density = self._density(kind)
+        assert type(density(0.3, -0.7)) is float
+        assert type(density(np.float64(0.3), np.array(-0.7))) is float
+        assert type(density(-40.0, 0.0)) is float  # outside the simplex
+
+    @pytest.mark.parametrize("kind", ["exact", "limit"])
+    @pytest.mark.parametrize(
+        "y1, y2, shape",
+        [
+            (np.zeros((4, 1)), np.zeros((1, 3)), (4, 3)),
+            (np.zeros(5), np.zeros(5), (5,)),
+            (np.zeros(5), 0.0, (5,)),
+            (0.0, np.zeros((2, 3)), (2, 3)),
+            (np.zeros((1, 3)), np.zeros((4, 1)), (4, 3)),
+        ],
+        ids=["column_x_row", "one_d", "one_d_x_scalar", "scalar_x_grid", "row_x_column"],
+    )
+    def test_broadcast_shape(self, kind, y1, y2, shape):
+        density = self._density(kind)
+        out = density(y1, y2)
+        assert isinstance(out, np.ndarray) and out.shape == shape
+        assert np.all(out == density(0.0, 0.0))
+
+    def _density(self, kind):
+        if kind == "limit":
+            return lambda y1, y2: limit_bivariate_density(y1, y2, self.SPEC)
+        return lambda y1, y2: scaled_bivariate_density(y1, y2, 0.1, 0.2, 50.0)
