@@ -316,6 +316,8 @@ def _density(f: _Fields, config_dir) -> Call:
     _make(f.sub("density"), BivariateGaussianSpec.from_cell_measures, l1, l2)
     a_values = f.read("a_values", [100.0, 1000.0, 10000.0], _numbers)
     _make(f.sub("a_values"), verify.check_a_values, a_values)
+    for i, a in enumerate(a_values):
+        _make(f"{f.sub('a_values')}[{i}]", verify.check_density_concentration, l1, l2, a)
 
     def run(seed: int, stream: int, threads: int) -> verify.McSummary:
         # Computed here, where bench/tracing.py times them as their own layer.

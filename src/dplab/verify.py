@@ -49,6 +49,7 @@ from .dp_core import (
     validate_partition,
 )
 from .errors import ArgumentError, ConfigError, DplabError
+from .kolmogorov import kolmogorov_sf, two_sample_sf
 from .processes import bb_cov, limit_quantile_cov
 from .processes import (
     BivariateGaussianSpec,
@@ -91,6 +92,10 @@ DENSITY_GRID = Grid(np.linspace(-2.5, 2.5, 11))
 # on 2 threads; at a = 10^3, about 2.4 ms and 1.35x faster; at a = 10^4,
 # about 27 ms and 1.8x faster).
 MIN_PARALLEL_REP_SECONDS = 1e-3
+
+# Largest equal sample size for which ks_two_sample_check computes the exact
+# two-sample law, as scipy's ks_2samp does.
+_KS_EXACT_MAX = 10_000
 
 _DL_SLACK = 1e-12
 
@@ -242,6 +247,18 @@ def check_a_values(a_values: Sequence[float], min_count: int = 1) -> np.ndarray:
     return a_values
 
 
+def check_density_concentration(l1: float, l2: float, a: float) -> None:
+    """The density family needs a * l > 1 for each cell measure l of
+    (l1, l2, 1 - l1 - l2): at a * l <= 1 the exact density is unbounded at
+    that cell's edge, where the tensor-Simpson quadrature cannot integrate it."""
+    smallest = a * min(l1, l2, 1.0 - l1 - l2)
+    if not smallest > 1.0:
+        raise ArgumentError(
+            f"a * min(l1, l2, 1 - l1 - l2) must exceed 1, got {smallest:g} at a = {a:g}:"
+            " the exact density is unbounded at a cell edge"
+        )
+
+
 def check_levels(u_points: Sequence[float]) -> list[float]:
     """The quantile levels as floats; each must lie strictly inside (0, 1),
     and no two may be equal."""
@@ -369,20 +386,45 @@ def mc_cov_se(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return cov, se
 
 
-# scipy.stats takes longer to import than most runs take, so the KS checks
-# load it on first use and the families without one never do.
+# The KS checks compute their statistics as scipy's kstest and ks_2samp do,
+# with the same operations in the same order, and their p-values with
+# dplab.kolmogorov: scipy's stats package takes longer to import than most
+# runs take.  A sample holding NaN gives a NaN statistic and p-value, so its
+# check fails.
 def ks_normal_check(name: str, sample: np.ndarray) -> LevelCheck:
-    import scipy.stats
+    """One-sample KS test of ``sample`` against N(0, 1)."""
+    from scipy.special import ndtr  # loaded by the first one-sample check
 
-    stat, p = scipy.stats.kstest(np.asarray(sample, dtype=float), "norm")
-    return LevelCheck.build(name, stat, p, KS_LEVEL)
+    x = np.sort(np.asarray(sample, dtype=float))
+    n = x.size
+    cdf = ndtr(x)
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    stat = d_plus if d_plus > d_minus else d_minus
+    return LevelCheck.build(name, stat, kolmogorov_sf(n, float(stat)), KS_LEVEL)
 
 
 def ks_two_sample_check(name, x, y) -> LevelCheck:
-    import scipy.stats
-
-    stat, p = scipy.stats.ks_2samp(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    return LevelCheck.build(name, stat, p, KS_LEVEL)
+    """Two-sample KS test of equal-size samples ``x`` and ``y``: exact for
+    up to 10^4 each, Kolmogorov's law at n/2 beyond."""
+    x = np.sort(np.asarray(x, dtype=float))
+    y = np.sort(np.asarray(y, dtype=float))
+    n = x.size
+    if y.size != n:
+        raise ArgumentError(f"ks_two_sample_check needs equal sizes, got {n} and {y.size}")
+    if np.isnan(x).any() or np.isnan(y).any():
+        return LevelCheck.build(name, np.nan, np.nan, KS_LEVEL)
+    both = np.concatenate([x, y])
+    diffs = np.searchsorted(x, both, side="right") / n - np.searchsorted(y, both, side="right") / n
+    below = np.clip(-diffs.min(), 0, 1)
+    above = diffs.max()
+    stat = below if below > above else above
+    if n > _KS_EXACT_MAX:
+        return LevelCheck.build(name, stat, kolmogorov_sf(round(n / 2), float(stat)), KS_LEVEL)
+    h = int(np.round(stat * n))
+    # At h = 1 the tail is one, and the recursion can round a few ulps past it.
+    p = min(two_sample_sf(n, h), 1.0) if h else 1.0
+    return LevelCheck.build(name, h / n, p, KS_LEVEL)
 
 
 # ---------------------------------------------------------------------------
@@ -911,6 +953,8 @@ def density_convergence_study(
     ``_density_comparisons`` gives the verdict; quadratures report their
     refinement error as their standard error.  Nothing is drawn."""
     a_values = check_a_values(a_values)
+    for a in a_values:
+        check_density_concentration(l1, l2, a)
     if len(integrals) != a_values.size:
         raise ArgumentError("need one density integral per concentration")
     spec = BivariateGaussianSpec.from_cell_measures(l1, l2)

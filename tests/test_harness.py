@@ -54,6 +54,11 @@ FAILING = {
 }
 
 
+# A density config whose third cell, 1 - 0.05 - 0.9, gives a * l3 <= 1 at
+# a = 2 and 10: validation rejects it at a_values[0].
+_UNBOUNDED_DENSITY = {"density": {"l1": 0.05, "l2": 0.9}, "a_values": [2.0, 10.0, 100.0]}
+
+
 def _run_to_dir(cfg, out):
     config = validate_config(cfg)
     report = run_experiment(config)
@@ -257,7 +262,10 @@ class TestValidationProperty:
         try:
             validate_config(cfg, config_dir)
         except ConfigError as err:
-            assert err.path.startswith(path[0]), (err.path, path)
+            # The density family's joint rule on a cell measure and a
+            # concentration names the concentration, whichever field broke it.
+            joint = err.path.startswith("a_values[") and "min(l1, l2, 1 - l1 - l2)" in str(err)
+            assert err.path.startswith(path[0]) or joint, (err.path, path)
 
 
 class TestRunAndEmit:
@@ -668,6 +676,26 @@ class TestCli:
         self._assert_clean_exit_2(capsys, rc, path, "MAX_STICKS")
         rc = cli_main(["run", "--config", path_arg, "--out", str(tmp_path / "out")])
         self._assert_clean_exit_2(capsys, rc, path, "MAX_STICKS")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "cfg, path",
+        [
+            ({"experiment": "density", **_UNBOUNDED_DENSITY}, "a_values[0]: "),
+            (
+                {"experiment": "all", "families": {"density": _UNBOUNDED_DENSITY}},
+                "families.density.a_values[0]: ",
+            ),
+        ],
+        ids=["density", "all"],
+    )
+    def test_unbounded_density_exits_2(self, tmp_path, capsys, cfg, path):
+        """At a * l <= 1 for a cell measure l the exact density is unbounded
+        at that cell's edge, and the quadrature could only stop at N_MAX."""
+        path_arg = self._write(tmp_path, {"schema_version": 1, "seed": 1, **cfg})
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            rc = cli_main([*argv, "--config", path_arg])
+            self._assert_clean_exit_2(capsys, rc, path, "must exceed 1")
         assert not (tmp_path / "out").exists()
 
     def test_largest_paper_concentration_is_within_the_stick_budget(self):

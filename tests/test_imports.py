@@ -1,9 +1,12 @@
-"""Start-up cost: importing dplab and validating a config load numpy only.
+"""Start-up cost: importing dplab and validating a config load numpy only,
+and no run loads scipy.stats.
 
-scipy takes longer to import than most runs take, so each scipy function is
-imported by the dplab function that calls it.  These tests run a fresh
-interpreter, where ``sys.modules`` shows exactly what each step loaded; one
-module-level ``import scipy...`` anywhere in the package fails them.
+scipy takes longer to import than most runs take, so each scipy.special
+function is imported by the dplab function that calls it, and the KS checks
+take their p-values from ``dplab.kolmogorov``, not from scipy.stats.  These
+tests run a fresh interpreter, where ``sys.modules`` shows exactly what each
+step loaded; one module-level ``import scipy...`` anywhere in the package, or
+one KS check that reaches for scipy.stats, fails them.
 """
 
 import json
@@ -16,31 +19,37 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Each stage prints the scipy modules loaded so far; the gc and moments
-# configs are small but run their families end to end.
+# Each stage prints the scipy modules loaded so far.  The configs are small
+# but run their families end to end; the stages without any scipy module run
+# first, since sys.modules only grows.
 SCRIPT = """
 import json, sys
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-stages = {}
+def run(cfg):
+    return run_experiment(validate_config({"schema_version": 1, "seed": 3, **cfg})).results
+
+stages, level_checks = {}, {}
 import dplab, dplab.cli
-from dplab import run_experiment, validate_config
+from dplab import BorelSet, run_experiment, uniform_base, validate_config
+from dplab.verify import quantile_sampler_check, representation_check
 stages["import"] = scipy_modules()
 validate_config({"schema_version": 1, "experiment": "all", "seed": 1})
 stages["validate"] = scipy_modules()
-for cfg in (
-    {"experiment": "gc", "a_values": [10.0, 100.0], "replications": 20},
-    {"experiment": "moments", "replications": 1000},
-):
-    run_experiment(validate_config({"schema_version": 1, "seed": 3, **cfg}))
-stages["gc_moments"] = scipy_modules()
-fidi = run_experiment(validate_config(
-    {"schema_version": 1, "seed": 3, "experiment": "fidi", "a": 100.0, "replications": 500}
-)).results["fidi"]
-stages["fidi_level_checks"] = [c.name for c in fidi.level_checks]
-stages["fidi"] = scipy_modules()
+run({"experiment": "gc", "a_values": [10.0, 100.0], "replications": 20})
+run({"experiment": "moments", "replications": 1000})
+cells = [BorelSet.interval(0.0, 0.4), BorelSet.interval(0.4, 1.0)]
+level_checks["representation"] = representation_check(10.0, uniform_base(), cells, 200, 3).level_checks
+stages["gc_moments_representation"] = scipy_modules()
+level_checks["fidi"] = run({"experiment": "fidi", "a": 100.0, "replications": 500})["fidi"].level_checks
+level_checks["quantile"] = run(
+    {"experiment": "quantile", "a_values": [100.0], "replications": 100}
+)["quantile"].level_checks
+level_checks["quantile_sampler"] = quantile_sampler_check(10.0, 100, 3).level_checks
+stages["fidi_quantile_samplers"] = scipy_modules()
+stages["level_checks"] = {k: [c.name for c in v] for k, v in level_checks.items()}
 print(json.dumps(stages))
 """
 
@@ -59,10 +68,15 @@ def test_import_and_validate_load_no_scipy(stages):
     assert stages["validate"] == []
 
 
-def test_gc_and_moments_run_without_scipy(stages):
-    assert stages["gc_moments"] == []
+def test_gc_moments_and_representation_check_run_without_scipy(stages):
+    assert stages["level_checks"]["representation"]
+    assert stages["gc_moments_representation"] == []
 
 
-def test_fidi_loads_scipy_stats_for_its_ks_checks(stages):
-    assert stages["fidi_level_checks"]
-    assert "scipy.stats" in stages["fidi"]
+def test_ks_checks_leave_scipy_stats_unloaded(stages):
+    """Every family and check with a KS test ran one, and none loaded
+    scipy.stats or any of its submodules."""
+    assert all(stages["level_checks"].values()), stages["level_checks"]
+    loaded = stages["fidi_quantile_samplers"]
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")], loaded

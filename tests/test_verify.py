@@ -41,6 +41,7 @@ from dplab import (
     uniform_base,
     verify,
 )
+from dplab.kolmogorov import kolmogorov_sf, two_sample_sf
 from dplab.verify import (
     Comparison,
     LevelCheck,
@@ -72,6 +73,86 @@ class TestComparisonSemantics:
     def test_level_check(self):
         assert LevelCheck.build("ks", 0.01, 0.2, 0.01).passed
         assert not LevelCheck.build("ks", 0.08, 0.004, 0.01).passed
+
+
+def _kolmogorov_edge_cases():
+    """(n, d) on both sides of every branch edge of kolmogorov_sf: n*d at 1/2
+    and 1, n*d at n - 1, d at 1/2, n*d^2 at 0.754693 (scipy's Durbin/Pomeranz
+    edge), 2.2, 4, 18 and 370, and n*d^1.5 at 1.4; n on both sides of 140 and
+    of 10^5, plus a sweep of sqrt(n)*d over the body of the law."""
+    nudges = (1 - 1e-9, 1.0, 1 + 1e-9)
+    cases = []
+    for n in (1, 2, 3, 10, 139, 140, 141, 1000, 100000, 100001):
+        # Far out at n = 10^5 scipy's smirnov costs about 0.15 s a call, so
+        # the n*d^2 edges that only small n have (4 and 18) are left out there.
+        edges = (0.754693, 2.2, 4.0, 18.0, 370.0) if n < 100000 else (0.754693, 2.2, 370.0)
+        ds = [t * f / n for t in (0.5, 1.0, n - 1.0) for f in nudges]
+        ds += [0.5 * f for f in nudges]
+        ds += [np.sqrt(c * f / n) for c in edges for f in nudges]
+        ds += [(1.4 * f / n) ** (2 / 3) for f in nudges]
+        cases += [(n, d) for d in ds if 0.0 < d < 1.0]
+    for n in (5, 50, 140, 141, 500, 3000):
+        cases += [(n, s / np.sqrt(n)) for s in np.linspace(0.2, 2.5, 12) if s / np.sqrt(n) < 1]
+    return cases
+
+
+class TestKolmogorov:
+    """``dplab.kolmogorov`` against scipy.stats, which it stands in for."""
+
+    def test_one_sample_tail_matches_kstwo(self):
+        far = []
+        for n, d in _kolmogorov_edge_cases():
+            ref = float(scipy.stats.kstwo.sf(d, n))
+            got = kolmogorov_sf(n, float(d))
+            if ref > 1e-12:
+                assert abs(got - ref) <= 1e-10 * ref, (n, d, got, ref)
+            else:
+                far.append((n, d, got))
+        assert far and all(got <= 1e-11 for _, _, got in far), far
+
+    def test_two_sample_tail_at_one_step_is_one(self):
+        """D_{n,n} >= 1/n always.  The recursion lands within a few ulps of
+        one there; where it rounds past one (n = 7), ks_2samp leaves the exact
+        law for the asymptotic one, and the check clips to one instead."""
+        assert all(abs(two_sample_sf(n, 1) - 1.0) < 1e-15 for n in range(1, 60))
+        x, y = np.arange(0.0, 14.0, 2.0), np.arange(1.0, 15.0, 2.0)
+        check = verify.ks_two_sample_check("xy", x, y)
+        assert (check.statistic, check.p_value) == (1 / 7, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 3000, 12000])
+    def test_checks_match_kstest_and_ks_2samp(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for shift in (0.0, 0.05, 0.5):
+            x, y = rng.normal(shift, 1.0, n), rng.normal(0.0, 1.0, n)
+            one, ref = verify.ks_normal_check("x", x), scipy.stats.kstest(x, "norm")
+            assert one.statistic == ref.statistic
+            assert abs(one.p_value - ref.pvalue) <= 1e-10 * ref.pvalue
+            two, ref = verify.ks_two_sample_check("xy", x, y), scipy.stats.ks_2samp(x, y)
+            assert two.statistic == ref.statistic
+            if n <= 10_000:
+                assert two.p_value == ref.pvalue
+            else:
+                assert abs(two.p_value - ref.pvalue) <= 1e-10 * ref.pvalue
+
+    def test_nan_sample_fails_without_raising(self):
+        """At n = 100 a NaN statistic would reach the Durbin branch, whose
+        matrix order needs a finite n*d."""
+        x = np.random.default_rng(7).normal(size=100)
+        y = x[::-1].copy()
+        x[17] = np.nan
+        for check in (verify.ks_normal_check("x", x), verify.ks_two_sample_check("xy", x, y),
+                      verify.ks_two_sample_check("yx", y, x)):
+            assert np.isnan(check.statistic) and np.isnan(check.p_value)
+            assert not check.passed
+
+    def test_two_sample_sizes_must_match(self):
+        with pytest.raises(ArgumentError, match="equal sizes"):
+            verify.ks_two_sample_check("xy", np.zeros(10), np.zeros(11))
+
+    def test_shifted_normal_fails(self):
+        """Negative control: N(0.1, 1) at n = 3000 is no standard normal."""
+        x = np.random.default_rng(2024).normal(0.1, 1.0, 3000)
+        assert not verify.ks_normal_check("shifted", x).passed
 
 
 class TestReplicationEngine:
@@ -515,6 +596,11 @@ class TestDensityConvergenceStudy:
             density_convergence_study(
                 1 / 3, 1 / 3, [100.0, 50.0], Grid(np.linspace(-1, 1, 5)), []
             )
+
+    def test_rejects_unbounded_density(self):
+        """At a * l3 <= 1 the exact density is unbounded at the l3 edge."""
+        with pytest.raises(ArgumentError, match="must exceed 1"):
+            density_convergence_study(0.05, 0.9, [2.0], Grid(np.linspace(-1, 1, 5)), [])
 
 
 class TestMarginalDrawLayout:
