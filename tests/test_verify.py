@@ -1,5 +1,6 @@
 """Monte Carlo verification layer: oracles, pass-flag semantics, studies."""
 
+import hashlib
 import threading
 import time
 from collections import Counter
@@ -26,6 +27,7 @@ from dplab import (
     dp_cdf,
     dp_core,
     dp_quantile,
+    exponential_base,
     fidi_normality_check,
     gc_study,
     limit_quantile_cov,
@@ -394,6 +396,40 @@ class TestExactDeviationStats:
             limit=300,
         )
         assert abs(exact - quad) <= 1e-8
+
+
+# sha256 of the little-endian float64 (sup, cvm, grid_sup) triples that
+# _deviation_stats gives for streams 0, 1 and 2 of seed 1616, each drawn by
+# stick-breaking at epsilon 1e-10 into one scratch that the statistics share,
+# as a gc replication does: the uniform base with the 512-point H-level grid,
+# the unit-rate exponential base without a grid.  At a = 10^4 a realization
+# has about 230k atoms.
+_DEVIATION_DIGESTS = {
+    ("uniform", 10.0): "41aa46084fbf3b4b4fd8d408332ae8e320771c2196127377024a446dd604dc25",
+    ("uniform", 1000.0): "98769f7a32ce598a66810349c618a8e57a9dba22bbd2bb4d6bc462f0e8fbbfb1",
+    ("uniform", 10000.0): "8f8953738a5c25687f1b2cef907ec98100ddf02616c584f027ef1136b9b8d9b6",
+    ("exponential", 10.0): "5e133cebbca396359ed012f6a93527b977248acf0c319ea0308cb27965f53a9f",
+    ("exponential", 1000.0): "69e83120fcefbad40a532538a9f53d5ed9a90d3c5f0b8b398a3a042a693b772e",
+    ("exponential", 10000.0): "6d218c5d96ddbfa8be533dc8008472c6a595b7e99769c61c2f86fd577a5de95e",
+}
+
+
+def _deviation_triples(base_name: str, a: float) -> np.ndarray:
+    base = {"uniform": uniform_base(), "exponential": exponential_base(1.0)}[base_name]
+    grid = np.linspace(0.0, 1.0, 512) if base_name == "uniform" else None
+    scratch = dp_core.Scratch()
+    triples = []
+    for r in range(3):
+        s = stick_breaking_sample(a, base, TruncationPolicy(1e-10), RngStream(1616, r), scratch)
+        triples.append(verify._deviation_stats(s, base, grid, scratch))
+    return np.array(triples, dtype="<f8")
+
+
+class TestDeviationStatsPinned:
+    @pytest.mark.parametrize("key", list(_DEVIATION_DIGESTS), ids=lambda k: f"{k[0]}-{k[1]:g}")
+    def test_deviation_stats_are_bit_identical(self, key):
+        digest = hashlib.sha256(_deviation_triples(*key).tobytes()).hexdigest()
+        assert digest == _DEVIATION_DIGESTS[key]
 
 
 class TestDeviationBound:
