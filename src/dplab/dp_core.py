@@ -197,12 +197,11 @@ class DpSample:
         if abs(weights.sum() + rem - 1.0) > 1e-12:
             raise ParameterError("weights plus truncation remainder must sum to 1")
         check_concentration(self.concentration)
-        min_gap = np.diff(atoms).min() if atoms.size > 1 else np.inf
-        if min_gap < 0.0:
+        # neighbour tests on bools, a byte per atom, not on an array of gaps
+        if (atoms[1:] < atoms[:-1]).any():
             order = np.argsort(atoms, kind="stable")
             atoms, weights = atoms[order], weights[order]
-            min_gap = np.diff(atoms).min()
-        if min_gap == 0.0:
+        if (atoms[1:] == atoms[:-1]).any():
             # Ties have probability zero under a continuous base but can occur
             # in floating point; merge them by adding weights.
             uniq, inverse = np.unique(atoms, return_inverse=True)

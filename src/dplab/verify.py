@@ -99,8 +99,9 @@ _KS_EXACT_MAX = 10_000
 
 _DL_SLACK = 1e-12
 
-# Entries per step when _deviation_stats cubes its segment ends in place.
-_CUBE_CHUNK = 8192
+# Most segments _deviation_stats works at once, and the largest piece of
+# numpy's pairwise summation tree that _pairwise_sum hands to np.sum whole.
+_CHUNK = 1 << 15
 
 _SUMMARY_HEADER = ["kind", "name", "estimate", "se", "target", "tolerance_se", "one_sided", "passed"]
 
@@ -591,6 +592,20 @@ def fidi_normality_check(
 # ---------------------------------------------------------------------------
 
 
+def _pairwise_sum(lo: int, hi: int, leaf: Callable[[int, int], float]) -> float:
+    """The sum over [lo, hi) of terms that ``leaf(i, j)`` makes and sums over
+    [i, j), in the order np.sum adds them as one contiguous array.  numpy
+    halves a run of m terms at m // 2, rounded down to a multiple of 8, until
+    the runs are short (Higham 1993, SIAM J. Sci. Comput. 14:783); splitting
+    the same way until a run fits in _CHUNK and adding the runs' np.sum in
+    tree order gives its result bit for bit.  Runs are made left to right."""
+    m = hi - lo
+    if m <= _CHUNK:
+        return leaf(lo, hi)
+    half = m // 2 - m // 2 % 8
+    return _pairwise_sum(lo, lo + half, leaf) + _pairwise_sum(lo + half, hi, leaf)
+
+
 def _deviation_stats(
     sample: DpSample,
     base: BaseMeasure,
@@ -604,37 +619,43 @@ def _deviation_stats(
     step function against the identity: the sup is attained at an atom (from
     the left or the right), and the integral is a closed-form sum of cubics
     over the inter-atom segments.  The grid value can never exceed the exact
-    sup, which makes it a check on it.  The two segment arrays are worked in
-    the buffers of ``scratch`` when one is given.
+    sup, which makes it a check on it.  The segments are worked at most
+    _CHUNK at a time, in the buffers of ``scratch`` when one is given, so no
+    array as long as the realization is made.
     """
     buffers = Scratch() if scratch is None else scratch
-    s = np.asarray(base.cdf(sample.atoms), dtype=float)
-    lev = sample.cdf_levels()
-    w = lev[1:]
-    # Segment k runs from H-level s_{k-1} to s_k (s_{-1} = 0, s_n = 1) at cdf
-    # level lev[k]; d and e are P_a - H at its left and right ends.
-    d = buffers.take("d", lev.size)
-    d[0] = 0.0
-    np.subtract(w, s, out=d[1:])
-    e = buffers.take("e", lev.size)
-    e[0] = -s[0]
-    np.subtract(w[:-1], s[1:], out=e[1:-1])
-    e[-1] = w[-1] - 1.0
-    sup = float(max(d.max(), -e.min()))
+    atoms, lev = sample.atoms, sample.cdf_levels()
+    n = atoms.size
+    counts = None if grid is None else np.zeros(grid.size, dtype=np.intp)
+    sup = 0.0
 
-    # integral over segment k of (lev[k] - x)^2 dx is (d_k^3 - e_k^3) / 3;
-    # the terms overwrite d a chunk at a time, so no third segment array is made
-    for lo in range(0, d.size, _CUBE_CHUNK):
-        dk, ek = d[lo : lo + _CUBE_CHUNK], e[lo : lo + _CUBE_CHUNK]
-        cubes = dk * dk
-        cubes *= dk
-        e_cubes = ek * ek
-        e_cubes *= ek
-        np.subtract(cubes, e_cubes, out=dk)
-    cvm = float(np.sum(d) / 3.0)
+    # Segment k runs from H-level s_{k-1} to s_k (s_{-1} = 0, s_n = 1) at cdf
+    # level lev[k]; d and e are P_a - H at its left and right ends, and the
+    # integral over it of (lev[k] - x)^2 dx is (d_k^3 - e_k^3) / 3.
+    def segments(lo: int, hi: int) -> float:
+        nonlocal sup, counts
+        m, first, last = hi - lo, max(lo - 1, 0), min(hi, n)
+        s = buffers.take("s", m + 1)  # s_{lo-1} .. s_{hi-1}
+        s[0], s[m] = 0.0, 1.0
+        s[first - lo + 1 : last - lo + 1] = base.cdf(atoms[first:last])
+        d, e = buffers.take("d", m), buffers.take("e", m)
+        np.subtract(lev[lo:hi], s[:m], out=d)
+        np.subtract(lev[lo:hi], s[1:], out=e)
+        sup = max(sup, float(d.max()), float(-e.min()))
+        if counts is not None:  # atom counts at or below each grid level add up
+            counts += np.searchsorted(s[1 : last - lo + 1], grid, side="right")
+        cubes = s[:m]  # the H-levels are spent; reuse their buffer
+        np.multiply(d, d, out=cubes)
+        cubes *= d
+        np.multiply(e, e, out=d)
+        d *= e
+        cubes -= d
+        return float(np.sum(cubes))
+
+    cvm = _pairwise_sum(0, n + 1, segments) / 3.0
     grid_sup = 0.0
     if grid is not None:
-        grid_sup = float(np.max(np.abs(lev[np.searchsorted(s, grid, side="right")] - grid)))
+        grid_sup = float(np.max(np.abs(lev[counts] - grid)))
     return sup, cvm, grid_sup
 
 

@@ -1,6 +1,7 @@
 """Core representations: base measures, realizations, conjugacy, moments."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -426,6 +427,19 @@ class TestDpSampleValidation:
         for x, w in zip(s.atoms, s.weights):
             assert w == pytest.approx(weights[atoms == x].sum(), rel=0, abs=1e-15)
         assert s.weights.sum() == pytest.approx(weights.sum(), rel=0, abs=1e-15)
+
+    def test_validation_makes_no_gap_array(self):
+        """Checking order and ties of 2^20 sorted atoms allocates bools, a
+        byte per atom, never a float64 array of gaps (8 bytes per atom)."""
+        n = 1 << 20
+        atoms, weights = np.linspace(0.0, 1.0, n), np.full(n, 1.0 / n)
+        tracemalloc.start()
+        try:
+            make_sample(atoms, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n
 
 
 class TestDpCdf:

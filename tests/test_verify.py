@@ -432,6 +432,45 @@ class TestDeviationStatsPinned:
         assert digest == _DEVIATION_DIGESTS[key]
 
 
+class _RecordingScratch(dp_core.Scratch):
+    """A scratch that records the most entries asked of each role."""
+
+    def __init__(self):
+        super().__init__()
+        self.most = Counter()
+
+    def take(self, role, n, keep=0):
+        self.most[role] = max(self.most[role], n)
+        return super().take(role, n, keep)
+
+
+class TestDeviationStatsChunks:
+    """The statistics walk a realization _CHUNK segments at a time and add
+    the pieces in np.sum's own order."""
+
+    def test_pairwise_sum_is_np_sum(self):
+        """Bit for bit, also where the pieces are uneven; a numpy whose
+        pairwise blocking changed would fail here."""
+        c = verify._CHUNK
+        rng = np.random.default_rng(1993)
+        lengths = [c - 1, c, c + 1, 2 * c + 8, 3 * c + 5, *rng.integers(1, 4 * 10**5, 200)]
+        for n in lengths:
+            x = rng.random(int(n)) ** 3
+            got = verify._pairwise_sum(0, int(n), lambda lo, hi: float(np.sum(x[lo:hi])))
+            assert got == float(np.sum(x)), n
+
+    def test_only_the_realization_is_realization_long(self, uniform01):
+        """After a gc replication at a = 10^4, every scratch role besides the
+        sample's own three arrays is chunk-sized."""
+        scratch = _RecordingScratch()
+        s = stick_breaking_sample(1e4, uniform01, TruncationPolicy(1e-10), RngStream(8808, 0), scratch)
+        verify._deviation_stats(s, uniform01, np.linspace(0.0, 1.0, 512), scratch)
+        assert s.n_atoms > 3 * verify._CHUNK
+        chunked = {role: n for role, n in scratch.most.items()
+                   if role not in ("sticks", "levels", "atoms")}
+        assert chunked and max(chunked.values()) <= verify._CHUNK + 1, chunked
+
+
 class TestDeviationBound:
     def test_single_atom_case(self, uniform01):
         s = make_sample([0.5], [1.0])
