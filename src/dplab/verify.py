@@ -87,10 +87,10 @@ DENSITY_GRID = Grid(np.linspace(-2.5, 2.5, 11))
 
 # Shortest first replication for which map_replications fans out.  Shorter
 # ones hold the GIL between numpy calls and run slower on two threads than on
-# one (medians of four runs on a shared 2-core machine, drawing into a
-# scratch: a gc replication at a = 100 takes about 0.47 ms and is 1.8x slower
-# on 2 threads; at a = 10^3, about 2.4 ms and 1.35x faster; at a = 10^4,
-# about 27 ms and 1.8x faster).
+# one (three sets of medians of four runs on a shared 2-core machine, drawing
+# into a scratch: a gc replication at a = 100 takes about 0.3 ms and is
+# 1.35-1.6x slower on 2 threads; at a = 10^3, 1.4-1.9 ms and 1.3-1.75x faster;
+# at a = 10^4, 15-19 ms and 1.5-1.8x faster).
 MIN_PARALLEL_REP_SECONDS = 1e-3
 
 # Largest equal sample size for which ks_two_sample_check computes the exact
@@ -636,7 +636,7 @@ def _deviation_stats(
         nonlocal sup, counts
         m, first, last = hi - lo, max(lo - 1, 0), min(hi, n)
         s = buffers.take("s", m + 1)  # s_{lo-1} .. s_{hi-1}
-        s[0], s[m] = 0.0, 1.0
+        s[0], s[m] = 0.0, 1.0  # s_{-1} and s_n, unless the run's atoms cover them
         s[first - lo + 1 : last - lo + 1] = base.cdf(atoms[first:last])
         d, e = buffers.take("d", m), buffers.take("e", m)
         np.subtract(lev[lo:hi], s[:m], out=d)
