@@ -109,7 +109,6 @@ class BaseMeasure:
     quantile: Callable
     density: Callable
     support: tuple[float, float]
-    label: str
 
     def measure(self, s: BorelSet) -> float:
         if s.is_empty:
@@ -126,7 +125,6 @@ def uniform_base() -> BaseMeasure:
         quantile=lambda u: np.asarray(u, dtype=float),
         density=lambda x: ((np.asarray(x) >= 0.0) & (np.asarray(x) <= 1.0)).astype(float),
         support=(0.0, 1.0),
-        label="uniform",
     )
 
 
@@ -147,7 +145,6 @@ def exponential_base(rate: float = 1.0) -> BaseMeasure:
         quantile=lambda u: -np.log1p(-np.asarray(u, dtype=float)) / rate,
         density=density,
         support=(0.0, np.inf),
-        label=f"exponential({rate:g})",
     )
 
 
@@ -163,7 +160,6 @@ def normal_base(mu: float = 0.0, sigma: float = 1.0) -> BaseMeasure:
         density=lambda x: norm_const
         * np.exp(-0.5 * ((np.asarray(x, dtype=float) - mu) / sigma) ** 2),
         support=(-np.inf, np.inf),
-        label=f"normal({mu:g},{sigma:g})",
     )
 
 
@@ -280,6 +276,11 @@ class Scratch:
                 grown[:keep] = buf[:keep]
             self._buffers[role] = buf = grown
         return buf[:n]
+
+    @property
+    def entries(self) -> int:
+        """Doubles held in all of its buffers."""
+        return sum(buf.size for buf in self._buffers.values())
 
 
 # Scratch buffers of at least this many entries get an anonymous mapping of

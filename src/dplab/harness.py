@@ -9,9 +9,13 @@ run and each experiment family owns a disjoint stream-index namespace.
 Within it, a Dirichlet-marginal or quantile family draws leg l from stream
 base + l, and a stick-breaking family gives replication r of leg l stream
 base + l*R + r.
-DPLAB_THREADS is read once when a run starts.  Output writing is
-single-threaded after reduction, so artifacts are byte-identical for any
-value of DPLAB_THREADS.
+DPLAB_THREADS, the one thread setting, is checked when a run starts, so a
+bad value exits 2 before any family runs, and is read by each replication
+loop (``verify.map_replications``), clamped to the CPU count.  A loop fans
+out only when its first replication filled at least
+``verify.MIN_PARALLEL_ENTRIES`` doubles of scratch, which the config fixes.
+Output writing is single-threaded after reduction, so artifacts are
+byte-identical for any value of DPLAB_THREADS.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ from .rvgen import check_seed
 
 SCHEMA_VERSION = 1
 
-# A family's built run: (master seed, stream base, worker threads) -> result.
-Call = Callable[[int, int, int], verify.McSummary]
+# A family's built run: (master seed, stream base) -> result.
+Call = Callable[[int, int], verify.McSummary]
 
 _TOP_KEYS = {"schema_version", "experiment", "seed", "output_dir", "families"}
 
@@ -254,7 +258,7 @@ def _moments(f: _Fields, config_dir) -> Call:
     r = f.read("replications", 100000, _count)
     _make(f.sub("replications"), verify.check_moment_replications, r)
     _check_table(f, r, sets, base)
-    return lambda seed, stream, threads: verify.moment_check(
+    return lambda seed, stream: verify.moment_check(
         a, base, sets, r, seed, base_stream=stream
     )
 
@@ -264,7 +268,7 @@ def _fidi(f: _Fields, config_dir) -> Call:
     sets = _read_sets(f, [[[0.0, 0.25]], [[0.25, 0.5]], [[0.5, 1.0]]])
     r = f.read("replications", 10000, _count)
     _check_table(f, r, sets, uniform_base())
-    return lambda seed, stream, threads: verify.fidi_normality_check(
+    return lambda seed, stream: verify.fidi_normality_check(
         a, sets, r, seed, base_stream=stream
     )
 
@@ -275,7 +279,7 @@ def _modulus(f: _Fields, config_dir) -> Call:
     t1, t, t2 = (m.read(k, d, _number) for k, d in (("t1", 0.1), ("t", 0.4), ("t2", 0.9)))
     _make(f.sub("modulus"), verify.check_modulus_points, t1, t, t2)
     r = f.read("replications", 100000, _count)
-    return lambda seed, stream, threads: verify.modulus_check(
+    return lambda seed, stream: verify.modulus_check(
         a, t1, t, t2, r, seed, base_stream=stream
     )
 
@@ -291,8 +295,8 @@ def _gc(f: _Fields, config_dir) -> Call:
     for i, a in enumerate(a_values):
         path = f"{f.sub('a_values')}[{i}]" if trunc.epsilon > 0 else f.sub("truncation")
         _make(path, stick_budget, a, trunc)
-    return lambda seed, stream, threads: verify.gc_study(
-        a_values, base, r, resolution, seed, trunc=trunc, threads=threads, base_stream=stream
+    return lambda seed, stream: verify.gc_study(
+        a_values, base, r, resolution, seed, trunc=trunc, base_stream=stream
     )
 
 
@@ -305,7 +309,7 @@ def _quantile(f: _Fields, config_dir) -> Call:
     r = f.read("replications", 10000, _count)
     trunc = _read_truncation(f)
     _make(f.sub("truncation"), verify.check_resolution, trunc)
-    return lambda seed, stream, threads: verify.quantile_limit_study(
+    return lambda seed, stream: verify.quantile_limit_study(
         a_values, base, u_points, r, seed, trunc=trunc, base_stream=stream
     )
 
@@ -319,7 +323,7 @@ def _density(f: _Fields, config_dir) -> Call:
     for i, a in enumerate(a_values):
         _make(f"{f.sub('a_values')}[{i}]", verify.check_density_concentration, l1, l2, a)
 
-    def run(seed: int, stream: int, threads: int) -> verify.McSummary:
+    def run(seed: int, stream: int) -> verify.McSummary:
         # Computed here, where bench/tracing.py times them as their own layer.
         integrals = [bivariate_density_integral(l1, l2, a) for a in a_values]
         return verify.density_convergence_study(l1, l2, a_values, verify.DENSITY_GRID, integrals)
@@ -338,7 +342,7 @@ def _posterior(f: _Fields, config_dir) -> Call:
         data = _load_data(data_file, f.sub("data_file"), config_dir)
     sets = _read_sets(f, [[[0.0, 0.3]], [[0.3, 0.6]], [[0.6, 1.0]]])
     r = f.read("replications", 20000, _count)
-    return lambda seed, stream, threads: verify.posterior_check(
+    return lambda seed, stream: verify.posterior_check(
         a, base, list(data or []), sets, r, seed, base_stream=stream
     )
 
@@ -461,9 +465,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     """Run every configured family's call and collect results (no files
     written)."""
     start = time.perf_counter()
-    threads = verify.resolve_threads()
+    verify.resolve_threads()  # a bad DPLAB_THREADS exits 2 before any family runs
     results = {
-        family: call(config.seed, FAMILY_STREAM_BASE[family], threads)
+        family: call(config.seed, FAMILY_STREAM_BASE[family])
         for family, call in config.calls.items()
     }
     family_passed = {family: result.passed for family, result in results.items()}

@@ -23,7 +23,6 @@ when the share ends; a replication returns plain values, never a view of it.
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -85,13 +84,15 @@ DENSITY_SLACK = 1e-3
 # The density family's pointwise-gap grid, per axis.
 DENSITY_GRID = Grid(np.linspace(-2.5, 2.5, 11))
 
-# Shortest first replication for which map_replications fans out.  Shorter
-# ones hold the GIL between numpy calls and run slower on two threads than on
-# one (three sets of medians of four runs on a shared 2-core machine, drawing
-# into a scratch: a gc replication at a = 100 takes about 0.3 ms and is
-# 1.35-1.6x slower on 2 threads; at a = 10^3, 1.4-1.9 ms and 1.3-1.75x faster;
-# at a = 10^4, 15-19 ms and 1.5-1.8x faster).
-MIN_PARALLEL_REP_SECONDS = 1e-3
+# Smallest scratch, in doubles, that replication 0 of a map_replications loop
+# must have filled for the rest to fan out.  A stick-breaking replication's
+# scratch is fixed by its stick budget; smaller ones hold the GIL between
+# numpy calls and run no faster, or slower, on two threads than on one.  On a
+# shared 2-core machine two threads start to win near 11k entries for a
+# sampler-only replication (a = 150) and 43k for a gc one (a = 300); 2^15,
+# between the two, fans out gc loops from a = 230, about break-even, and
+# sampler-only loops from a = 450 (README, "Determinism and parallelism").
+MIN_PARALLEL_ENTRIES = 1 << 15
 
 # Largest equal sample size for which ks_two_sample_check computes the exact
 # two-sample law, as scipy's ks_2samp does.
@@ -294,17 +295,16 @@ def check_moment_replications(replications: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker threads for replication loops: ``threads``, or DPLAB_THREADS
-    when None; zero, negative or unset means one per CPU."""
-    if threads is None:
-        env = os.environ.get("DPLAB_THREADS", "").strip()
-        try:
-            threads = int(env) if env else 0
-        except ValueError:
-            raise ConfigError("DPLAB_THREADS", f"expected an integer, got {env!r}") from None
-    threads = int(threads)
-    return threads if threads > 0 else os.cpu_count() or 1
+def resolve_threads() -> int:
+    """Worker threads for replication loops: DPLAB_THREADS, at most one per
+    CPU; zero, negative or unset means one per CPU."""
+    env = os.environ.get("DPLAB_THREADS", "").strip()
+    try:
+        threads = int(env) if env else 0
+    except ValueError:
+        raise ConfigError("DPLAB_THREADS", f"expected an integer, got {env!r}") from None
+    cpus = os.cpu_count() or 1
+    return min(threads, cpus) if threads > 0 else cpus
 
 
 def map_replications(
@@ -312,14 +312,13 @@ def map_replications(
     replications: int,
     master_seed: int,
     base_stream: int = 0,
-    threads: int | None = None,
 ) -> np.ndarray:
     """Evaluate ``fn(rng, scratch)`` once per replication, replication r on
     stream base_stream + r, and stack the results as rows.
 
-    Replication 0 runs on the calling thread and is timed.  The rest fan out
-    over up to ``threads`` worker threads (``resolve_threads``) only when it
-    took at least MIN_PARALLEL_REP_SECONDS; shorter replications are bound by
+    Replication 0 runs on the calling thread.  The rest fan out over up to
+    ``resolve_threads()`` worker threads only when its scratch came to hold
+    at least MIN_PARALLEL_ENTRIES doubles; smaller replications are bound by
     the GIL and stay on the calling thread.  Each share of the replications
     (the calling thread's, or one worker's) draws into one ``Scratch`` that
     lives as long as the share, so ``fn`` must return nothing that views it.
@@ -330,10 +329,8 @@ def map_replications(
     if replications < 1:
         raise ArgumentError("replications must be positive")
     scratch = Scratch()
-    start = time.perf_counter()
     first = fn(RngStream(master_seed, base_stream), scratch)
     first = np.atleast_1d(np.asarray(first, dtype=float))
-    first_seconds = time.perf_counter() - start
     out = np.empty((replications, first.size))
     out[0] = first
 
@@ -341,19 +338,15 @@ def map_replications(
         for r in range(lo, hi):
             out[r] = fn(RngStream(master_seed, base_stream + r), scratch)
 
-    threads = min(resolve_threads(threads), replications)
-    if threads == 1 or replications <= 2 or first_seconds < MIN_PARALLEL_REP_SECONDS:
+    threads = min(resolve_threads(), replications - 1)
+    if threads <= 1 or scratch.entries < MIN_PARALLEL_ENTRIES:
         run_range(1, replications, scratch)
     else:
         del scratch  # the calling thread's share ends with replication 0
         bounds = np.linspace(1, replications, threads + 1).astype(int)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(run_range, bounds[i], bounds[i + 1], Scratch())
-                for i in range(threads)
-            ]
-            for fut in futures:
-                fut.result()
+            scratches = [Scratch() for _ in range(threads)]
+            list(pool.map(run_range, bounds[:-1], bounds[1:], scratches))
     return out
 
 
@@ -699,7 +692,6 @@ def gc_study(
     seed: int,
     *,
     trunc: TruncationPolicy | None = None,
-    threads: int | None = None,
     base_stream: int = 0,
 ) -> McSummary:
     """Uniform-convergence study: per concentration, the Monte Carlo means
@@ -725,7 +717,7 @@ def gc_study(
             return np.array(_deviation_stats(sample, base, grid, scratch))
 
         leg_stream = base_stream + leg * replications
-        vals = map_replications(rep, replications, seed, leg_stream, threads)
+        vals = map_replications(rep, replications, seed, leg_stream)
         excess = float(np.max(vals[:, 2] - vals[:, 0]))
         if excess > 1e-9:
             raise DplabError(f"an exact sup-norm fell {excess} below its grid evaluation")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -283,21 +284,33 @@ class TestRunAndEmit:
         b = (tmp_path / "two" / "moments_summary.csv").read_bytes()
         assert a == b
 
-    def test_thread_count_does_not_change_artifacts(self, tmp_path):
-        before = os.environ.get("DPLAB_THREADS")
-        try:
-            os.environ["DPLAB_THREADS"] = "1"
-            _run_to_dir(_config(), tmp_path / "t1")
-            os.environ["DPLAB_THREADS"] = "3"
-            _run_to_dir(_config(), tmp_path / "t3")
-        finally:
-            if before is None:
-                os.environ.pop("DPLAB_THREADS", None)
-            else:
-                os.environ["DPLAB_THREADS"] = before
-        a = (tmp_path / "t1" / "moments_summary.csv").read_bytes()
-        b = (tmp_path / "t3" / "moments_summary.csv").read_bytes()
-        assert a == b
+    def test_thread_count_does_not_change_artifacts(self, tmp_path, monkeypatch):
+        """A gc run whose legs both fan out writes the same artifacts on one
+        thread and on two."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        sampler, ran_on = verify.stick_breaking_sample, {}
+
+        def recording(a, *args):
+            ran_on.setdefault(a, set()).add(threading.get_ident())
+            return sampler(a, *args)
+
+        monkeypatch.setattr(verify, "stick_breaking_sample", recording)
+        cfg = {"schema_version": 1, "experiment": "gc", "seed": 42, "replications": 8,
+               "a_values": [1000.0, 10000.0], "gc_grid_resolution": 64}
+        path = tmp_path / "gc.json"
+        path.write_text(json.dumps(cfg))
+        out, caller, runs = tmp_path / "out", threading.get_ident(), []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DPLAB_THREADS", threads)
+            ran_on.clear()
+            rc = cli_main(["run", "--config", str(path), "--out", str(out)])
+            fanned = {a: bool(ids - {caller}) for a, ids in ran_on.items()}
+            assert fanned == {1000.0: threads == "2", 10000.0: threads == "2"}
+            report = json.loads((out / "report.json").read_text())
+            del report["wall_clock_seconds"]
+            csvs = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+            runs.append((rc, report, csvs))
+        assert runs[0][2] and runs[0] == runs[1]
 
     def test_gc_curve_csv_contract(self, tmp_path):
         cfg = {

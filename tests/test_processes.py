@@ -86,9 +86,7 @@ class TestLimitQuantileCov:
             upper = 0.5 + np.sqrt(np.clip((u - 0.5) / 2, 0, None))
             return np.where(u < 0.5, lower, upper)
 
-        tent = BaseMeasure(
-            cdf, quantile, lambda x: np.abs(4 * np.asarray(x) - 2), (0.0, 1.0), "tent"
-        )
+        tent = BaseMeasure(cdf, quantile, lambda x: np.abs(4 * np.asarray(x) - 2), (0.0, 1.0))
         with pytest.raises(SingularDensityError):
             limit_quantile_cov(0.5, 0.5, tent)
         # away from the singular point the covariance is finite

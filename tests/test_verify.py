@@ -1,8 +1,8 @@
 """Monte Carlo verification layer: oracles, pass-flag semantics, studies."""
 
 import hashlib
+import os
 import threading
-import time
 from collections import Counter
 from fractions import Fraction
 
@@ -158,45 +158,65 @@ class TestKolmogorov:
 
 
 class TestReplicationEngine:
-    def test_stream_allocation(self):
-        vals = map_replications(lambda rng, scratch: np.array([rng.uniform()]), 5, 99, 10, threads=1)
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        """Room for a pool of up to four threads on any runner."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def test_stream_allocation(self, monkeypatch):
+        monkeypatch.setenv("DPLAB_THREADS", "1")
+        vals = map_replications(lambda rng, scratch: np.array([rng.uniform()]), 5, 99, 10)
         direct = [RngStream(99, 10 + r).uniform() for r in range(5)]
         np.testing.assert_array_equal(vals[:, 0], direct)
 
-    def test_thread_count_does_not_change_results(self):
+    def test_thread_count_does_not_change_results(self, monkeypatch):
         def rep(rng, scratch):
+            scratch.take("work", verify.MIN_PARALLEL_ENTRIES)
             return rng.uniform(3)
 
-        a = map_replications(rep, 200, 7, 0, threads=1)
-        b = map_replications(rep, 200, 7, 0, threads=4)
+        monkeypatch.setenv("DPLAB_THREADS", "1")
+        a = map_replications(rep, 200, 7, 0)
+        monkeypatch.setenv("DPLAB_THREADS", "4")
+        b = map_replications(rep, 200, 7, 0)
         assert np.array_equal(a, b)
 
-    def test_slow_replications_fan_out_without_changing_results(self):
+    def test_slow_replications_fan_out_without_changing_results(self, monkeypatch):
         ran_on = set()
 
         def rep(rng, scratch):
             ran_on.add(threading.get_ident())
-            time.sleep(0.002)  # above MIN_PARALLEL_REP_SECONDS
+            scratch.take("work", verify.MIN_PARALLEL_ENTRIES)
             return rng.uniform(3)
 
-        fanned = map_replications(rep, 12, 7, 0, threads=2)
-        workers = ran_on - {threading.get_ident()}
-        assert len(workers) >= 2
-        assert np.array_equal(fanned, map_replications(rep, 12, 7, 0, threads=1))
+        monkeypatch.setenv("DPLAB_THREADS", "2")
+        fanned = map_replications(rep, 12, 7, 0)
+        assert ran_on - {threading.get_ident()}  # some share ran on a worker
+        monkeypatch.setenv("DPLAB_THREADS", "1")
+        assert np.array_equal(fanned, map_replications(rep, 12, 7, 0))
 
-    def test_fast_replications_stay_on_the_calling_thread(self):
+    def test_fast_replications_stay_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setenv("DPLAB_THREADS", "4")
         ran_on = set()
 
         def rep(rng, scratch):
             ran_on.add(threading.get_ident())
             return rng.uniform(3)
 
-        map_replications(rep, 200, 7, 0, threads=4)
+        map_replications(rep, 200, 7, 0)
         assert ran_on == {threading.get_ident()}
 
-    def test_gc_study_is_thread_count_free(self, uniform01):
-        curves = [gc_study([100.0, 1000.0], uniform01, 6, 64, 17, threads=t) for t in (1, 2)]
+    def test_gc_study_is_thread_count_free(self, uniform01, monkeypatch):
+        curves = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DPLAB_THREADS", threads)
+            curves.append(gc_study([100.0, 1000.0], uniform01, 6, 64, 17))
         assert curves[0].to_json() == curves[1].to_json()
+
+    def test_thread_count_is_at_most_one_per_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        for env, threads in (("100000", 3), ("2", 2), ("0", 3), ("", 3), ("-5", 3)):
+            monkeypatch.setenv("DPLAB_THREADS", env)
+            assert verify.resolve_threads() == threads
 
     def test_variance_se_estimator(self):
         x = RngStream(1, 0).normal(50_000)
