@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ArgumentError, ParameterError, PartitionError, TruncationError
+from .errors import ArgumentError, ParameterError, TruncationError
 from .rvgen import RngStream, sample_beta, sample_dirichlet
 
 # Clipping window applied to uniforms before quantile transforms, so bases
@@ -67,10 +67,6 @@ class BorelSet:
     def interval(cls, lo: float, hi: float) -> "BorelSet":
         return cls(((lo, hi),))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
     def intersect(self, other: "BorelSet") -> "BorelSet":
         """Intersection, again a sorted disjoint union of half-open intervals."""
         out = []
@@ -86,10 +82,6 @@ class BorelSet:
             else:
                 j += 1
         return BorelSet(tuple(out))
-
-    def contains_interval(self, lo: float, hi: float) -> bool:
-        """True when (lo, hi] sits inside one of this set's intervals."""
-        return any(l <= lo and hi <= h for l, h in self.intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +103,6 @@ class BaseMeasure:
     support: tuple[float, float]
 
     def measure(self, s: BorelSet) -> float:
-        if s.is_empty:
-            return 0.0
         total = 0.0
         for lo, hi in s.intervals:
             total += float(self.cdf(hi)) - float(self.cdf(lo))
@@ -176,7 +166,6 @@ class DpSample:
     atoms: np.ndarray
     weights: np.ndarray
     truncation_remainder: float
-    concentration: float
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float).ravel()
@@ -192,7 +181,6 @@ class DpSample:
             raise ParameterError("truncation_remainder must lie in [0, 1)")
         if abs(weights.sum() + rem - 1.0) > 1e-12:
             raise ParameterError("weights plus truncation remainder must sum to 1")
-        check_concentration(self.concentration)
         # neighbour tests on bools, a byte per atom, not on an array of gaps
         if (atoms[1:] < atoms[:-1]).any():
             order = np.argsort(atoms, kind="stable")
@@ -207,7 +195,6 @@ class DpSample:
         self.atoms = atoms
         self.weights = weights
         self.truncation_remainder = rem
-        self.concentration = float(self.concentration)
         self._levels = None
 
     def cdf_levels(self, out: np.ndarray | None = None) -> np.ndarray:
@@ -394,7 +381,7 @@ def stick_breaking_sample(
     if weights.min() <= 0.0:
         keep = weights > 0.0
         atoms, weights = atoms[keep], weights[keep]
-    sample = DpSample(atoms, weights, remainder, a)
+    sample = DpSample(atoms, weights, remainder)
     sample.cdf_levels(out=buffers.take("levels", sample.n_atoms + 1))
     return sample
 
@@ -472,28 +459,12 @@ def bisection_quantiles(a: float, levels, rng: RngStream, size: int, epsilon: fl
     return (idx + 0.5) * 2.0**-depth
 
 
-def validate_partition(partition: list[BorelSet], measures: np.ndarray) -> None:
-    """Check cells are pairwise disjoint with measures summing to one."""
-    if len(partition) == 0:
-        raise PartitionError("partition must contain at least one cell")
-    for i in range(len(partition)):
-        for j in range(i + 1, len(partition)):
-            if not partition[i].intersect(partition[j]).is_empty:
-                raise PartitionError(f"cells {i} and {j} overlap")
-    if np.any(measures < -1e-12):
-        raise PartitionError("a cell has negative measure")
-    if abs(measures.sum() - 1.0) > 1e-9:
-        raise PartitionError(
-            f"cell measures sum to {measures.sum():.12g}, expected 1 within 1e-9"
-        )
-
-
 def sample_fidi(a: float, measures, rng: RngStream, size: int) -> np.ndarray:
     """Ferguson marginals: ``size`` draws of (P_a(A_1), ..., P_a(A_k)) over a
     partition with cell measures H(A_j), distributed
     Dirichlet(a*H(A_1), ..., a*H(A_k)); returns shape (size, k).
 
-    Callers check the partition with ``validate_partition`` first.  Cells
+    Callers take the measures from ``verify.refine_to_partition``.  Cells
     with H(A_j) <= 0 receive exactly zero mass, and a single positive cell
     exactly one.  All draws come from ``rng`` in one vectorised call.
     """

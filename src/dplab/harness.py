@@ -56,8 +56,8 @@ _TOP_KEYS = {"schema_version", "experiment", "seed", "output_dir", "families"}
 # field, not inside numpy.
 MAX_COUNT = 2**24
 # Largest draw table of the moments and fidi families: replications x its
-# columns (the partition cells or the sets, whichever are more), 2^26
-# doubles or 512 MiB.  MAX_COUNT replications over four columns fit.
+# columns (the segments the sets are cut into, or the sets, whichever are
+# more), 2^26 doubles or 512 MiB.  MAX_COUNT replications over four fit.
 _MAX_TABLE = 2**26
 
 
@@ -213,8 +213,7 @@ def _read_sets(f: _Fields, default: list) -> list[BorelSet]:
 
 def _check_table(f: _Fields, r: int, sets: list[BorelSet], base: BaseMeasure) -> None:
     """Reject ``replications`` when the draw table would exceed _MAX_TABLE."""
-    cells, _ = verify.refine_to_partition(sets, base)
-    width = max(len(cells), len(sets))
+    width = max(verify.cut_points(sets, base).size - 1, len(sets))
     if r * width > _MAX_TABLE:
         _fail(f.sub("replications"), f"replications x {width} columns must be at most {_MAX_TABLE}")
 

@@ -45,9 +45,8 @@ from .dp_core import (
     sample_fidi,
     stick_breaking_sample,
     uniform_base,
-    validate_partition,
 )
-from .errors import ArgumentError, ConfigError, DplabError
+from .errors import ArgumentError, ConfigError, DplabError, PartitionError
 from .kolmogorov import kolmogorov_sf, two_sample_sf
 from .processes import bb_cov, limit_quantile_cov
 from .processes import (
@@ -240,11 +239,12 @@ class McSummary:
 
 def check_a_values(a_values: Sequence[float], min_count: int = 1) -> np.ndarray:
     """The concentrations as an array; they must number at least
-    ``min_count`` and be positive and strictly increasing."""
+    ``min_count`` and be finite, positive and strictly increasing."""
     a_values = np.asarray(a_values, dtype=float)
-    if a_values.size < min_count or np.any(a_values <= 0) or np.any(np.diff(a_values) <= 0):
+    finite = np.isfinite(a_values).all()  # NaN fails no comparison, so it is tested alone
+    if a_values.size < min_count or not finite or np.any(np.diff([0.0, *a_values]) <= 0):
         raise ArgumentError(
-            f"a_values must be positive and strictly increasing, at least {min_count} of them"
+            f"a_values must be finite, positive, strictly increasing, at least {min_count} of them"
         )
     return a_values
 
@@ -422,40 +422,72 @@ def ks_two_sample_check(name, x, y) -> LevelCheck:
 
 
 # ---------------------------------------------------------------------------
-# Partition refinement over an arbitrary family of Borel sets
+# Partitions: Borel sets cut into segments at the ends of their intervals
 # ---------------------------------------------------------------------------
 
 
-def refine_to_partition(
-    sets: Sequence[BorelSet], base: BaseMeasure
-) -> tuple[list[BorelSet], np.ndarray]:
-    """Split the support at every set endpoint.
+def _intervals(sets: Sequence[BorelSet]) -> tuple[np.ndarray, np.ndarray]:
+    """Every interval of ``sets`` as a row (lo, hi), and the index of its set."""
+    ends = np.array([pair for s in sets for pair in s.intervals], dtype=float).reshape(-1, 2)
+    return ends, np.repeat(np.arange(len(sets)), [len(s.intervals) for s in sets])
 
-    Returns the partition cells plus a boolean membership matrix with entry
-    (i, j) true when cell j lies inside set i, so set masses are exact sums
-    of cell masses.
-    """
+
+def cut_points(sets: Sequence[BorelSet], base: BaseMeasure) -> np.ndarray:
+    """The sorted distinct ends of the base's support and of the sets'
+    intervals, left ends raised to the support's left end and right ends
+    lowered to its right end: the bounds of the segments."""
     lo, hi = base.support
-    edges = {lo, hi}
-    for s in sets:
-        for l, h in s.intervals:
-            edges.add(max(l, lo))
-            edges.add(min(h, hi))
-    cuts = sorted(edges)
-    cells = [BorelSet.interval(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
-    member = np.zeros((len(sets), len(cells)), dtype=bool)
-    for i, s in enumerate(sets):
-        for j, cell in enumerate(cells):
-            member[i, j] = s.contains_interval(*cell.intervals[0])
-    return cells, member
+    cuts = np.sort(np.append(np.clip(_intervals(sets)[0], [lo, -np.inf], [np.inf, hi]), [lo, hi]))
+    # np.unique's result, without the 0.8 MiB of resident memory its first call adds
+    return cuts[np.append(True, cuts[1:] != cuts[:-1])]
 
 
-def dp_set_mass(sample: DpSample, s: BorelSet) -> float:
-    """Mass the realization assigns to a Borel set (remainder excluded)."""
-    total = 0.0
-    for lo, hi in s.intervals:
-        total += dp_cdf(sample, hi) - dp_cdf(sample, lo)
-    return total
+def _check_masses(masses: np.ndarray) -> None:
+    if np.any(masses < -1e-12):
+        raise PartitionError("a cell has negative measure")
+    if abs(masses.sum() - 1.0) > 1e-9:
+        raise PartitionError(f"cell measures sum to {masses.sum():.12g}, expected 1 within 1e-9")
+
+
+def refine_to_partition(sets: Sequence[BorelSet], base: BaseMeasure) -> tuple[np.ndarray, ...]:
+    """Cut the line at ``cut_points(sets, base)``.  Returns the cut points,
+    the H-masses of the segments between them (PartitionError unless they
+    are non-negative and sum to one within 1e-9), and a membership matrix,
+    1.0 at (i, j) when segment j lies inside set i and 0.0 elsewhere, so a
+    set's mass is the sum of its segments' masses."""
+    cuts = cut_points(sets, base)
+    masses = np.diff(base.cdf(cuts))
+    _check_masses(masses)
+    ends, owner = _intervals(sets)
+    # segment j lies inside (lo, hi] when lo <= cuts[j] and cuts[j + 1] <= hi
+    first = np.searchsorted(cuts, ends[:, 0], side="left")
+    stop = np.searchsorted(cuts, ends[:, 1], side="right") - 1
+    member = np.zeros((len(sets), cuts.size - 1))
+    for i, j, k in zip(owner, first, stop):
+        member[i, j:k] = 1.0
+    return cuts, masses, member
+
+
+def check_partition(cells: Sequence[BorelSet], masses: np.ndarray) -> None:
+    """PartitionError unless there is a cell, no two cells overlap (outside
+    the support too) and the cells' ``masses`` are non-negative and sum to
+    one within 1e-9.  Sorted by left end, an interval that overlaps an
+    earlier one overlaps its neighbour, so only neighbours are compared."""
+    if not len(cells):
+        raise PartitionError("partition must contain at least one cell")
+    ends, owner = _intervals(cells)
+    order = np.argsort(ends[:, 0])
+    clash = np.flatnonzero(ends[order[1:], 0] < ends[order[:-1], 1])
+    if clash.size:
+        i, j = sorted(owner[order[clash[0] : clash[0] + 2]])
+        raise PartitionError(f"cells {i} and {j} overlap")
+    _check_masses(masses)
+
+
+def realization_masses(sample: DpSample, cuts: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """The masses of ``refine_to_partition``'s sets under the realization,
+    remainder excluded, from one ``dp_cdf`` call at the cut points."""
+    return member @ np.diff(dp_cdf(sample, cuts))
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +528,10 @@ def moment_check(
     the sets, each against its closed form; all replications come from
     stream base_stream."""
     check_moment_replications(replications)
-    cells, member = refine_to_partition(sets, base)
-    measures = np.array([base.measure(c) for c in cells])
-    validate_partition(cells, measures)
+    _, measures, member = refine_to_partition(sets, base)
     draws = sample_fidi(a, measures, RngStream(seed, base_stream), size=replications)
     summary = McSummary(replications, seed_info=(seed, (base_stream, base_stream)))
-    _moment_checks(summary, a, base, sets, draws @ member.T.astype(float), "", MEAN_TOL)
+    _moment_checks(summary, a, base, sets, draws @ member.T, "", MEAN_TOL)
     return summary
 
 
@@ -557,13 +587,10 @@ def fidi_normality_check(
     against the Brownian-bridge limit; all replications come from stream
     base_stream."""
     lam = uniform_base()
-    cells, member = refine_to_partition(sets, lam)
-    measures = np.array([lam.measure(c) for c in cells])
-    validate_partition(cells, measures)
-    weights = member.astype(float)
-    set_masses = weights @ measures
+    _, measures, member = refine_to_partition(sets, lam)
+    set_masses = member @ measures
     draws = sample_fidi(a, measures, RngStream(seed, base_stream), size=replications)
-    vals = np.sqrt(a) * (draws @ weights.T - set_masses)
+    vals = np.sqrt(a) * (draws @ member.T - set_masses)
 
     summary = McSummary(replications, seed_info=(seed, (base_stream, base_stream)))
     for i in range(len(sets)):
@@ -763,12 +790,13 @@ def representation_check(
     come from stream base+R.
     """
     trunc = trunc or TruncationPolicy()
-    measures = np.array([base.measure(c) for c in cells])
-    validate_partition(list(cells), measures)
+    cuts, segments, member = refine_to_partition(cells, base)
+    measures = member @ segments
+    check_partition(cells, measures)
 
     def stick_rep(rng: RngStream, scratch: Scratch) -> np.ndarray:
         sample = stick_breaking_sample(a, base, trunc, rng, scratch)
-        return np.array([dp_set_mass(sample, c) for c in cells])
+        return realization_masses(sample, cuts, member)
 
     sticks = map_replications(stick_rep, replications, seed, base_stream)
     fidi_stream = RngStream(seed, base_stream + replications)

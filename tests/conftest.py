@@ -29,5 +29,5 @@ def canonical_cells():
     ]
 
 
-def make_sample(atoms, weights, remainder=0.0, a=1.0) -> DpSample:
-    return DpSample(np.asarray(atoms, float), np.asarray(weights, float), remainder, a)
+def make_sample(atoms, weights, remainder=0.0) -> DpSample:
+    return DpSample(np.asarray(atoms, float), np.asarray(weights, float), remainder)

@@ -14,7 +14,6 @@ from dplab import (
     ArgumentError,
     BorelSet,
     ParameterError,
-    PartitionError,
     RngStream,
     TruncationError,
     TruncationPolicy,
@@ -31,7 +30,7 @@ from dplab import (
     uniform_base,
 )
 from dplab import dp_core
-from dplab.dp_core import validate_partition
+from dplab.verify import refine_to_partition
 from conftest import make_sample
 
 # Borel sets on the grid k/4 (exact in binary floating point): sorted distinct
@@ -97,12 +96,7 @@ class TestBorelSet:
         a = BorelSet(((0.0, 0.4), (0.6, 1.0)))
         b = BorelSet.interval(0.3, 0.7)
         assert a.intersect(b).intervals == ((0.3, 0.4), (0.6, 0.7))
-        assert a.intersect(BorelSet.interval(0.45, 0.55)).is_empty
-
-    def test_contains_interval(self):
-        s = BorelSet(((0.0, 0.4), (0.6, 1.0)))
-        assert s.contains_interval(0.1, 0.3)
-        assert not s.contains_interval(0.3, 0.7)
+        assert a.intersect(BorelSet.interval(0.45, 0.55)).intervals == ()
 
     @settings(max_examples=300, deadline=None)
     @given(_borel_sets, _borel_sets)
@@ -117,9 +111,8 @@ class TestBorelSet:
 
 
 def _measures(base, cells):
-    measures = np.array([base.measure(cell) for cell in cells])
-    validate_partition(cells, measures)
-    return measures
+    """H-masses of the segments the cells are cut into, checked to sum to one."""
+    return refine_to_partition(cells, base)[1]
 
 
 class TestSampleFidi:
@@ -148,11 +141,7 @@ class TestSampleFidi:
             se = draws[:, j].std(ddof=1) / np.sqrt(draws.shape[0])
             assert abs(draws[:, j].mean() - 0.5) <= 3 * se
 
-    def test_non_partition_rejected(self, uniform01):
-        with pytest.raises(PartitionError):  # gap: masses sum to 0.8
-            _measures(uniform01, [BorelSet.interval(0.0, 0.8)])
-        with pytest.raises(PartitionError):  # overlapping cells
-            _measures(uniform01, [BorelSet.interval(0.0, 0.6), BorelSet.interval(0.4, 1.0)])
+    def test_rejects_bad_concentration(self):
         with pytest.raises(ParameterError):
             sample_fidi(0.0, [0.5, 0.5], RngStream(0, 0), size=1)
 

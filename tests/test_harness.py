@@ -3,6 +3,7 @@
 import json
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -653,6 +654,18 @@ class TestCli:
             rc = cli_main([*argv, "--config", path_arg])
             self._assert_clean_exit_2(capsys, rc, "replications: replications x 101 columns")
         assert not (tmp_path / "out").exists()
+
+    def test_many_sets_validate_quickly(self):
+        """4,000 sets cut into 4,000 segments: the draw-table rule needs only
+        the sorted cut points, so validation takes well under a second (17.5 s
+        on a 2-core machine when each set was tested against each cell)."""
+        sets = [[[i / 4000, (i + 1) / 4000]] for i in range(4000)]
+        cfg = {"schema_version": 1, "seed": 1, "experiment": "fidi", "sets": sets}
+        start = time.perf_counter()
+        validate_config(cfg)
+        assert time.perf_counter() - start < 5.0
+        with pytest.raises(ConfigError, match="replications x 4000 columns"):
+            validate_config({**cfg, "replications": _MAX_TABLE // 4000 + 1})
 
     @pytest.mark.parametrize("family", ["moments", "fidi"])
     def test_draw_table_limit_is_inclusive(self, family):

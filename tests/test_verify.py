@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 from dplab import (
     ArgumentError,
+    BaseMeasure,
     BorelSet,
     Grid,
+    PartitionError,
     RngStream,
     TruncationPolicy,
     bisection_quantiles,
@@ -33,6 +35,7 @@ from dplab import (
     limit_quantile_cov,
     moment_check,
     modulus_check,
+    normal_base,
     posterior_check,
     quantile_limit_study,
     quantile_sampler_check,
@@ -47,11 +50,12 @@ from dplab.kolmogorov import kolmogorov_sf, two_sample_sf
 from dplab.verify import (
     Comparison,
     LevelCheck,
-    dp_set_mass,
+    check_partition,
     map_replications,
     mc_cov_se,
     mc_mean_se,
     mc_var_se,
+    realization_masses,
     refine_to_partition,
 )
 
@@ -327,34 +331,79 @@ def _exact_deviation(atoms, weights, grid):
 _unit_atoms = st.one_of(st.sampled_from([0.0, 0.125, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
 
 
+@st.composite
+def _partitions(draw):
+    """A partition of (lo, hi], lo <= 0 < 1 <= hi, on the grid k/8 into at
+    most four cells; a cell is the union of the segments between sorted
+    endpoints that drew its label, so it may have several intervals, and
+    intervals past the unit support."""
+    lo, hi = draw(st.integers(-4, 0)) / 8.0, draw(st.integers(8, 12)) / 8.0
+    inner = draw(st.sets(st.integers(-3, 11), max_size=8))
+    ends = sorted({lo, hi} | {k / 8.0 for k in inner if lo < k / 8.0 < hi})
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(ends) - 1, max_size=len(ends) - 1))
+    cells = {}
+    for label, pair in zip(labels, zip(ends, ends[1:])):
+        cells.setdefault(label, []).append(pair)
+    return [BorelSet(tuple(pairs)) for pairs in cells.values()]
+
+
 class TestRefineToPartition:
     @settings(max_examples=300, deadline=None)
     @given(
+        st.sampled_from(["uniform", "exponential", "normal"]),
         st.lists(
-            st.lists(st.integers(0, 8), min_size=2, max_size=6, unique=True),
+            st.lists(st.integers(-4, 12), min_size=2, max_size=6, unique=True),
             min_size=1,
             max_size=4,
-        )
+        ),
     )
-    def test_cells_sum_to_set_masses(self, endpoint_lists):
-        """Cells tile the support, and each set is exactly the union of its
-        member cells: membership agrees with the cell midpoint, and the set's
-        mass is the sum of its members' masses."""
-        base = uniform_base()
+    def test_segments_sum_to_set_masses(self, base_name, endpoint_lists):
+        """The cut points include the support's ends; each segment's mass is
+        the H-measure of its interval, bit for bit; inside the support a
+        segment belongs to a set iff its midpoint does; and a set's mass is
+        the sum of its segments' masses."""
+        base = {"uniform": uniform_base, "exponential": exponential_base,
+                "normal": normal_base}[base_name]()
         sets = []
         for ends in endpoint_lists:
             ends = sorted(k / 8.0 for k in ends)[: len(ends) // 2 * 2]
             sets.append(BorelSet(tuple(zip(ends[::2], ends[1::2]))))
-        cells, member = refine_to_partition(sets, base)
-        bounds = [cell.intervals[0] for cell in cells]
-        assert bounds[0][0] == 0.0 and bounds[-1][1] == 1.0
-        assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
-        masses = np.array([base.measure(cell) for cell in cells])
+        cuts, masses, member = refine_to_partition(sets, base)
+        lo, hi = base.support
+        assert lo in cuts and hi in cuts and np.all(np.diff(cuts) > 0)
+        assert masses.tolist() == [base.measure(BorelSet.interval(l, h))
+                                   for l, h in zip(cuts, cuts[1:])]
+        inside = np.flatnonzero((cuts[:-1] >= lo) & (cuts[1:] <= hi))
         for i, s in enumerate(sets):
-            for j, (lo, hi) in enumerate(bounds):
-                mid = (lo + hi) / 2.0
+            for j in inside:
+                mid = (cuts[j] + cuts[j + 1]) / 2.0
                 assert member[i, j] == any(l < mid <= h for l, h in s.intervals), (i, j)
-            assert masses[member[i]].sum() == pytest.approx(base.measure(s), rel=0, abs=1e-12)
+            assert member[i] @ masses == pytest.approx(base.measure(s), rel=0, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _partitions(),
+        st.lists(st.tuples(st.integers(1, 15), st.floats(1e-3, 1.0)), min_size=1, max_size=20),
+    )
+    def test_realization_masses_sum_each_cells_intervals(self, cells, pairs):
+        """A realization's cell masses from one dp_cdf call at the cut points
+        equal the sum of dp_cdf(hi) - dp_cdf(lo) over each cell's intervals:
+        bit for bit for a single-interval cell.  Atoms sit on the grid k/16,
+        so some fall on cut points."""
+        atoms = np.array([k / 16.0 for k, _ in pairs])
+        weights = np.array([w for _, w in pairs])
+        sample = make_sample(atoms, weights / weights.sum())
+        cuts, segments, member = refine_to_partition(cells, uniform_base())
+        check_partition(cells, member @ segments)
+        got = realization_masses(sample, cuts, member)
+        for i, cell in enumerate(cells):
+            expected = 0.0
+            for lo, hi in cell.intervals:
+                expected += dp_cdf(sample, hi) - dp_cdf(sample, lo)
+            if len(cell.intervals) == 1:
+                assert got[i] == expected, i
+            else:
+                assert got[i] == pytest.approx(expected, rel=0, abs=1e-15), i
 
 
 class TestExactDeviationStats:
@@ -539,6 +588,18 @@ class TestGcStudy:
         with pytest.raises(ArgumentError):
             gc_study([100.0, 10.0], uniform01, 10, 64, 0)
 
+    @pytest.mark.parametrize("a_values", [[10.0, np.nan], [np.nan, 10.0], [10.0, np.inf]])
+    def test_rejects_non_finite_a_values_before_drawing(self, uniform01, a_values, monkeypatch):
+        """NaN compares False with everything, so it must be ruled out by
+        name, as must infinity, before the first leg draws."""
+        drawn = []
+        monkeypatch.setattr(verify, "stick_breaking_sample", lambda *args: drawn.append(args))
+        with pytest.raises(ArgumentError, match="finite"):
+            gc_study(a_values, uniform01, 10, 64, 0)
+        assert not drawn
+        with pytest.raises(ArgumentError, match="finite"):
+            quantile_limit_study(a_values, uniform01, [0.5], 10, 0)
+
 
 class TestRepresentationAgreement:
     def test_stick_vs_marginals(self, uniform01, canonical_cells):
@@ -546,6 +607,42 @@ class TestRepresentationAgreement:
         assert out.passed
         assert len(out.level_checks) == 3
         assert all(c.p_value > 0.01 for c in out.level_checks)
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [],
+            [BorelSet.interval(0.0, 0.4), BorelSet.interval(0.5, 1.0)],
+            [BorelSet.interval(0.0, 0.6), BorelSet.interval(0.4, 1.0)],
+            [BorelSet(((0.0, 0.3), (0.6, 1.0))), BorelSet.interval(0.2, 0.6)],
+            [BorelSet.interval(-1.0, 0.5), BorelSet.interval(-0.5, -0.2),
+             BorelSet.interval(0.5, 1.0)],
+        ],
+        ids=["no_cells", "gap", "overlap", "overlap_two_intervals", "overlap_outside_support"],
+    )
+    def test_non_partition_rejected(self, uniform01, cells, monkeypatch):
+        """Cells that are not a partition raise PartitionError before any
+        realization is drawn, also when two cells overlap only where the base
+        puts no mass."""
+        drawn = []
+        monkeypatch.setattr(verify, "stick_breaking_sample", lambda *args: drawn.append(args))
+        with pytest.raises(PartitionError):
+            representation_check(10.0, uniform01, cells, 10, 0)
+        assert not drawn
+
+    def test_negative_cell_mass_rejected(self):
+        """A cdf that falls gives a cell negative mass, though the masses sum
+        to one."""
+        knots, levels = [0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.4, 1.0]
+        base = BaseMeasure(
+            cdf=lambda x: np.interp(x, knots, levels),
+            quantile=lambda u: np.asarray(u, dtype=float),
+            density=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+            support=(0.0, 1.0),
+        )
+        cells = [BorelSet.interval(lo, hi) for lo, hi in zip(knots, knots[1:])]
+        with pytest.raises(PartitionError, match="negative"):
+            representation_check(10.0, base, cells, 10, 0)
 
 
 class TestPosteriorCheck:
@@ -705,10 +802,9 @@ class TestMarginalDrawLayout:
     SEED, BASE, R = 77, 1000, 1500
 
     def _cell_draws(self, a, base, sets, stream):
-        cells, member = refine_to_partition(sets, base)
-        measures = [base.measure(c) for c in cells]
+        _, measures, member = refine_to_partition(sets, base)
         draws = sample_fidi(a, measures, RngStream(self.SEED, stream), size=self.R)
-        return draws @ member.T.astype(float)
+        return draws @ member.T
 
     def _assert_estimates(self, out, expected, streams):
         for name, (value, se) in expected.items():
@@ -762,11 +858,11 @@ class TestMarginalDrawLayout:
         out = representation_check(10.0, uniform01, cells, r, self.SEED, trunc=trunc,
                                    base_stream=self.BASE)
         fidis = sample_fidi(10.0, [0.4, 0.6], RngStream(self.SEED, self.BASE + r), size=r)
-        sticks = np.array([
-            dp_set_mass(stick_breaking_sample(10.0, uniform01, trunc,
-                                              RngStream(self.SEED, self.BASE + i)), cells[0])
+        samples = (
+            stick_breaking_sample(10.0, uniform01, trunc, RngStream(self.SEED, self.BASE + i))
             for i in range(r)
-        ])
+        )
+        sticks = np.array([dp_cdf(s, 0.4) - dp_cdf(s, 0.0) for s in samples])
         assert out.estimates["fidi_mean[S1]"] == pytest.approx(mc_mean_se(fidis[:, 0]), rel=1e-12)
         assert out.estimates["stick_mean[S1]"] == mc_mean_se(sticks)
         assert out.seed_info == (self.SEED, (self.BASE, self.BASE + r))
