@@ -527,6 +527,28 @@ class TestBisectionQuantiles:
                 bisection_quantiles(1.0, self.LEVELS, rng, 10, epsilon=eps)
 
 
+# sha256 of the little-endian float64 quantiles that bisection_quantiles
+# gives at LEVELS, R = 2,000 and epsilon 1e-10, for stream 0 of seeds 8809,
+# 8810 and 3 in turn.  Depth 34 at every a; at a = 10^8 the Beta shapes run
+# from 5e7 down to 3e-3.
+_BISECTION_LEVELS = [0.05, 0.25, 0.5, 0.75, 0.95]
+_BISECTION_DIGESTS = {
+    10.0: "c7dfa3e67fac93c6661903125dd65da3ef1eb62aa37a444b78b9d72b9074fd54",
+    1e4: "d4a61b6682ddb81a140062eff04c198a1be0fc1060a9b34c95ef85a039e1c554",
+    1e8: "111738423014fe713519a82f6d661bcfdc0c6a849b6615463546726c24995352",
+}
+
+
+class TestBisectionQuantilesPinned:
+    @pytest.mark.parametrize("a", list(_BISECTION_DIGESTS), ids=lambda a: f"{a:g}")
+    def test_quantiles_are_bit_identical(self, a):
+        h = hashlib.sha256()
+        for seed in (8809, 8810, 3):
+            q = bisection_quantiles(a, _BISECTION_LEVELS, RngStream(seed, 0), 2000, 1e-10)
+            h.update(np.asarray(q, dtype="<f8").tobytes())
+        assert h.hexdigest() == _BISECTION_DIGESTS[a]
+
+
 class TestPosterior:
     DATA = [0.2, 0.4, 0.6]
 

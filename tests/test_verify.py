@@ -161,6 +161,26 @@ class TestKolmogorov:
         assert not verify.ks_normal_check("shifted", x).passed
 
 
+# sha256 of the little-endian float64 KS statistics of ks_normal_check on
+# four normal samples of size n, drawn in turn from default_rng(4040 + n) with
+# (loc, scale) = (0, 1), (0.05, 1), (0.3, 1) and (0, 4).  The statistic is
+# written to the summary CSVs at 17 digits.
+_KS_NORMAL_DIGESTS = {
+    100: "bdbfe2258ccb7e791a105bdc5b154fadd81eb51149ad3e52dd16d7d4a6c95ce5",
+    3000: "11971a5331e4e4c6f02cffb5b363478c29101fe86a98bf43e6ae71e7f621b68f",
+    100000: "a165a408f4c2f0cdca6f526320a6294062cdc65eeffd62b5c5080568e5521b41",
+}
+
+
+class TestKsNormalPinned:
+    @pytest.mark.parametrize("n", list(_KS_NORMAL_DIGESTS))
+    def test_statistics_are_bit_identical(self, n):
+        rng = np.random.default_rng(4040 + n)
+        stats = [verify.ks_normal_check("x", rng.normal(loc, scale, n)).statistic
+                 for loc, scale in ((0.0, 1.0), (0.05, 1.0), (0.3, 1.0), (0.0, 4.0))]
+        assert hashlib.sha256(np.array(stats, dtype="<f8").tobytes()).hexdigest() == _KS_NORMAL_DIGESTS[n]
+
+
 class TestReplicationEngine:
     @pytest.fixture(autouse=True)
     def four_cpus(self, monkeypatch):
