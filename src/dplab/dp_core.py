@@ -141,7 +141,8 @@ def exponential_base(rate: float = 1.0) -> BaseMeasure:
 def normal_base(mu: float = 0.0, sigma: float = 1.0) -> BaseMeasure:
     if not np.isfinite(mu) or not np.isfinite(sigma) or sigma <= 0:
         raise ParameterError("normal base needs finite mu and positive sigma")
-    from scipy.special import ndtr, ndtri  # loaded by the first normal base
+    # The one scipy import of a run: a normal base's atoms are scipy's ndtri.
+    from scipy.special import ndtr, ndtri
 
     norm_const = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
     return BaseMeasure(
@@ -390,8 +391,11 @@ def dp_cdf(sample: DpSample, t):
     """P_a((-inf, t]) for the realization: total weight of atoms <= t.
 
     The truncation remainder is excluded, a documented downward bias of at
-    most the policy's epsilon; this keeps the cdf monotone.
+    most the policy's epsilon; this keeps the cdf monotone.  A NaN t raises
+    ``ArgumentError``.
     """
+    if np.isnan(t).any():
+        raise ArgumentError("dp_cdf needs points that are not NaN")
     idx = np.searchsorted(sample.atoms, t, side="right")
     out = sample.cdf_levels()[idx]
     return float(out) if np.isscalar(t) else out
@@ -404,7 +408,7 @@ def dp_quantile(sample: DpSample, u):
     is returned, matching inf over the generated support.
     """
     uarr = np.asarray(u, dtype=float)
-    if np.any(uarr <= 0.0) or np.any(uarr > 1.0):
+    if not np.all((uarr > 0.0) & (uarr <= 1.0)):  # NaN fails too
         raise ArgumentError("quantile levels must lie in (0, 1]")
     idx = np.searchsorted(sample.cdf_levels()[1:], uarr, side="left")
     idx = np.minimum(idx, sample.n_atoms - 1)

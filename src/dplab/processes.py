@@ -23,6 +23,7 @@ import numpy as np
 
 from .dp_core import BaseMeasure, BorelSet, check_concentration
 from .errors import ArgumentError, ParameterError, SingularDensityError
+from .special import gammaln
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +137,6 @@ def scaled_bivariate_density(y1, y2, l1: float, l2: float, a: float):
     the centering-scaling map, evaluated in log space; arguments mapping
     outside the open simplex have density zero.
     """
-    from scipy.special import gammaln  # loaded by the first density evaluation
-
     l1, l2 = _check_cells(l1, l2)
     check_concentration(a)
     y1 = np.asarray(y1, dtype=float)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .special import expit
 
 # Uniform draws live in [0, 1); exact zeros (probability 2^-53) are nudged to
 # the smallest normal double before taking logs.
@@ -134,10 +135,11 @@ def sample_beta(alpha: float, beta: float, rng: RngStream, size: int) -> np.ndar
     The ratio is formed in log space (expit of the log-gamma difference), so
     extreme parameter pairs such as (1, 1e4) or (1, 0.01) keep full precision,
     and tiny shapes such as the 3e-7 of deep bisection cells give exactly 0
-    or 1, never NaN.
+    or 1, never NaN.  ``dplab.special.expit`` takes its exp from numpy, so
+    about 1% of draws differ from scipy.special.expit's by an ulp or two;
+    the quantiles of ``bisection_quantiles``, which only compare masses with
+    levels, do not move.
     """
-    from scipy.special import expit  # loaded by the first Beta draw
-
     alpha = _check_positive("alpha", alpha)
     beta = _check_positive("beta", beta)
     la = _log_gamma_draws(rng, alpha, size)

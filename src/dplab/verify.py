@@ -60,6 +60,7 @@ from .processes import (
 from .rvgen import RngStream
 # Unused here; bench/tracing.py patches verify.sample_dirichlet by name.
 from .rvgen import sample_dirichlet  # noqa: F401
+from .special import ndtr_sorted
 
 # The pass rule: comparisons at these multiples of their standard error,
 # Kolmogorov-Smirnov checks at this level.
@@ -381,17 +382,15 @@ def mc_cov_se(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 # The KS checks compute their statistics as scipy's kstest and ks_2samp do,
-# with the same operations in the same order, and their p-values with
-# dplab.kolmogorov: scipy's stats package takes longer to import than most
-# runs take.  A sample holding NaN gives a NaN statistic and p-value, so its
-# check fails.
+# with the same operations in the same order and scipy's normal cdf
+# (dplab.special), and their p-values with dplab.kolmogorov: scipy takes
+# longer to import than most runs take.  A sample holding NaN gives a NaN
+# statistic and p-value, so its check fails.
 def ks_normal_check(name: str, sample: np.ndarray) -> LevelCheck:
     """One-sample KS test of ``sample`` against N(0, 1)."""
-    from scipy.special import ndtr  # loaded by the first one-sample check
-
     x = np.sort(np.asarray(sample, dtype=float))
     n = x.size
-    cdf = ndtr(x)
+    cdf = ndtr_sorted(x)
     d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
     d_minus = (cdf - np.arange(0.0, n) / n).max()
     stat = d_plus if d_plus > d_minus else d_minus

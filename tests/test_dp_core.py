@@ -448,6 +448,12 @@ class TestDpCdf:
         s = make_sample([0.5], [0.9], remainder=0.1)
         assert dp_cdf(s, 0.9) == pytest.approx(0.9)
 
+    def test_nan_rejected(self):
+        s = make_sample([0.2, 0.7], [0.3, 0.7])
+        for bad in (np.nan, np.array([0.5, np.nan])):
+            with pytest.raises(ArgumentError):
+                dp_cdf(s, bad)
+
 
 class TestDpQuantile:
     def test_inf_definition_boundary(self):
@@ -458,7 +464,7 @@ class TestDpQuantile:
 
     def test_domain(self):
         s = make_sample([0.2], [1.0])
-        for bad in (0.0, -0.1, 1.0001):
+        for bad in (0.0, -0.1, 1.0001, np.nan, np.array([0.5, np.nan])):
             with pytest.raises(ArgumentError):
                 dp_quantile(s, bad)
 

@@ -1,12 +1,14 @@
-"""Start-up cost: importing dplab and validating a config load numpy only,
-and no run loads scipy.stats.
+"""Start-up cost: importing dplab, validating a config and running every
+family load no scipy module; only a normal base loads scipy.special.
 
-scipy takes longer to import than most runs take, so each scipy.special
-function is imported by the dplab function that calls it, and the KS checks
-take their p-values from ``dplab.kolmogorov``, not from scipy.stats.  These
-tests run a fresh interpreter, where ``sys.modules`` shows exactly what each
-step loaded; one module-level ``import scipy...`` anywhere in the package, or
-one KS check that reaches for scipy.stats, fails them.
+scipy takes longer to import than most runs take.  The KS checks take their
+p-values from ``dplab.kolmogorov`` and their normal cdf, the Beta draws their
+logistic function and the density family its log-gamma from
+``dplab.special``.  A normal base imports scipy.special itself, because its
+atoms come from scipy's ``ndtri``.  These tests run a fresh interpreter,
+where ``sys.modules`` shows exactly what each step loaded; one module-level
+``import scipy...`` anywhere in the package, or one scipy call on a run
+path, fails them.
 """
 
 import json
@@ -20,8 +22,8 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Each stage prints the scipy modules loaded so far.  The configs are small
-# but run their families end to end; the stages without any scipy module run
-# first, since sys.modules only grows.
+# but run their families end to end; the normal base comes last, since
+# sys.modules only grows.
 SCRIPT = """
 import json, sys
 
@@ -33,7 +35,8 @@ def run(cfg):
 
 stages, level_checks = {}, {}
 import dplab, dplab.cli
-from dplab import BorelSet, run_experiment, uniform_base, validate_config
+from dplab import BorelSet, normal_base, run_experiment, uniform_base, validate_config
+from dplab.kolmogorov import kolmogorov_sf
 from dplab.verify import quantile_sampler_check, representation_check
 stages["import"] = scipy_modules()
 validate_config({"schema_version": 1, "experiment": "all", "seed": 1})
@@ -49,6 +52,11 @@ level_checks["quantile"] = run(
 )["quantile"].level_checks
 level_checks["quantile_sampler"] = quantile_sampler_check(10.0, 100, 3).level_checks
 stages["fidi_quantile_samplers"] = scipy_modules()
+stages["density_passed"] = run({"experiment": "density", "a_values": [10.0, 100.0]})["density"].passed
+stages["far_tail_p"] = kolmogorov_sf(3000, 0.03)
+stages["density_far_tail"] = scipy_modules()
+normal_base()
+stages["normal_base"] = scipy_modules()
 stages["level_checks"] = {k: [c.name for c in v] for k, v in level_checks.items()}
 print(json.dumps(stages))
 """
@@ -73,10 +81,22 @@ def test_gc_moments_and_representation_check_run_without_scipy(stages):
     assert stages["gc_moments_representation"] == []
 
 
-def test_ks_checks_leave_scipy_stats_unloaded(stages):
-    """Every family and check with a KS test ran one, and none loaded
-    scipy.stats or any of its submodules."""
+def test_ks_checks_run_without_scipy(stages):
+    """Every family and check with a KS test ran one, and none loaded any
+    scipy module."""
     assert all(stages["level_checks"].values()), stages["level_checks"]
-    loaded = stages["fidi_quantile_samplers"]
+    assert stages["fidi_quantile_samplers"] == []
+
+
+def test_density_and_far_tail_p_value_run_without_scipy(stages):
+    """The density family's log-gamma and the Smirnov far tail of the KS
+    p-values (n d^2 = 2.7 at n = 3000, d = 0.03) are dplab's own."""
+    assert stages["density_passed"]
+    assert 0.0 < stages["far_tail_p"] < 0.01
+    assert stages["density_far_tail"] == []
+
+
+def test_normal_base_loads_scipy_special_only(stages):
+    loaded = stages["normal_base"]
     assert "scipy.special" in loaded
     assert not [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")], loaded

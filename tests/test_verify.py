@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,7 +47,7 @@ from dplab import (
     uniform_base,
     verify,
 )
-from dplab.kolmogorov import kolmogorov_sf, two_sample_sf
+from dplab.kolmogorov import kolmogorov_sf, smirnov, two_sample_sf
 from dplab.verify import (
     Comparison,
     LevelCheck,
@@ -115,6 +116,25 @@ class TestKolmogorov:
             else:
                 far.append((n, d, got))
         assert far and all(got <= 1e-11 for _, _, got in far), far
+
+    def test_smirnov_tail_matches_scipy(self):
+        """The Birnbaum-Tingey sum against scipy.special.smirnov wherever
+        kolmogorov_sf takes it: n d^2 from 2.2 (4 up to n = 140) to 370, and
+        d >= 1/2."""
+        for n in (3, 10, 140, 141, 1000, 3000, 31623, 100000):
+            cs = (2.2, 4.0, 10.0, 30.0, 100.0, 369.0) if n < 100000 else (2.2, 30.0, 369.0)
+            for d in [np.sqrt(c / n) for c in cs] + [0.5, 0.75]:
+                if not 1.0 < n * d < n - 1.0:
+                    continue
+                ref, got = scipy.special.smirnov(n, d), smirnov(n, float(d))
+                if ref > 1e-12:
+                    assert abs(got - ref) <= 1e-10 * ref, (n, d, got, ref)
+                else:
+                    assert got <= 1e-11, (n, d, got, ref)
+
+    def test_far_tail_is_zero_from_n_d2_370(self):
+        for n in (141, 1000, 100000, 10**6):
+            assert kolmogorov_sf(n, np.sqrt(370.0 / n)) == 0.0
 
     def test_two_sample_tail_at_one_step_is_one(self):
         """D_{n,n} >= 1/n always.  The recursion lands within a few ulps of
