@@ -8,10 +8,10 @@ use one tensor-Simpson quadrature whose box, grid sizes and tolerance are
 the pinned constants HALF_WIDTH, N_START, N_MAX and QUAD_TOL.
 
 The quadrature evaluates each point of its finest grid once: a refinement
-keeps the coarser grid's values in place and evaluates only the new points.
-The density kernels work in place, in one or two grid-sized buffers counting
-the output, with the operations and order of the plain array expressions,
-so their values do not depend on the buffering.
+keeps the coarser grid's values in place and evaluates only the new points,
+a block of rows of about _BLOCK_POINTS points per kernel call.  The density
+kernels work elementwise, with the operations and order of the plain array
+expressions, so their values do not depend on the blocking.
 """
 
 from __future__ import annotations
@@ -152,23 +152,29 @@ def scaled_bivariate_density(y1, y2, l1: float, l2: float, a: float):
         - gammaln(a * l2)
         - gammaln(a * l3)
     )
-    # Two grid buffers: x3 then its log term, and log f then the density.
-    # The x1 and x2 terms are taken on their own (unbroadcast) operands;
-    # every point outside the simplex is overwritten with log f = -inf.
+    # Two buffers of the broadcast shape: x3 then its log term, and log f
+    # then the density.  The x1 and x2 terms are taken on their own
+    # (unbroadcast) operands.  Points outside the simplex (an infinite x1 or
+    # x2 lies outside too) take log 1 and exp 0 and are then set to 0:
+    # numpy's vector log and exp run several times slower on zeros,
+    # negatives and -inf, and no NaN or infinity reaches the sum.
     x3 = np.add(y1, y2, out=np.empty(np.broadcast_shapes(y1.shape, y2.shape)))
     x3 /= root_a
     np.subtract(1.0, x3, out=x3)
     x3 -= l1
     x3 -= l2
-    valid = (x1 > 0.0) & (x2 > 0.0) & (x3 > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.empty_like(x3)
-        np.add(log_norm + (a * l1 - 1.0) * np.log(x1), (a * l2 - 1.0) * np.log(x2), out=out)
-        np.log(x3, out=x3)
-        x3 *= a * l3 - 1.0
-        out += x3
-    out[~valid] = -np.inf
+    outside = ~((x1 > 0.0) & (x2 > 0.0) & (x3 > 0.0))
+    np.copyto(x3, 1.0, where=outside)
+    log_x1 = np.log(np.where((0.0 < x1) & (x1 < np.inf), x1, 1.0))
+    log_x2 = np.log(np.where((0.0 < x2) & (x2 < np.inf), x2, 1.0))
+    out = np.empty_like(x3)
+    np.add(log_norm + (a * l1 - 1.0) * log_x1, (a * l2 - 1.0) * log_x2, out=out)
+    np.log(x3, out=x3)
+    x3 *= a * l3 - 1.0
+    out += x3
+    np.copyto(out, 0.0, where=outside)
     np.exp(out, out=out)
+    np.copyto(out, 0.0, where=outside)
     return float(out) if out.ndim == 0 else out
 
 
@@ -196,12 +202,30 @@ N_START = 65
 N_MAX = 1025
 QUAD_TOL = 1e-4
 
+# Points per density-kernel call: the ladder fills its grids in blocks of
+# rows, so the kernels' temporaries stay small whatever the grid size.
+_BLOCK_POINTS = 1 << 15
+
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w * (h / 3.0)
+
+
+def _fill_rows(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    x: np.ndarray,
+    y: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Write f(x[:, None], y[None, :]) into ``out``, a block of rows of at
+    most _BLOCK_POINTS points (or one row) per call of f."""
+    step = max(_BLOCK_POINTS // y.size, 1)
+    for i in range(0, x.size, step):
+        out[i : i + step] = f(x[i : i + step, None], y[None, :])
+    return out
 
 
 def _refine_simpson_2d(
@@ -216,12 +240,14 @@ def _refine_simpson_2d(
     Each point is evaluated once: the n-point grid is the even-index
     subgrid of the (2n - 1)-point one (``linspace`` gives it bit for bit),
     so a refinement keeps the previous values in place and calls f only on
-    the odd rows and on the even rows' odd columns.
+    the odd rows and on the even rows' odd columns.  f fills the grid in
+    blocks of rows (``_fill_rows``), the new points after the old grid has
+    been copied into the new one and freed.
     """
     n = N_START
     x = np.linspace(xbox[0], xbox[1], n)
     y = np.linspace(ybox[0], ybox[1], n)
-    vals = f(x[:, None], y[None, :])
+    vals = _fill_rows(f, x, y, np.empty((n, n)))
     prev = None
     while True:
         wx = _simpson_weights(n, x[1] - x[0])
@@ -237,9 +263,9 @@ def _refine_simpson_2d(
         y = np.linspace(ybox[0], ybox[1], n)
         fine = np.empty((n, n))
         fine[::2, ::2] = vals
-        fine[1::2] = f(x[1::2, None], y[None, :])
-        fine[::2, 1::2] = f(x[::2, None], y[None, 1::2])
         vals = fine
+        _fill_rows(f, x[1::2], y, vals[1::2])
+        _fill_rows(f, x[::2], y[1::2], vals[::2, 1::2])
 
 
 def _support_box(l1: float, l2: float, a: float):

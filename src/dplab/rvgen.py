@@ -84,31 +84,35 @@ def _check_positive(name: str, value: float) -> float:
 
 def _safe_uniform(rng: RngStream, n: int) -> np.ndarray:
     u = rng.uniform(n)
-    if u.min() <= 0.0:
-        u = np.where(u <= 0.0, _TINY, u)
-    return u
+    return np.maximum(u, _TINY, out=u)
 
 
 def _mt_gamma(rng: RngStream, shape: float, n: int) -> np.ndarray:
     """Marsaglia-Tsang rejection sampler; valid for shape >= 1.
 
     Each attempt consumes one normal and one uniform; rejected slots are
-    redrawn until the whole batch is filled.
+    redrawn until the whole batch is filled.  A cube v <= 0 has a NaN or
+    -inf log, which the acceptance test rejects (the caller silences the
+    warnings).
     """
     d = shape - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
-    out = np.empty(n)
-    pending = np.arange(n)
-    while pending.size:
-        x = rng.normal(pending.size)
-        u = _safe_uniform(rng, pending.size)
+    out = pending = None
+    while pending is None or pending.size:
+        size = n if pending is None else pending.size
+        x = rng.normal(size)
+        u = _safe_uniform(rng, size)
         t = 1.0 + c * x
         v = t * t * t
-        pos = v > 0.0
-        logv = np.log(np.where(pos, v, 1.0))
-        accept = pos & (np.log(u) < 0.5 * x * x + d - d * v + d * logv)
-        out[pending[accept]] = d * v[accept]
-        pending = pending[~accept]
+        dv = d * v
+        accept = np.log(u) < 0.5 * x * x + d - dv + d * np.log(v)
+        if pending is None:
+            # The first round's values stay in place; its rejected slots
+            # are filled by the later rounds.
+            out, pending = dv, np.flatnonzero(~accept)
+        else:
+            out[pending[accept]] = dv[accept]
+            pending = pending[~accept]
     return out
 
 
@@ -119,13 +123,14 @@ def _log_gamma_draws(rng: RngStream, shape: float, n: int) -> np.ndarray:
     G' ~ Gamma(shape + 1), evaluated in log space so tiny shapes (routine for
     Dirichlet-process cells with small a*H(A)) never underflow.
     """
-    if shape == 1.0:
-        return np.log(-np.log(_safe_uniform(rng, n)))
-    if shape >= 1.0:
-        return np.log(_mt_gamma(rng, shape, n))
-    boosted = _mt_gamma(rng, shape + 1.0, n)
-    u = _safe_uniform(rng, n)
-    return np.log(boosted) + np.log(u) / shape
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if shape == 1.0:
+            return np.log(-np.log(_safe_uniform(rng, n)))
+        if shape >= 1.0:
+            return np.log(_mt_gamma(rng, shape, n))
+        boosted = _mt_gamma(rng, shape + 1.0, n)
+        u = _safe_uniform(rng, n)
+        return np.log(boosted) + np.log(u) / shape
 
 
 def sample_beta(alpha: float, beta: float, rng: RngStream, size: int) -> np.ndarray:

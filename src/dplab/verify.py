@@ -23,7 +23,6 @@ when the share ends; a replication returns plain values, never a view of it.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Sequence
@@ -343,6 +342,10 @@ def map_replications(
     if threads <= 1 or scratch.entries < MIN_PARALLEL_ENTRIES:
         run_range(1, replications, scratch)
     else:
+        # Imported here: with logging it costs every process about 3 ms and
+        # 0.6 MiB, and most runs never fan out.
+        from concurrent.futures import ThreadPoolExecutor
+
         del scratch  # the calling thread's share ends with replication 0
         bounds = np.linspace(1, replications, threads + 1).astype(int)
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -1,5 +1,7 @@
 """Start-up cost: importing dplab, validating a config and running every
-family load no scipy module; only a normal base loads scipy.special.
+family load no scipy module; only a normal base loads scipy.special.  Nor do
+they load ``concurrent.futures``, which only a replication loop that fans
+out over worker threads imports.
 
 scipy takes longer to import than most runs take.  The KS checks take their
 p-values from ``dplab.kolmogorov`` and their normal cdf, the Beta draws their
@@ -55,6 +57,7 @@ stages["fidi_quantile_samplers"] = scipy_modules()
 stages["density_passed"] = run({"experiment": "density", "a_values": [10.0, 100.0]})["density"].passed
 stages["far_tail_p"] = kolmogorov_sf(3000, 0.03)
 stages["density_far_tail"] = scipy_modules()
+stages["thread_pool_loaded"] = "concurrent.futures" in sys.modules
 normal_base()
 stages["normal_base"] = scipy_modules()
 stages["level_checks"] = {k: [c.name for c in v] for k, v in level_checks.items()}
@@ -94,6 +97,15 @@ def test_density_and_far_tail_p_value_run_without_scipy(stages):
     assert stages["density_passed"]
     assert 0.0 < stages["far_tail_p"] < 0.01
     assert stages["density_far_tail"] == []
+
+
+def test_runs_that_do_not_fan_out_load_no_thread_pool(stages):
+    """No replication loop above fans out: each fills less scratch than
+    verify.MIN_PARALLEL_ENTRIES.  ``concurrent.futures`` and the logging it
+    imports cost every process about 3 ms and 0.6 MiB, so it is imported
+    only where a loop starts its pool.  sys.modules only grows, so absence
+    here covers the import and validate stages too."""
+    assert stages["thread_pool_loaded"] is False
 
 
 def test_normal_base_loads_scipy_special_only(stages):

@@ -1,5 +1,7 @@
 """Limit objects: bridge and quantile covariances, bivariate densities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,12 @@ from dplab import (
     limit_quantile_cov,
     normal_base,
     processes,
+    run_experiment,
     scaled_bivariate_density,
     tv_distance_bivariate,
     uniform_base,
+    validate_config,
+    verify,
 )
 from dplab.processes import _refine_simpson_2d
 
@@ -407,6 +412,67 @@ class TestSimpsonLadder:
                 fine = np.linspace(lo, hi, 2 * n - 1)[::2]
                 assert fine.tobytes() == np.linspace(lo, hi, n).tobytes()
                 n = 2 * n - 1
+
+
+# scaled_bivariate_density(y1, y2, 1/4, 1/4, 16) on a grid whose first row
+# has x1 = 0 exactly, whose first columns have x2 <= 0 and whose upper
+# corner lies outside the simplex, recorded before the kernel kept those
+# points out of numpy's log and exp.
+_BOUNDARY_Y1 = np.linspace(-1.0, 3.0, 41)
+_BOUNDARY_Y2 = np.linspace(-1.5, 2.5, 41)
+_BOUNDARY_DIGEST = "b668d4be94794ea8465963d7ea0d3ec12db185b3dbbdf7dc971387437f8c8701"
+
+
+class TestRowBlocks:
+    """The ladder fills its grids a block of rows per kernel call."""
+
+    @pytest.mark.parametrize(
+        "block", [1, processes._BLOCK_POINTS, 1 << 30], ids=["one_row", "default", "whole_grid"]
+    )
+    def test_estimates_do_not_depend_on_the_block_size(self, monkeypatch, block):
+        monkeypatch.setattr(processes, "_BLOCK_POINTS", block)
+        for (fn, cells, a), digest in _QUAD_DIGESTS.items():
+            quad = {"tv": tv_distance_bivariate, "integral": bivariate_density_integral}[fn]
+            assert _quad_digest(quad(*_DENSITY_CELLS[cells], a)) == digest, (fn, cells, a)
+        monkeypatch.setattr(processes, "QUAD_TOL", 1e-9)
+        assert _quad_digest(tv_distance_bivariate(THIRD, THIRD, 1e3)) == _N_MAX_DIGEST
+
+    def test_no_kernel_call_exceeds_the_block(self, monkeypatch):
+        """A default density-family run calls each kernel on at most
+        _BLOCK_POINTS points at a time (131,328 when each refinement
+        evaluated its new rows in one call)."""
+        sizes = []
+
+        def recorded(kernel):
+            def call(y1, y2, *args):
+                sizes.append(np.broadcast_shapes(np.shape(y1), np.shape(y2)))
+                return kernel(y1, y2, *args)
+
+            return call
+
+        for module in (processes, verify):
+            for name in ("scaled_bivariate_density", "limit_bivariate_density"):
+                monkeypatch.setattr(module, name, recorded(getattr(module, name)))
+        config = validate_config({"schema_version": 1, "seed": 1, "experiment": "density"})
+        assert run_experiment(config).results["density"].passed
+        points = [int(np.prod(shape)) for shape in sizes]
+        assert max(points) <= processes._BLOCK_POINTS
+        assert max(points) > processes._BLOCK_POINTS // 2
+
+    def test_points_outside_the_simplex_skip_log_and_exp(self):
+        """Exactly 0 outside the simplex, the recorded bits inside, and no
+        zero, negative or -inf reaches numpy's log or exp (which would warn).
+        An infinite argument at a l1 = 1 would give 0 * inf."""
+        y1, y2 = _BOUNDARY_Y1[:, None], _BOUNDARY_Y2[None, :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = scaled_bivariate_density(y1, y2, 0.25, 0.25, 16.0)
+            assert scaled_bivariate_density(np.inf, 0.0, THIRD, THIRD, 3.0) == 0.0
+        x1, x2, x3 = y1 / 4.0 + 0.25, y2 / 4.0 + 0.25, 1.0 - (y1 + y2) / 4.0 - 0.25 - 0.25
+        inside = (x1 > 0.0) & (x2 > 0.0) & (x3 > 0.0)
+        assert x1[0, 0] == 0.0 and 0 < inside.sum() < out.size
+        assert np.all(out[~inside] == 0.0) and np.all(out[inside] > 0.0)
+        assert _digest(out) == _BOUNDARY_DIGEST
 
 
 class TestDensityShapes:
