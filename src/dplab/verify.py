@@ -22,6 +22,7 @@ when the share ends; a replication returns plain values, never a view of it.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -99,8 +100,8 @@ _KS_EXACT_MAX = 10_000
 
 _DL_SLACK = 1e-12
 
-# Most segments _deviation_stats works at once, and the largest piece of
-# numpy's pairwise summation tree that _pairwise_sum hands to np.sum whole.
+# Most segments _deviation_stats works at once; math.fsum adds the chunks'
+# np.sum values exactly rounded, replaying no library's summation order.
 _CHUNK = 1 << 15
 
 _SUMMARY_HEADER = ["kind", "name", "estimate", "se", "target", "tolerance_se", "one_sided", "passed"]
@@ -614,20 +615,6 @@ def fidi_normality_check(
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_sum(lo: int, hi: int, leaf: Callable[[int, int], float]) -> float:
-    """The sum over [lo, hi) of terms that ``leaf(i, j)`` makes and sums over
-    [i, j), in the order np.sum adds them as one contiguous array.  numpy
-    halves a run of m terms at m // 2, rounded down to a multiple of 8, until
-    the runs are short (Higham 1993, SIAM J. Sci. Comput. 14:783); splitting
-    the same way until a run fits in _CHUNK and adding the runs' np.sum in
-    tree order gives its result bit for bit.  Runs are made left to right."""
-    m = hi - lo
-    if m <= _CHUNK:
-        return leaf(lo, hi)
-    half = m // 2 - m // 2 % 8
-    return _pairwise_sum(lo, lo + half, leaf) + _pairwise_sum(lo + half, hi, leaf)
-
-
 def _deviation_stats(
     sample: DpSample,
     base: BaseMeasure,
@@ -643,19 +630,20 @@ def _deviation_stats(
     over the inter-atom segments.  The grid value can never exceed the exact
     sup, which makes it a check on it.  The segments are worked at most
     _CHUNK at a time, in the buffers of ``scratch`` when one is given, so no
-    array as long as the realization is made.
+    array as long as the realization is made.  math.fsum adds the chunks'
+    np.sum values, exactly rounded, in no order replayed from numpy.
     """
     buffers = Scratch() if scratch is None else scratch
     atoms, lev = sample.atoms, sample.cdf_levels()
     n = atoms.size
     counts = None if grid is None else np.zeros(grid.size, dtype=np.intp)
-    sup = 0.0
+    sup, pieces = 0.0, []
 
     # Segment k runs from H-level s_{k-1} to s_k (s_{-1} = 0, s_n = 1) at cdf
     # level lev[k]; d and e are P_a - H at its left and right ends, and the
     # integral over it of (lev[k] - x)^2 dx is (d_k^3 - e_k^3) / 3.
-    def segments(lo: int, hi: int) -> float:
-        nonlocal sup, counts
+    for lo in range(0, n + 1, _CHUNK):
+        hi = min(lo + _CHUNK, n + 1)
         m, first, last = hi - lo, max(lo - 1, 0), min(hi, n)
         s = buffers.take("s", m + 1)  # s_{lo-1} .. s_{hi-1}
         s[0], s[m] = 0.0, 1.0  # s_{-1} and s_n, unless the run's atoms cover them
@@ -672,9 +660,9 @@ def _deviation_stats(
         np.multiply(e, e, out=d)
         d *= e
         cubes -= d
-        return float(np.sum(cubes))
+        pieces.append(float(np.sum(cubes)))
 
-    cvm = _pairwise_sum(0, n + 1, segments) / 3.0
+    cvm = math.fsum(pieces) / 3.0
     grid_sup = 0.0
     if grid is not None:
         grid_sup = float(np.max(np.abs(lev[counts] - grid)))

@@ -516,10 +516,10 @@ class TestExactDeviationStats:
 _DEVIATION_DIGESTS = {
     ("uniform", 10.0): "41aa46084fbf3b4b4fd8d408332ae8e320771c2196127377024a446dd604dc25",
     ("uniform", 1000.0): "98769f7a32ce598a66810349c618a8e57a9dba22bbd2bb4d6bc462f0e8fbbfb1",
-    ("uniform", 10000.0): "8f8953738a5c25687f1b2cef907ec98100ddf02616c584f027ef1136b9b8d9b6",
+    ("uniform", 10000.0): "ed47ac62225fe52159c1a5572b4edcb1cfbfca57a827ee0956d3ca244718c64b",
     ("exponential", 10.0): "5e133cebbca396359ed012f6a93527b977248acf0c319ea0308cb27965f53a9f",
     ("exponential", 1000.0): "69e83120fcefbad40a532538a9f53d5ed9a90d3c5f0b8b398a3a042a693b772e",
-    ("exponential", 10000.0): "6d218c5d96ddbfa8be533dc8008472c6a595b7e99769c61c2f86fd577a5de95e",
+    ("exponential", 10000.0): "ea276d5c151cd91e65a70d8f29f8a936d90f89a5aecefc13289b5f2bc0b13d40",
 }
 
 
@@ -554,19 +554,24 @@ class _RecordingScratch(dp_core.Scratch):
 
 
 class TestDeviationStatsChunks:
-    """The statistics walk a realization _CHUNK segments at a time and add
-    the pieces in np.sum's own order."""
+    """The statistics walk a realization _CHUNK segments at a time; the
+    chunks' sums are added by math.fsum."""
 
-    def test_pairwise_sum_is_np_sum(self):
-        """Bit for bit, also where the pieces are uneven; a numpy whose
-        pairwise blocking changed would fail here."""
-        c = verify._CHUNK
-        rng = np.random.default_rng(1993)
-        lengths = [c - 1, c, c + 1, 2 * c + 8, 3 * c + 5, *rng.integers(1, 4 * 10**5, 200)]
-        for n in lengths:
-            x = rng.random(int(n)) ** 3
-            got = verify._pairwise_sum(0, int(n), lambda lo, hi: float(np.sum(x[lo:hi])))
-            assert got == float(np.sum(x)), n
+    def test_chunk_size_moves_only_the_last_bits_of_cvm(self, uniform01, monkeypatch):
+        """One piece (np.sum over the whole array), 1,000-segment pieces and
+        the default: the sups are the same numbers, and the integral moves
+        by rounding only."""
+        s = stick_breaking_sample(1e4, uniform01, TruncationPolicy(1e-10), RngStream(8808, 0))
+        assert s.n_atoms > 3 * verify._CHUNK
+        grid = np.linspace(0.0, 1.0, 512)
+        stats = []
+        for chunk in (1 << 30, 1000, verify._CHUNK):
+            monkeypatch.setattr(verify, "_CHUNK", chunk)
+            stats.append(verify._deviation_stats(s, uniform01, grid))
+        (sup, cvm, grid_sup), *others = stats
+        for other_sup, other_cvm, other_grid_sup in others:
+            assert (other_sup, other_grid_sup) == (sup, grid_sup)
+            assert abs(other_cvm - cvm) <= 1e-14 * cvm
 
     def test_only_the_realization_is_realization_long(self, uniform01):
         """After a gc replication at a = 10^4, every scratch role besides the
@@ -619,6 +624,32 @@ class TestGcStudy:
         assert out.details["dl_violations"] == 0
         assert out.details["dl_checked"] == 900
         assert out.passed
+
+    @staticmethod
+    def _cvm_mean_z(base) -> list[float]:
+        """Each leg's mean_cvm against the exact E int (P_a - H)^2 dH =
+        1/(6(1 + a)) for continuous H, which follows from
+        Var P_a(t) = H(t)(1 - H(t))/(1 + a) (Ferguson 1973), in SE units."""
+        a_values = [1.0, 10.0, 100.0]
+        out = gc_study(a_values, base, 2000, 64, 8808)
+        z = []
+        for a in a_values:
+            est, se = out.estimates[f"a={a:g}/mean_cvm"]
+            z.append((est - 1.0 / (6.0 * (1.0 + a))) / se)
+        return z
+
+    @pytest.mark.parametrize("base", ["uniform01", "exp1"])
+    def test_mean_cvm_is_exact(self, base, request):
+        z = self._cvm_mean_z(request.getfixturevalue(base))
+        assert all(abs(v) <= verify.MEAN_TOL for v in z), z
+
+    def test_mean_cvm_catches_a_wrong_concentration(self, uniform01, monkeypatch):
+        """Negative control: every realization drawn at 1.25 a."""
+        sample = verify.stick_breaking_sample
+        monkeypatch.setattr(verify, "stick_breaking_sample",
+                            lambda a, *args: sample(1.25 * a, *args))
+        z = self._cvm_mean_z(uniform01)
+        assert any(abs(v) > verify.MEAN_TOL for v in z), z
 
     def test_degenerate_single_atom_sup(self, uniform01):
         s = make_sample([0.5], [1.0])
