@@ -128,7 +128,7 @@ def exponential_base(rate: float = 1.0) -> BaseMeasure:
 
     def density(x):
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, rate * np.exp(-rate * np.minimum(x, 7e2)), 0.0)
+        return np.where(x >= 0.0, rate * np.exp(-np.minimum(rate * x, 7e2)), 0.0)
 
     return BaseMeasure(
         cdf=cdf,

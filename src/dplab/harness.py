@@ -41,7 +41,7 @@ from .dp_core import (
     uniform_base,
 )
 from .errors import ConfigError, DplabError
-from .processes import BivariateGaussianSpec, bivariate_density_integral
+from .processes import BivariateGaussianSpec, bivariate_density_integral, limit_quantile_cov
 from .rvgen import check_seed
 
 SCHEMA_VERSION = 1
@@ -305,6 +305,12 @@ def _quantile(f: _Fields, config_dir) -> Call:
     _make(f.sub("a_values"), verify.check_a_values, a_values)
     u_points = f.read("u_points", [0.25, 0.5, 0.75], _numbers)
     _make(f.sub("u_points"), verify.check_levels, u_points)
+    # Every limit covariance is finite once each h(H^-1(u))^2 is positive and
+    # finite; at the quartiles, which every run uses, a failure is the base's.
+    for u in (0.25, 0.5, 0.75):
+        _make(f.sub("base_measure"), limit_quantile_cov, u, u, base)
+    for i, u in enumerate(u_points):
+        _make(f"{f.sub('u_points')}[{i}]", limit_quantile_cov, u, u, base)
     r = f.read("replications", 10000, _count)
     trunc = _read_truncation(f)
     _make(f.sub("truncation"), verify.check_resolution, trunc)

@@ -25,6 +25,8 @@ import math
 
 import numpy as np
 
+from .special import polevl
+
 # The Durbin matrix powers are rescaled by 2^128 to stay inside float range.
 _SCALE_EXP = 128
 _SCALE = 2.0**_SCALE_EXP
@@ -77,11 +79,7 @@ _SMIRNOV_CHUNK = 1 << 16
 
 def _stirlerr(k: np.ndarray) -> np.ndarray:
     """The Stirling correction of log k! for integer-valued k >= 1."""
-    kk = 1.0 / (k * k)
-    out = np.full_like(k, _STIRLERR_SERIES[0])
-    for c in _STIRLERR_SERIES[1:]:
-        out *= kk
-        out += c
+    out = np.asarray(polevl(1.0 / (k * k), _STIRLERR_SERIES))  # an array for 0-d k too
     out /= k
     small = k < 16
     out[small] = _STIRLERR_SMALL[k[small].astype(np.int64)]

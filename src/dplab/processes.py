@@ -56,16 +56,17 @@ def limit_quantile_cov(u: float, v: float, base: BaseMeasure) -> float:
 
         (min(u, v) - u v) / (h(H^{-1}(u)) h(H^{-1}(v)))
 
-    where h is the base density.  Raises when h vanishes at either quantile.
+    where h is the base density.  Raises unless the denominator is positive and finite.
     """
     for name, val in (("u", u), ("v", v)):
         if not 0.0 < val < 1.0:
             raise ArgumentError(f"{name} must lie in (0, 1)")
     hu = float(base.density(base.quantile(u)))
     hv = float(base.density(base.quantile(v)))
-    if not (np.isfinite(hu) and np.isfinite(hv)) or hu <= 0.0 or hv <= 0.0:
+    if not (hu > 0.0 and 0.0 < hu * hv < np.inf):
         raise SingularDensityError(
-            f"base density vanishes at a requested quantile (h(u)={hu}, h(v)={hv})"
+            f"base density product {hu!r} * {hv!r} at the quantiles of u = {u!r} and v = {v!r} "
+            "is not positive and finite"
         )
     return (min(u, v) - u * v) / (hu * hv)
 

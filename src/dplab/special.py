@@ -1,4 +1,5 @@
-"""Three scipy.special functions, ported so that no run loads scipy.
+"""Three scipy.special functions, ported so that no run loads scipy, and the
+polynomial evaluator of their cephes sources.
 
 Importing scipy.special costs more memory and start-up time than most runs
 take.  Each port evaluates the scipy 1.17 function it stands in for with the
@@ -7,10 +8,10 @@ scipy's values bit for bit, and ``expit`` differs from scipy's in the last
 bits of a few values, which moves no Beta-bisection quantile.
 
 - ``expit``, the logistic function, for the log-space Beta draws;
-- ``ndtr_sorted``, the standard normal cdf of cephes' ``ndtr``, for the
-  one-sample KS checks;
-- ``gammaln``, cephes' ``lgam`` for positive scalars, for the exact density
-  of two Dirichlet cells.
+- ``ndtr_sorted``, cephes' standard normal cdf ``ndtr``, for the KS checks;
+- ``gammaln``, cephes' ``lgam`` for positive scalars, for the density family;
+- ``polevl``, cephes' Horner rule on a float or an array, for ``ndtr``,
+  ``lgam`` and the Stirling series of ``kolmogorov.smirnov``.
 """
 
 from __future__ import annotations
@@ -27,26 +28,16 @@ _MAXLOG = 7.09782712893383996843e2
 _LS2PI = 0.91893853320467274178
 
 
-def _horner(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Rows (num(x), den(x)) of two polynomials, whose coefficients are the
-    columns of ``coef`` from the highest power down, by Horner's rule in
-    cephes' order: polevl for num, and p1evl for den, whose implied leading 1
-    is written out (1 x is x; a leading 0 pads the shorter polynomial, and
-    0 x + c is c for finite x)."""
-    out = coef[0] * x
-    out += coef[1]
-    for c in coef[2:]:
+def polevl(x, coef):
+    """cephes' polevl of a float or a float array x: the polynomial whose
+    coefficients ``coef`` run from the highest power down, by Horner's rule
+    in cephes' order (0 x + c is c for finite x).  cephes' p1evl is
+    ``polevl(x, (1.0, *coef))``: 1 x is x."""
+    out = x * 0.0 + coef[0]
+    for c in coef[1:]:
         out *= x
         out += c
     return out
-
-
-def _stack(num, den) -> np.ndarray:
-    """``_horner``'s coefficient array: num padded with leading zeros to the
-    length of den with its leading 1."""
-    den = (1.0, *den)
-    num = (0.0,) * (len(den) - len(num)) + tuple(num)
-    return np.array([num, den]).T[:, :, None]
 
 
 def expit(x: np.ndarray) -> np.ndarray:
@@ -66,44 +57,39 @@ def expit(x: np.ndarray) -> np.ndarray:
 
 # cephes ndtr.c: erf(x) = x T(x^2)/U(x^2) for |x| < 1; erfc(x) =
 # exp(-x^2) P(x)/Q(x) for 1 <= x < 8 and exp(-x^2) R(x)/S(x) for x >= 8.
+# U, Q and S, which cephes takes to p1evl, carry its leading 1 written out.
 _T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
       7.00332514112805075473e3, 5.55923013010394962768e4)
-_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
       2.26290000613890934246e4, 4.92673942608635921086e4)
 _P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
       4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
       9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
       9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
       1.65666309194161350182e3, 5.57535340817727675546e2)
 _R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
       6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
       1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-
-
-_TU, _PQ, _RS = _stack(_T, _U), _stack(_P, _Q), _stack(_R, _S)
 
 
 def _erf(x: np.ndarray) -> np.ndarray:
     """cephes erf for |x| < 1."""
-    num, den = _horner(x * x, _TU)
-    num *= x
-    num /= den
-    return num
+    xx = x * x
+    return polevl(xx, _T) * x / polevl(xx, _U)
 
 
-def _erfc_exp(z: np.ndarray, coef: np.ndarray) -> np.ndarray:
+def _erfc_exp(z: np.ndarray, num, den) -> np.ndarray:
     """cephes erfc for z >= 1, exp(-z^2) num(z)/den(z), with exp taken from
     libm (math.exp) as cephes takes it; 0 where -z^2 < -MAXLOG."""
-    if not z.size:  # the usual case for x >= 8: skip some twenty numpy calls
+    if not z.size:  # the usual case for x >= 8: skip some thirty numpy calls
         return z
     with np.errstate(over="ignore", invalid="ignore"):  # z = inf, overwritten below
         arg = -z * z
         out = np.fromiter(map(math.exp, arg.tolist()), float, arg.size)
-        num, den = _horner(z, coef)
-        out *= num
-        out /= den
+        out *= polevl(z, num)
+        out /= polevl(z, den)
     out[arg < -_MAXLOG] = 0.0
     return out
 
@@ -134,8 +120,8 @@ def ndtr_sorted(a: np.ndarray) -> np.ndarray:
     out[e3:e4] += 0.5
     np.subtract(1.0, erf[e4 - e2 :], out=out[e4:e5])
     # Each exp branch once, over |x| from both sides.
-    for lo, hi, top, end, coef in ((0, e1, e6, e7, _RS), (e1, e2, e5, e6, _PQ)):
-        h = _erfc_exp(np.concatenate((np.negative(x[lo:hi]), x[top:end])), coef)
+    for lo, hi, top, end, num, den in ((0, e1, e6, e7, _R, _S), (e1, e2, e5, e6, _P, _Q)):
+        h = _erfc_exp(np.concatenate((np.negative(x[lo:hi]), x[top:end])), num, den)
         out[lo:hi], out[top:end] = h[: hi - lo], h[hi - lo :]
     # 0.5 erfc(|x|) left of the middle, one minus it right of it.
     out[:e3] *= 0.5
@@ -146,24 +132,16 @@ def ndtr_sorted(a: np.ndarray) -> np.ndarray:
 
 
 # cephes lgam: x B(x)/C(x) on [2, 3) below 13 (C with p1evl's leading 1
-# written out), Stirling's series with the A corrections from 13 to 1e8.
+# written out), Stirling's series from 13 to 1e8, corrected by A (A_FAR from 1000).
 _A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
       -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_A_FAR = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3, 0.0833333333333333333333)
 _B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
       -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
 _C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4,
       -2.20528590553854454839e5, -1.13933444367982507207e6, -2.53252307177582951285e6,
       -2.01889141433532773231e6)
 _MAXLGM = 2.556348e305
-
-
-def _poly(x: float, coef) -> float:
-    """cephes' polevl of a finite scalar x by Horner's rule from the highest
-    power (0 x + c is c); p1evl is the same with a leading 1."""
-    out = 0.0
-    for c in coef:
-        out = out * x + c
-    return out
 
 
 def gammaln(x: float) -> float:
@@ -185,15 +163,11 @@ def gammaln(x: float) -> float:
             u = x + p
         if u == 2.0:
             return math.log(z)
-        x += p - 2.0
-        return math.log(z) + x * _poly(x, _B) / _poly(x, _C)
+        x = x + (p - 2.0)  # not +=, which would write into a 0-d array argument
+        return math.log(z) + x * polevl(x, _B) / polevl(x, _C)
     if x > _MAXLGM:
         return math.inf
     q = (x - 0.5) * math.log(x) - x + _LS2PI
     if x > 1.0e8:
         return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    return q + _poly(p, _A) / x
+    return q + polevl(1.0 / (x * x), _A if x < 1000.0 else _A_FAR) / x

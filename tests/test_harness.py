@@ -563,6 +563,29 @@ class TestCli:
         rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
         self._assert_clean_exit_2(capsys, rc, needle)
 
+    @pytest.mark.parametrize(
+        "cfg, field",
+        [
+            ({"base_measure": {"label": "normal"}, "u_points": [0.5, 1e-200]}, "u_points[1]"),
+            ({"base_measure": {"label": "normal", "sigma": 1e200}}, "base_measure"),
+            ({"base_measure": {"label": "exponential", "rate": 1e-300}}, "base_measure"),
+            ({"base_measure": {"label": "exponential", "rate": 1e300}}, "base_measure"),
+        ],
+    )
+    def test_quantile_target_out_of_range_exits_2(self, tmp_path, capsys, cfg, field):
+        """A base density product h(H^-1(u)) h(H^-1(v)) that underflows to 0
+        or overflows to inf leaves no finite limit covariance to compare
+        with: the config reader rejects it, and the run writes nothing."""
+        cfg = {"schema_version": 1, "seed": 1, "experiment": "quantile", "a_values": [100],
+               "replications": 50, **cfg}
+        path = self._write(tmp_path, cfg)
+        needle = f"{field}: base density product"
+        rc = cli_main(["validate", "--config", path])
+        self._assert_clean_exit_2(capsys, rc, needle)
+        rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
+        self._assert_clean_exit_2(capsys, rc, needle)
+        assert not (tmp_path / "out").exists()
+
     def test_config_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_bytes(b"\xff\xfe" + json.dumps(_config()).encode("utf-16-le"))

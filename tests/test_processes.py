@@ -101,6 +101,30 @@ class TestLimitQuantileCov:
         with pytest.raises(ArgumentError):
             limit_quantile_cov(0.0, 0.5, uniform01)
 
+    @pytest.mark.parametrize(
+        "u, base",
+        [
+            (1e-200, normal_base()),  # h about 3e-199: the product underflows to 0
+            (0.5, normal_base(sigma=1e200)),
+            (0.5, exponential_base(1e-300)),
+            (0.5, exponential_base(1e300)),  # the product overflows to inf
+        ],
+    )
+    def test_density_product_out_of_range_raises(self, u, base):
+        h = float(base.density(base.quantile(u)))
+        assert 0.0 < h < np.inf
+        with pytest.raises(SingularDensityError, match="not positive and finite"):
+            limit_quantile_cov(u, u, base)
+
+    @pytest.mark.parametrize("rate", [1e-3, 0.5, 2.0, 1e3])
+    def test_exponential_at_any_rate(self, rate):
+        """h(H^{-1}(u)) = rate (1 - u): the quantiles at 3/4 and 0.999 lie
+        beyond 700 for the smaller rates."""
+        base = exponential_base(rate)
+        for u, v in ((0.5, 0.5), (0.25, 0.75), (0.75, 0.999)):
+            target = (min(u, v) - u * v) / (rate * rate * (1 - u) * (1 - v))
+            assert limit_quantile_cov(u, v, base) == pytest.approx(target, rel=1e-12)
+
 
 class TestBivariateGaussianSpec:
     def test_from_cell_measures(self):

@@ -7,7 +7,8 @@ import pytest
 import scipy.special
 
 from dplab import ArgumentError
-from dplab.special import expit, gammaln, ndtr_sorted
+from dplab import special
+from dplab.special import expit, gammaln, ndtr_sorted, polevl
 
 SQRT2 = np.sqrt(2.0)
 
@@ -15,6 +16,42 @@ SQRT2 = np.sqrt(2.0)
 def _with_neighbours(points) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     return np.concatenate([points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)])
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype="<f8").tobytes()
+
+
+def _p1evl(x, coef):
+    """cephes' p1evl as written: the leading 1 is implied."""
+    out = x + coef[0]
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+class TestPolevl:
+    X = np.concatenate([[0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, 1e30, -1e30],
+                        np.random.default_rng(1958).normal(0.0, 3.0, 500)])
+    COEFS = [special._T, special._P, special._B, special._A, (0.0,), (2.0, 0.0), (-0.0, 0.0, -3.0)]
+
+    @pytest.mark.parametrize("coef", COEFS)
+    def test_array_is_the_float_evaluation_of_each_element(self, coef):
+        """Bit for bit, the sign of a zero included."""
+        want = [polevl(float(x), coef) for x in self.X]
+        assert all(type(v) is float for v in want)
+        assert _bits(polevl(self.X, coef)) == _bits(want)
+
+    @pytest.mark.parametrize("den", [special._U, special._Q, special._S, special._C])
+    def test_leading_one_is_p1evl(self, den):
+        assert den[0] == 1.0
+        assert _bits(polevl(self.X, den)) == _bits(_p1evl(self.X, den[1:]))
+        assert _bits([polevl(float(x), den) for x in self.X]) == _bits(_p1evl(self.X, den[1:]))
+
+    def test_does_not_write_its_argument(self):
+        x = self.X.copy()
+        polevl(x, special._T)
+        assert _bits(x) == _bits(self.X)
 
 
 class TestNdtr:
@@ -50,6 +87,18 @@ class TestGammaln:
         ])
         got = np.array([gammaln(float(x)) for x in xs])
         np.testing.assert_array_equal(got, scipy.special.gammaln(xs))
+
+    @pytest.mark.parametrize("x", [2.0, 3.0, 0.3, 5.5, 33.3, 5000.0, 1e9])
+    def test_result_types(self, x):
+        """A float gives a float; a numpy scalar or 0-d array gives a numpy
+        float64, except where lgam returns log(z) alone (x = 2 and 3), and
+        the 0-d array is left as it was."""
+        assert type(gammaln(x)) is float
+        numpy_type = float if x in (2.0, 3.0) else np.float64
+        arg = np.array(x)
+        for got in (gammaln(np.float64(x)), gammaln(arg)):
+            assert type(got) is numpy_type and got == gammaln(x)
+        assert arg == x
 
     def test_rejects_non_positive(self):
         for bad in (0.0, -1.5, float("nan")):

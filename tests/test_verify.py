@@ -181,6 +181,62 @@ class TestKolmogorov:
         assert not verify.ks_normal_check("shifted", x).passed
 
 
+def _kolmogorov_pin_grid(n: int) -> list[float]:
+    """The d of the pinned grid at n: n*d near 1/2, 1, n - 1 and n, n*d^2
+    from 0.02 to 371 and d at 0.3, 1/2 and 3/4, which together reach the
+    Ruben-Gambino ends, the Durbin matrix, Pelz-Good, twice the Smirnov tail
+    and the zero far tail."""
+    ds = [t / n for t in (0.4, 0.75, 1.0, 1.5, n - 1.5, n - 1.0, n - 0.5)]
+    ds += [np.sqrt(c / n) for c in (0.02, 0.1, 0.3, 0.6, 1.0, 1.5, 2.2, 4.0, 10.0, 30.0,
+                                    100.0, 369.0, 371.0)]
+    return [float(d) for d in sorted(set(ds + [0.3, 0.5, 0.75])) if 0.0 < d < 1.0]
+
+
+# sha256 of the little-endian float64 smirnov(n, d) values over
+# _kolmogorov_pin_grid(n), followed by the kolmogorov_sf(n, d) values.
+_KOLMOGOROV_DIGESTS = {
+    3: "06b96152eb0006890565221109b5a4d023e3c879635dba335a41ccc9acbba11a",
+    40: "9f99582164194513fe4455be1683070dfc1eec6442fab5d16ef3c49c52aefd23",
+    140: "e5c5797a444e842bd3780b2edaa600611dc30cb0f199924ea14eec220fda0b17",
+    141: "bef9dca7fd2add165e70f434f663527df57ccd6bbfc51423c568081a6f3f0baa",
+    3000: "f44dcc6112bccb44e47e6b5680cb577036e734c3d2c1b9ae1982fff001f6a430",
+    100_000: "ab292a6a74ba0ec976415a7e8be0eaf8feb75cd0ce9468e69d877f037b02941d",
+    1_000_000: "f326facb68a06c9111bd7e738b830170bea2414c1090ea1214758f460aa41695",
+}
+
+
+class TestKolmogorovPinned:
+    """The KS p-values bit for bit: a moved bit in the Stirling series or any
+    branch shows here, where TestKolmogorov's 1e-10 against scipy cannot
+    see it."""
+
+    @pytest.mark.parametrize("n", list(_KOLMOGOROV_DIGESTS))
+    def test_values_are_bit_identical(self, n):
+        ds = _kolmogorov_pin_grid(n)
+        values = [smirnov(n, d) for d in ds] + [kolmogorov_sf(n, d) for d in ds]
+        digest = hashlib.sha256(np.array(values, dtype="<f8").tobytes()).hexdigest()
+        assert digest == _KOLMOGOROV_DIGESTS[n]
+
+    def test_grid_reaches_every_branch(self, monkeypatch):
+        from dplab import kolmogorov
+
+        seen = Counter()
+        for name in ("_durbin_cdf", "_pelz_good_cdf", "smirnov"):
+            def spy(*args, _f=getattr(kolmogorov, name), _name=name):
+                seen[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(kolmogorov, name, spy)
+        for n in _KOLMOGOROV_DIGESTS:
+            for d in _kolmogorov_pin_grid(n):
+                kolmogorov_sf(n, d)
+                t = n * d
+                seen["ruben_gambino_low"] += n <= 140 and 0.5 < t <= 1.0
+                seen["ruben_gambino_high"] += t >= n - 1
+                seen["far_tail_zero"] += n > 140 and d < 0.5 and t * d >= 370.0
+        assert min(seen.values()) > 0 and len(seen) == 6, seen
+        assert max(_KOLMOGOROV_DIGESTS) == 10**6
+
+
 # sha256 of the little-endian float64 KS statistics of ks_normal_check on
 # four normal samples of size n, drawn in turn from default_rng(4040 + n) with
 # (loc, scale) = (0, 1), (0.05, 1), (0.3, 1) and (0, 4).  The statistic is
