@@ -306,11 +306,16 @@ def _quantile(f: _Fields, config_dir) -> Call:
     u_points = f.read("u_points", [0.25, 0.5, 0.75], _numbers)
     _make(f.sub("u_points"), verify.check_levels, u_points)
     # Every limit covariance is finite once each h(H^-1(u))^2 is positive and
-    # finite; at the quartiles, which every run uses, a failure is the base's.
-    for u in (0.25, 0.5, 0.75):
-        _make(f.sub("base_measure"), limit_quantile_cov, u, u, base)
+    # finite (at the quartiles, which every run uses, a failure is the base's),
+    # and verify.mc_var_se's fourth powers of values within 8 limit SDs of each
+    # variance target v stay finite while 8^4 v^2 does.
+    q1, q2, q3 = (_make(f.sub("base_measure"), limit_quantile_cov, u, u, base)
+                  for u in (0.25, 0.5, 0.75))
+    variances = [q2, q1 + q3 - 2.0 * limit_quantile_cov(0.25, 0.75, base)]
     for i, u in enumerate(u_points):
-        _make(f"{f.sub('u_points')}[{i}]", limit_quantile_cov, u, u, base)
+        variances.append(_make(f"{f.sub('u_points')}[{i}]", limit_quantile_cov, u, u, base))
+    if not all(np.isfinite(8.0**4 * v * v) for v in variances):
+        _fail(f.sub("base_measure"), "too wide: its quantile deviations' fourth powers overflow")
     r = f.read("replications", 10000, _count)
     trunc = _read_truncation(f)
     _make(f.sub("truncation"), verify.check_resolution, trunc)

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .special import polevl
+from .special import stirlerr
 
 # The Durbin matrix powers are rescaled by 2^128 to stay inside float range.
 _SCALE_EXP = 128
@@ -64,26 +64,8 @@ def kolmogorov_sf(n: int, d: float) -> float:
     return float(np.clip(1.0 - cdf, 0.0, 1.0))
 
 
-# Stirling-series corrections log k! - ((k + 1/2) log k - k + log sqrt(2 pi)):
-# exact below 16, five terms of 1/(12k) - 1/(360k^3) + ... from 16 on (Loader
-# 2000), where the first omitted term is below 1e-16.
-_STIRLERR_SMALL = np.array(
-    [0.0]
-    + [math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - math.log(_SQRT2PI) for k in range(1, 16)]
-)
-_STIRLERR_SERIES = (1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
-
 # smirnov sums its terms in runs of this many, so its scratch stays near 3 MiB.
 _SMIRNOV_CHUNK = 1 << 16
-
-
-def _stirlerr(k: np.ndarray) -> np.ndarray:
-    """The Stirling correction of log k! for integer-valued k >= 1."""
-    out = np.asarray(polevl(1.0 / (k * k), _STIRLERR_SERIES))  # an array for 0-d k too
-    out /= k
-    small = k < 16
-    out[small] = _STIRLERR_SMALL[k[small].astype(np.int64)]
-    return out
 
 
 def smirnov(n: int, d: float) -> float:
@@ -104,7 +86,7 @@ def smirnov(n: int, d: float) -> float:
     ``_SMIRNOV_CHUNK``: in the far tail nearly all of them contribute.
     """
     t = n * d
-    s_n = _stirlerr(np.array(float(n)))
+    s_n = stirlerr(float(n))
     jmax = math.ceil(n - t) - 1  # the last j with n - j - t > 0
     total = 0.0
     for lo in range(1, jmax + 1, _SMIRNOV_CHUNK):
@@ -115,8 +97,8 @@ def smirnov(n: int, d: float) -> float:
         u = np.log1p(-t / k)
         u *= k
         terms += u
-        terms -= _stirlerr(j)
-        terms -= _stirlerr(k)
+        terms -= stirlerr(j)
+        terms -= stirlerr(k)
         terms += s_n
         np.exp(terms, out=terms)
         k *= j

@@ -3,9 +3,11 @@
 The Brownian-bridge covariance of the centered-scaled process
 sqrt(a) (P_a - H), the Gaussian limit covariance of the quantile process
 sqrt(a) (P_a^{-1} - H^{-1}), and the exact vs limiting bivariate cell
-densities together with their total-variation gap.  The bivariate integrals
-use one tensor-Simpson quadrature whose box, grid sizes and tolerance are
-the pinned constants HALF_WIDTH, N_START, N_MAX and QUAD_TOL.
+densities together with their total-variation gap.  The exact density is
+written in Stirling form, so its normaliser has no terms of size a log a to
+cancel in floating point.  The bivariate integrals use one tensor-Simpson
+quadrature whose box, grid sizes and tolerance are the pinned constants
+HALF_WIDTH, N_START, N_MAX and QUAD_TOL.
 
 The quadrature evaluates each point of its finest grid once: a refinement
 keeps the coarser grid's values in place and evaluates only the new points,
@@ -23,7 +25,7 @@ import numpy as np
 
 from .dp_core import BaseMeasure, BorelSet, check_concentration
 from .errors import ArgumentError, ParameterError, SingularDensityError
-from .special import gammaln
+from .special import stirlerr
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,9 +136,17 @@ def scaled_bivariate_density(y1, y2, l1: float, l2: float, a: float):
     """Exact joint density of the scaled masses of two disjoint cells,
     (sqrt(a)(P_a(S1) - l1), sqrt(a)(P_a(S2) - l2)).
 
-    This is the Dirichlet(a l1, a l2, a(1 - l1 - l2)) density pushed through
-    the centering-scaling map, evaluated in log space; arguments mapping
-    outside the open simplex have density zero.
+    This is the Dirichlet(a l1, a l2, a l3) density (Ferguson 1973),
+    l3 = 1 - l1 - l2, pushed through the centering-scaling map.  With
+    z_i = y_i/(sqrt(a) l_i), y3 = -(y1 + y2) and s = ``special.stirlerr``,
+    Stirling's form of each Gamma cancels the normaliser's a log a and e^-a
+    terms exactly, as a l1 + a l2 + a l3 = a:
+
+        log f = sum_i (a l_i - 1) log1p(z_i) - log(l1 l2 l3)/2 - log 2 pi
+                + s(a) - s(a l1) - s(a l2) - s(a l3),
+
+    whose rounding is about sqrt(a) 2^-52 relative.  The density is zero
+    outside the open simplex, where some z_i <= -1.
     """
     l1, l2 = _check_cells(l1, l2)
     check_concentration(a)
@@ -144,35 +154,26 @@ def scaled_bivariate_density(y1, y2, l1: float, l2: float, a: float):
     y2 = np.asarray(y2, dtype=float)
     l3 = 1.0 - l1 - l2
     root_a = np.sqrt(a)
-    x1 = y1 / root_a + l1
-    x2 = y2 / root_a + l2
-    log_norm = (
-        gammaln(a)
-        - np.log(a)
-        - gammaln(a * l1)
-        - gammaln(a * l2)
-        - gammaln(a * l3)
-    )
-    # Two buffers of the broadcast shape: x3 then its log term, and log f
-    # then the density.  The x1 and x2 terms are taken on their own
-    # (unbroadcast) operands.  Points outside the simplex (an infinite x1 or
-    # x2 lies outside too) take log 1 and exp 0 and are then set to 0:
-    # numpy's vector log and exp run several times slower on zeros,
-    # negatives and -inf, and no NaN or infinity reaches the sum.
-    x3 = np.add(y1, y2, out=np.empty(np.broadcast_shapes(y1.shape, y2.shape)))
-    x3 /= root_a
-    np.subtract(1.0, x3, out=x3)
-    x3 -= l1
-    x3 -= l2
-    outside = ~((x1 > 0.0) & (x2 > 0.0) & (x3 > 0.0))
-    np.copyto(x3, 1.0, where=outside)
-    log_x1 = np.log(np.where((0.0 < x1) & (x1 < np.inf), x1, 1.0))
-    log_x2 = np.log(np.where((0.0 < x2) & (x2 < np.inf), x2, 1.0))
-    out = np.empty_like(x3)
-    np.add(log_norm + (a * l1 - 1.0) * log_x1, (a * l2 - 1.0) * log_x2, out=out)
-    np.log(x3, out=x3)
-    x3 *= a * l3 - 1.0
-    out += x3
+    s_a, s_1, s_2, s_3 = stirlerr([a, a * l1, a * l2, a * l3])
+    log_norm = float(s_a - s_1 - s_2 - s_3) - 0.5 * np.log(l1 * l2 * l3) - np.log(2.0 * np.pi)
+    z1 = y1 / (root_a * l1)
+    z2 = y2 / (root_a * l2)
+    # Two buffers of the broadcast shape: z3 then its log term, and log f then
+    # the density; the z1 and z2 terms use their own (unbroadcast) operands.
+    # Points outside the simplex (an infinite y1 or y2 too) take log1p 0 and
+    # exp 0, then 0: numpy's vector log1p and exp run about four times slower
+    # on arguments at or below -1 and on -inf, and no NaN or inf reaches the sum.
+    z3 = np.add(y1, y2, out=np.empty(np.broadcast_shapes(y1.shape, y2.shape)))
+    z3 /= -root_a * l3
+    outside = ~((z1 > -1.0) & (z2 > -1.0) & (z3 > -1.0))
+    np.copyto(z3, 0.0, where=outside)
+    log1p_z1 = np.log1p(np.where((-1.0 < z1) & (z1 < np.inf), z1, 0.0))
+    log1p_z2 = np.log1p(np.where((-1.0 < z2) & (z2 < np.inf), z2, 0.0))
+    out = np.empty_like(z3)
+    np.add(log_norm + (a * l1 - 1.0) * log1p_z1, (a * l2 - 1.0) * log1p_z2, out=out)
+    np.log1p(z3, out=z3)
+    z3 *= a * l3 - 1.0
+    out += z3
     np.copyto(out, 0.0, where=outside)
     np.exp(out, out=out)
     np.copyto(out, 0.0, where=outside)

@@ -1,17 +1,16 @@
-"""Three scipy.special functions, ported so that no run loads scipy, and the
-polynomial evaluator of their cephes sources.
-
-Importing scipy.special costs more memory and start-up time than most runs
-take.  Each port evaluates the scipy 1.17 function it stands in for with the
-same operations in the same order: ``ndtr_sorted`` and ``gammaln`` return
-scipy's values bit for bit, and ``expit`` differs from scipy's in the last
-bits of a few values, which moves no Beta-bisection quantile.
+"""Special functions without scipy, whose import costs more memory and
+start-up time than most runs take.
 
 - ``expit``, the logistic function, for the log-space Beta draws;
 - ``ndtr_sorted``, cephes' standard normal cdf ``ndtr``, for the KS checks;
-- ``gammaln``, cephes' ``lgam`` for positive scalars, for the density family;
-- ``polevl``, cephes' Horner rule on a float or an array, for ``ndtr``,
-  ``lgam`` and the Stirling series of ``kolmogorov.smirnov``.
+- ``stirlerr``, log Gamma(x + 1) less its Stirling approximation (Loader
+  2000), for ``kolmogorov.smirnov`` and ``processes.scaled_bivariate_density``;
+- ``polevl``, cephes' Horner rule on a float or an array.
+
+The two ports evaluate scipy 1.17's functions with the same operations in
+the same order: ``ndtr_sorted`` returns scipy's values bit for bit, and
+``expit`` differs in the last bits of a few values, which moves no
+Beta-bisection quantile.
 """
 
 from __future__ import annotations
@@ -20,12 +19,9 @@ import math
 
 import numpy as np
 
-from .errors import ArgumentError
-
-# cephes' constants: M_SQRT1_2, MAXLOG = log(DBL_MAX), log(sqrt(2 pi)).
+# cephes' constants: M_SQRT1_2, MAXLOG = log(DBL_MAX).
 _SQRT1_2 = 7.07106781186547524401e-1
 _MAXLOG = 7.09782712893383996843e2
-_LS2PI = 0.91893853320467274178
 
 
 def polevl(x, coef):
@@ -131,43 +127,19 @@ def ndtr_sorted(a: np.ndarray) -> np.ndarray:
     return out
 
 
-# cephes lgam: x B(x)/C(x) on [2, 3) below 13 (C with p1evl's leading 1
-# written out), Stirling's series from 13 to 1e8, corrected by A (A_FAR from 1000).
-_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
-      -2.77777777730099687205e-3, 8.33333333333331927722e-2)
-_A_FAR = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3, 0.0833333333333333333333)
-_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
-      -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
-_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4,
-      -2.20528590553854454839e5, -1.13933444367982507207e6, -2.53252307177582951285e6,
-      -2.01889141433532773231e6)
-_MAXLGM = 2.556348e305
+# Stirling-series corrections: five terms of 1/(12x) - 1/(360x^3) + ... from
+# 16 on (Loader 2000), where the first omitted term is below 1e-16.
+_STIRLERR_SERIES = (1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+_LOG_SQRT_2PI = math.log(math.sqrt(2 * math.pi))
 
 
-def gammaln(x: float) -> float:
-    """scipy.special.gammaln, log|Gamma(x)|, for a float x > 0: cephes' lgam
-    in its order of operations, with logs by libm (math.log), so the value
-    is scipy's bit for bit."""
-    if not x > 0.0:
-        raise ArgumentError(f"gammaln needs x > 0, got {x!r}")
-    if x < 13.0:
-        # Shift x into [2, 3) by the recurrence, keeping the product in z.
-        z, p, u = 1.0, 0.0, x
-        while u >= 3.0:
-            p -= 1.0
-            u = x + p
-            z *= u
-        while u < 2.0:
-            z /= u
-            p += 1.0
-            u = x + p
-        if u == 2.0:
-            return math.log(z)
-        x = x + (p - 2.0)  # not +=, which would write into a 0-d array argument
-        return math.log(z) + x * polevl(x, _B) / polevl(x, _C)
-    if x > _MAXLGM:
-        return math.inf
-    q = (x - 0.5) * math.log(x) - x + _LS2PI
-    if x > 1.0e8:
-        return q
-    return q + polevl(1.0 / (x * x), _A if x < 1000.0 else _A_FAR) / x
+def stirlerr(x) -> np.ndarray:
+    """s(x) = log Gamma(x + 1) - ((x + 1/2) log x - x + log sqrt(2 pi)) of
+    real x > 0, as a float array (0-d for a scalar): that expression by libm
+    below 16, the series from 16 on."""
+    x = np.asarray(x, dtype=float)
+    out = np.asarray(polevl(1.0 / (x * x), _STIRLERR_SERIES) / x)  # an array for 0-d x too
+    small = x < 16
+    out[small] = [math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _LOG_SQRT_2PI
+                  for k in x[small].tolist()]
+    return out

@@ -4,6 +4,7 @@ import json
 import os
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -585,6 +586,45 @@ class TestCli:
         rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
         self._assert_clean_exit_2(capsys, rc, needle)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "base", [{"label": "normal", "sigma": 1e77}, {"label": "exponential", "rate": 1e-77}],
+        ids=["normal", "exponential"],
+    )
+    def test_quantile_base_too_wide_exits_2(self, tmp_path, capsys, base):
+        """A base so wide that the fourth powers of the variance checks'
+        scaled deviations would overflow (verify.mc_var_se) is a config
+        error, not a run that warns and fails on inf or NaN standard errors."""
+        cfg = {"schema_version": 1, "seed": 1, "experiment": "quantile", "a_values": [100],
+               "replications": 50, "base_measure": base}
+        path = self._write(tmp_path, cfg)
+        needle = "base_measure: too wide"
+        rc = cli_main(["validate", "--config", path])
+        self._assert_clean_exit_2(capsys, rc, needle)
+        rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
+        self._assert_clean_exit_2(capsys, rc, needle)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("a_values", [[1e10, 1e21], [1e30]])
+    def test_density_concentration_beyond_rounding_exits_2(self, tmp_path, capsys, a_values):
+        """Beyond a = 1e20 the exact density's rounding, about sqrt(a) 2^-52
+        relative, would decide the verdict."""
+        cfg = {"schema_version": 1, "seed": 1, "experiment": "density", "a_values": a_values}
+        path = self._write(tmp_path, cfg)
+        needle = f"a_values[{len(a_values) - 1}]: a must be at most 1e+20"
+        rc = cli_main(["validate", "--config", path])
+        self._assert_clean_exit_2(capsys, rc, needle)
+        rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
+        self._assert_clean_exit_2(capsys, rc, needle)
+
+    def test_density_at_large_concentration_passes_without_warnings(self, tmp_path, capsys):
+        cfg = {"schema_version": 1, "seed": 1, "experiment": "density",
+               "a_values": [1e4, 1e8, 1e12, 1e16, 1e20]}
+        path = self._write(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == 0 and "[PASS] density" in capsys.readouterr().out
 
     def test_config_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"

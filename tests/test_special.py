@@ -1,14 +1,15 @@
-"""dplab.special against the scipy.special functions it stands in for."""
+"""dplab.special against the scipy.special functions it stands in for, and
+the Stirling correction."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.special
 
-from dplab import ArgumentError
 from dplab import special
-from dplab.special import expit, gammaln, ndtr_sorted, polevl
+from dplab.special import expit, ndtr_sorted, polevl, stirlerr
 
 SQRT2 = np.sqrt(2.0)
 
@@ -33,7 +34,8 @@ def _p1evl(x, coef):
 class TestPolevl:
     X = np.concatenate([[0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, 1e30, -1e30],
                         np.random.default_rng(1958).normal(0.0, 3.0, 500)])
-    COEFS = [special._T, special._P, special._B, special._A, (0.0,), (2.0, 0.0), (-0.0, 0.0, -3.0)]
+    COEFS = [special._T, special._P, special._R, special._STIRLERR_SERIES, (0.0,), (2.0, 0.0),
+             (-0.0, 0.0, -3.0)]
 
     @pytest.mark.parametrize("coef", COEFS)
     def test_array_is_the_float_evaluation_of_each_element(self, coef):
@@ -42,7 +44,7 @@ class TestPolevl:
         assert all(type(v) is float for v in want)
         assert _bits(polevl(self.X, coef)) == _bits(want)
 
-    @pytest.mark.parametrize("den", [special._U, special._Q, special._S, special._C])
+    @pytest.mark.parametrize("den", [special._U, special._Q, special._S, (1.0, *special._R)])
     def test_leading_one_is_p1evl(self, den):
         assert den[0] == 1.0
         assert _bits(polevl(self.X, den)) == _bits(_p1evl(self.X, den[1:]))
@@ -74,36 +76,26 @@ class TestNdtr:
         np.testing.assert_array_equal(ndtr_sorted(a), scipy.special.ndtr(a))
 
 
-class TestGammaln:
-    def test_bit_for_bit_on_positive_reals(self):
-        """The density family's cell shapes a l at l = 1/3, the edges of lgam's
-        branches (13, 1000, 1e8) with their neighbours, and a log-uniform
-        sweep of (1e-300, 1e9]."""
-        edges = _with_neighbours([1.0, 2.0, 3.0, 13.0, 1000.0, 1e8, 1e9])
-        rng = np.random.default_rng(1973)
-        xs = np.concatenate([
-            [100 / 3, 1000 / 3, 10000 / 3, 1e-300, 5e-324], edges[edges <= 1e9],
-            10.0 ** rng.uniform(-3.0, 9.0, 20_000), rng.uniform(0.0, 15.0, 5_000),
-        ])
-        got = np.array([gammaln(float(x)) for x in xs])
-        np.testing.assert_array_equal(got, scipy.special.gammaln(xs))
+class TestStirlerr:
+    def test_branches_agree_at_sixteen(self):
+        """The series from 16 on against the lgamma expression below it,
+        evaluated at 16: they differ by that expression's rounding (its terms
+        are of size 45 there), not by the series' truncation."""
+        below = math.lgamma(17.0) - 16.5 * math.log(16.0) + 16.0 - math.log(math.sqrt(2 * math.pi))
+        assert abs(float(stirlerr(16.0)) - below) <= 1e-14
+        assert abs(float(stirlerr(np.nextafter(16.0, 0.0))) - below) <= 1e-14
 
-    @pytest.mark.parametrize("x", [2.0, 3.0, 0.3, 5.5, 33.3, 5000.0, 1e9])
-    def test_result_types(self, x):
-        """A float gives a float; a numpy scalar or 0-d array gives a numpy
-        float64, except where lgam returns log(z) alone (x = 2 and 3), and
-        the 0-d array is left as it was."""
-        assert type(gammaln(x)) is float
-        numpy_type = float if x in (2.0, 3.0) else np.float64
-        arg = np.array(x)
-        for got in (gammaln(np.float64(x)), gammaln(arg)):
-            assert type(got) is numpy_type and got == gammaln(x)
-        assert arg == x
+    def test_recurrence(self):
+        """s(x + 1) - s(x) = 1 - (x + 1/2) log1p(1/x), from
+        Gamma(x + 2) = (x + 1) Gamma(x + 1), across both branches."""
+        x = np.concatenate([np.linspace(1.0, 40.0, 391), [1e3, 1e6, 1e12]])
+        step = stirlerr(x + 1.0) - stirlerr(x)
+        np.testing.assert_allclose(step, 1.0 - (x + 0.5) * np.log1p(1.0 / x), rtol=0.0, atol=5e-14)
 
-    def test_rejects_non_positive(self):
-        for bad in (0.0, -1.5, float("nan")):
-            with pytest.raises(ArgumentError):
-                gammaln(bad)
+    @pytest.mark.parametrize("x", [3.0, 30.0, np.float64(30.0), np.array(3.0)])
+    def test_a_scalar_gives_a_0d_float_array(self, x):
+        out = stirlerr(x)
+        assert type(out) is np.ndarray and out.shape == () and out.dtype == np.float64
 
 
 class TestExpit:
