@@ -137,18 +137,20 @@ def _durbin_cdf(n: int, d: float) -> float:
     H[-1, :] = v[::-1]
 
     # H^n by squaring; H is divided by 2^128 whenever its centre exceeds it.
+    # einsum calls no BLAS: OpenBLAS's threaded dgemm can stall at about
+    # 16 ms per product of these small matrices, where einsum takes 2 ms at most.
     power = np.eye(m)
     expnt = 0  # power carries a factor 2^-expnt
     h_expnt = 0  # H carries a factor 2^-h_expnt
     nn = n
     while True:
         if nn % 2:
-            power = power @ H
+            power = np.einsum("ij,jk->ik", power, H)
             expnt += h_expnt
         nn //= 2
         if not nn:
             break
-        H = H @ H
+        H = np.einsum("ij,jk->ik", H, H)
         h_expnt *= 2
         if abs(H[k - 1, k - 1]) > _SCALE:
             H /= _SCALE

@@ -9,15 +9,19 @@ cancel in floating point.  The bivariate integrals use one tensor-Simpson
 quadrature whose box, grid sizes and tolerance are the pinned constants
 HALF_WIDTH, N_START, N_MAX and QUAD_TOL.
 
-The quadrature evaluates each point of its finest grid once: a refinement
-keeps the coarser grid's values in place and evaluates only the new points,
-a block of rows of about _BLOCK_POINTS points per kernel call.  The density
-kernels work elementwise, with the operations and order of the plain array
-expressions, so their values do not depend on the blocking.
+The quadrature evaluates each point of its finest grid once, a block of
+rows of about _BLOCK_POINTS points per kernel call, and keeps no grid: each
+row adds its sums over the Simpson weight classes, and a refinement
+evaluates only the new points.  Its memory does not grow with the grid
+size.  The density kernels work elementwise, with the operations and order
+of the plain array expressions, and the row sums are added exactly rounded,
+so the estimates do not depend on the blocking.  Both integrals refuse a
+concentration whose density is unbounded (check_density_concentration).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -203,31 +207,37 @@ HALF_WIDTH = 8.0
 N_START = 65
 N_MAX = 1025
 QUAD_TOL = 1e-4
+# The largest concentration the bivariate integrals accept.
+MAX_DENSITY_A = 1e20
 
-# Points per density-kernel call: the ladder fills its grids in blocks of
-# rows, so the kernels' temporaries stay small whatever the grid size.
+# Points per density-kernel call: the ladder evaluates its points in blocks
+# of rows, so the kernels' temporaries stay small whatever the grid size.
 _BLOCK_POINTS = 1 << 15
 
 
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
+def _simpson_classes(n: int) -> tuple[np.ndarray, list]:
+    """The Simpson weight class of each of n axis points, 1 at the ends, 4 at
+    odd and 2 at even interior indices, and the (class, index slice) pairs
+    that pick each class out."""
+    cuts = [(1, slice(0, n, n - 1)), (4, slice(1, n, 2)), (2, slice(2, n - 1, 2))]
+    cls = np.empty(n, dtype=int)
+    for c, cut in cuts:
+        cls[cut] = c
+    return cls, cuts
 
 
-def _fill_rows(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x: np.ndarray,
-    y: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Write f(x[:, None], y[None, :]) into ``out``, a block of rows of at
-    most _BLOCK_POINTS points (or one row) per call of f."""
+def _row_sums(f: Callable, x: np.ndarray, x_cls: np.ndarray, y: np.ndarray, cols: list) -> list:
+    """Evaluate f(x[:, None], y[None, :]), a block of rows of at most
+    _BLOCK_POINTS points (or one row) per call of f.  Returns, per block and
+    per (column class, column slice) of ``cols``, the rows' classes, the
+    column class and the rows' sums over that slice."""
     step = max(_BLOCK_POINTS // y.size, 1)
+    parts = []
     for i in range(0, x.size, step):
-        out[i : i + step] = f(x[i : i + step, None], y[None, :])
-    return out
+        vals = f(x[i : i + step, None], y[None, :])
+        # Each row of a column slice is summed alone, pairwise, whatever the block.
+        parts += [(x_cls[i : i + step], c, vals[:, cut].sum(axis=1)) for c, cut in cols]
+    return parts
 
 
 def _refine_simpson_2d(
@@ -239,35 +249,56 @@ def _refine_simpson_2d(
     settles within QUAD_TOL (or N_MAX is reached, reported as not
     converged).
 
-    Each point is evaluated once: the n-point grid is the even-index
-    subgrid of the (2n - 1)-point one (``linspace`` gives it bit for bit),
-    so a refinement keeps the previous values in place and calls f only on
-    the odd rows and on the even rows' odd columns.  f fills the grid in
-    blocks of rows (``_fill_rows``), the new points after the old grid has
-    been copied into the new one and freed.
+    No grid is kept, only row sums: each row of new points gives its sums
+    over the column classes, and the estimate is ``math.fsum`` of each sum
+    times its row and column weights, powers of two, so it is exactly
+    rounded over the row sums whatever their order or the blocking.  The
+    n-point grid is the even-index subgrid of the (2n - 1)-point one
+    (``linspace`` gives it bit for bit), so a refinement calls f only on
+    the odd rows and on the even rows' odd columns, and the old points all
+    become ends or even interior points, whose weights stay fixed.
     """
     n = N_START
     x = np.linspace(xbox[0], xbox[1], n)
     y = np.linspace(ybox[0], ybox[1], n)
-    vals = _fill_rows(f, x, y, np.empty((n, n)))
+    cls, cuts = _simpson_classes(n)
+    parts = _row_sums(f, x, cls, y, cuts)
+    settled = []  # the older points' sums, times their final weights
     prev = None
     while True:
-        wx = _simpson_weights(n, x[1] - x[0])
-        wy = _simpson_weights(n, y[1] - y[0])
-        est = float(wx @ vals @ wy)
+        total = math.fsum(settled + np.concatenate([s * (r * c) for r, c, s in parts]).tolist())
+        est = float(total * ((x[1] - x[0]) / 3.0) * ((y[1] - y[0]) / 3.0))
         if prev is not None and abs(est - prev) < QUAD_TOL:
             return TvEstimate(est, abs(est - prev), True)
         if 2 * n - 1 > N_MAX:
             return TvEstimate(est, abs(est - prev) if prev is not None else QUAD_TOL, False)
         prev = est
+        # min(class, 2): a point of odd index (class 4) has even index now.
+        settled += np.concatenate(
+            [s * (np.minimum(r, 2) * min(c, 2)) for r, c, s in parts]
+        ).tolist()
         n = 2 * n - 1
         x = np.linspace(xbox[0], xbox[1], n)
         y = np.linspace(ybox[0], ybox[1], n)
-        fine = np.empty((n, n))
-        fine[::2, ::2] = vals
-        vals = fine
-        _fill_rows(f, x[1::2], y, vals[1::2])
-        _fill_rows(f, x[::2], y[1::2], vals[::2, 1::2])
+        cls, cuts = _simpson_classes(n)
+        parts = _row_sums(f, x[1::2], cls[1::2], y, cuts)
+        parts += _row_sums(f, x[::2], cls[::2], y[1::2], [(4, slice(None))])
+
+
+def check_density_concentration(l1: float, l2: float, a: float) -> None:
+    """The bivariate integrals need a * l > 1 for each cell measure l of
+    (l1, l2, 1 - l1 - l2): at a * l <= 1 the exact density is unbounded at
+    that cell's edge, where the tensor-Simpson quadrature cannot integrate it.
+    And a <= MAX_DENSITY_A: the exact density's rounding error grows as
+    sqrt(a) 2^-52 relative, 2e-6 at 1e20; at 1e30 the quadrature stops
+    unconverged, and by 1e100 exp overflows."""
+    smallest = a * min(l1, l2, 1.0 - l1 - l2)
+    if not smallest > 1.0:
+        raise ArgumentError(f"a * min(l1, l2, 1 - l1 - l2) must exceed 1, got {smallest:g} at"
+                            f" a = {a:g}: the exact density is unbounded at a cell edge")
+    if not a <= MAX_DENSITY_A:
+        raise ArgumentError(f"a must be at most {MAX_DENSITY_A:g}, got {a:g}: the exact"
+                            " density's relative rounding grows as sqrt(a) 2^-52")
 
 
 def _support_box(l1: float, l2: float, a: float):
@@ -284,6 +315,7 @@ def tv_distance_bivariate(l1: float, l2: float, a: float) -> TvEstimate:
     Returns the estimate together with the refinement-based error bound.
     """
     spec = BivariateGaussianSpec.from_cell_measures(l1, l2)  # checks the cells
+    check_density_concentration(l1, l2, a)
     xbox, ybox = _support_box(l1, l2, a)
 
     def gap(x, y):
@@ -301,5 +333,6 @@ def bivariate_density_integral(l1: float, l2: float, a: float) -> TvEstimate:
     """Quadrature of the exact scaled density over its (boxed) support;
     should be 1 up to quadrature error plus truncated tail mass."""
     l1, l2 = _check_cells(l1, l2)
+    check_density_concentration(l1, l2, a)
     xbox, ybox = _support_box(l1, l2, a)
     return _refine_simpson_2d(lambda x, y: scaled_bivariate_density(x, y, l1, l2, a), xbox, ybox)

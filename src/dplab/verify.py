@@ -53,6 +53,7 @@ from .processes import (
     BivariateGaussianSpec,
     Grid,
     TvEstimate,
+    check_density_concentration,
     limit_bivariate_density,
     scaled_bivariate_density,
     tv_distance_bivariate,
@@ -81,9 +82,8 @@ GC_RATE_WINDOW = (-0.6, -0.4)
 # concentration to the next, and the exact density's integral sit from one.
 DENSITY_SLACK = 1e-3
 
-# The density family's pointwise-gap grid, per axis, and its largest a.
+# The density family's pointwise-gap grid, per axis.
 DENSITY_GRID = Grid(np.linspace(-2.5, 2.5, 11))
-MAX_DENSITY_A = 1e20
 
 # Smallest scratch, in doubles, that replication 0 of a map_replications loop
 # must have filled for the rest to fan out.  A stick-breaking replication's
@@ -249,22 +249,6 @@ def check_a_values(a_values: Sequence[float], min_count: int = 1) -> np.ndarray:
             f"a_values must be finite, positive, strictly increasing, at least {min_count} of them"
         )
     return a_values
-
-
-def check_density_concentration(l1: float, l2: float, a: float) -> None:
-    """The density family needs a * l > 1 for each cell measure l of
-    (l1, l2, 1 - l1 - l2): at a * l <= 1 the exact density is unbounded at
-    that cell's edge, where the tensor-Simpson quadrature cannot integrate it.
-    And a <= MAX_DENSITY_A: the exact density's rounding error grows as
-    sqrt(a) 2^-52 relative, 2e-6 at 1e20; at 1e30 the quadrature stops
-    unconverged, and by 1e100 exp overflows."""
-    smallest = a * min(l1, l2, 1.0 - l1 - l2)
-    if not smallest > 1.0:
-        raise ArgumentError(f"a * min(l1, l2, 1 - l1 - l2) must exceed 1, got {smallest:g} at"
-                            f" a = {a:g}: the exact density is unbounded at a cell edge")
-    if not a <= MAX_DENSITY_A:
-        raise ArgumentError(f"a must be at most {MAX_DENSITY_A:g}, got {a:g}: the exact"
-                            " density's relative rounding grows as sqrt(a) 2^-52")
 
 
 def check_levels(u_points: Sequence[float]) -> list[float]:

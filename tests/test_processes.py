@@ -256,10 +256,11 @@ class TestTvDistance:
 # sha256 of the density family's numerics as little-endian float64.  The
 # limit densities were recorded from the implementation that evaluated the
 # whole Simpson grid at every refinement level and built each density from
-# fresh temporaries; the exact densities and the quadratures from the
-# Stirling-form kernel.  A quadrature result is hashed as (value, quad_error,
-# converged); a density as its values.  Any change to the grids, the
-# refinement or the arithmetic changes them.
+# fresh temporaries; the exact densities from the Stirling-form kernel; the
+# quadratures from that kernel and the ladder of exactly summed row sums.
+# A quadrature result is hashed as (value, quad_error, converged); a density
+# as its values.  Any change to the grids, the refinement or the arithmetic
+# changes them.
 _DENSITY_CELLS = {
     "third": (THIRD, THIRD),
     "small": (0.1, 0.2),
@@ -270,55 +271,45 @@ _DENSITY_A = (2.0, 10.0, 1e2, 1e3, 1e4, 1e5)
 _DENSITY_GRID = np.linspace(-4.0, 4.0, 41)
 _SIMPLEX_EXITS = (np.array([-5.0, 3.0, 0.0, 0.2]), np.array([0.0, 3.0, -5.0, 0.1]))
 _QUAD_DIGESTS = {
-    ("tv", "third", 2.0): "0c4fb7f65556c20347386cf640a6d18512db74760f9fb471f63d0cfa7361ab7b",
-    ("tv", "third", 10.0): "290335b1a57c621a7a349c0dfac861ce38d4a686273042958220e6ddcc56e6f9",
-    ("tv", "third", 100.0): "c0d72e654797ab8ec3d44eb735baeab111873a6c457795c901f0317ad9b90b5a",
-    ("tv", "third", 1000.0): "f98be5488472654b0236f9b332c4b899a0c972cbe5eb992f011639568b3b07ba",
-    ("tv", "third", 10000.0): "63176711dbeca8b28634f2b0652d18ea478474c58c87a4817d7157dcee8faba1",
-    ("tv", "third", 100000.0): "962a0c292ebc8f9e52b3db52803b8d4d70dc4d1fe00a21c994d80b42f9220383",
-    ("tv", "small", 2.0): "783852930ce293ddd52c2cdadbe232165066f99dfe529f01b000945082361047",
-    ("tv", "small", 10.0): "fdf7429740c569ba360496d516a289473f2d3ae972acd1c37c9bb99734186ebb",
+    ("tv", "third", 10.0): "a72ad34e90e294a67285faa2acc47727e3fe7b3c0c89ddce0a805525c0f6fd2a",
+    ("tv", "third", 100.0): "8c6d67bb7c204a8123a1cb264206399983d8c39d4692ded8c2c15c1c19e9df6e",
+    ("tv", "third", 1000.0): "50e48a0302f8c39ba6e2be7bcd76c34922bcfac0774b18490b8d2b99d3ce16ff",
+    ("tv", "third", 10000.0): "89f723c19484c9503c32ed097b898de86f5bc09ff33932a9a7574ed057417175",
+    ("tv", "third", 100000.0): "4689d0e40689ff0c528cc7521c304e52a515a29e2c7edb205df21ebc2442a349",
     ("tv", "small", 100.0): "ef162deab8845aa0286442f1d273138591a1e7f9919c9a8eb7b138002d693412",
-    ("tv", "small", 1000.0): "de9524e172f44fdb5f196a102599334484d0057ddfb77c53db1db3c463e2ba7d",
-    ("tv", "small", 10000.0): "778a96f9be32b4b0952242f326d41cb562804ebe48c6436807e8e69b4196b0ea",
-    ("tv", "small", 100000.0): "e713d11f31778873018173987ecd0d1b3975a8c43bad99a3d48e2d4b06e3d16d",
-    ("tv", "wide", 2.0): "f05b7878959ae662c763eee83c3965d9734098fcba2da043b9741b05d47a0ede",
-    ("tv", "wide", 10.0): "16d8648ef7f0481f721df04c55b7fb29bfd7992a8f54fdcd179634a85e7f781a",
-    ("tv", "wide", 100.0): "1dfe9f87ee0829b7e8aba00262ee98a93a096107d47e5815adec9378d401be76",
+    ("tv", "small", 1000.0): "cb986b885d8c301a81224fe3c9ae299a2619fc7029c4d240187e82ba3975df84",
+    ("tv", "small", 10000.0): "be089b9ae96ecc18add35a67f4cf4724982e5bc04d7ae8c2d11dd47544900038",
+    ("tv", "small", 100000.0): "c6aee98ae5473e341b356f760132a9de3c3facf55fae682beba01c2693a746c7",
+    ("tv", "wide", 100.0): "18ecb306999682621839ef1849b30ddf8fb5de28f70d2a0db75037e7a6e35561",
     ("tv", "wide", 1000.0): "25f0a7a61934bc7e9023c9275c1cf39f8cadb069778fbfd27d354f2904ffd813",
     ("tv", "wide", 10000.0): "de169dadc968465399bfe71b60235dbac753e2302074e4409a7fc55d9fc495e5",
     ("tv", "wide", 100000.0): "9092b0758b16b16dfb205c00b243eaad0aed84ab6f4faf43a55e3101cdb479c6",
-    ("tv", "edge", 2.0): "b4316700f5fa63fc0603698c2c475610f14261c52f887cab5648ea8e6bf46d2f",
-    ("tv", "edge", 10.0): "85a35ea37af542f3e60a7a02be43e0806d98c6385802315f139cbfdd6b5e0ef9",
     ("tv", "edge", 100.0): "7fe0657c282b8c1d59d68ac718f11f62780d00f4b123187df4708a3857fccf52",
-    ("tv", "edge", 1000.0): "1b4fe68ebd486db021f8c8aa39fbb3a2bfaef9b95e3cf310531cc8908a3efc8b",
-    ("tv", "edge", 10000.0): "75300d112a691b4181ca3a76d484ea1fb27d14e33c04daf338eedbe916468f8d",
+    ("tv", "edge", 1000.0): "fafe6932fca176ce70a35a863b58ca8c805f44bc5c2ba200dfd1b2ef0476cdc2",
+    ("tv", "edge", 10000.0): "075fab40b7fd310555314a24d86f14b076a54d7f3b0c4ef2a8193bf1f1781daa",
     ("tv", "edge", 100000.0): "7f6b6f8fe506fccad0d15aee50dd8f23340ee289823fc1981918bfb831dc0ba5",
-    ("integral", "third", 2.0): "164a4db1830dd7925a5201f441eee85fa9f061ba4cb26318d39200dda2ed9c50",
-    ("integral", "third", 10.0): "39847c83b661c42bc521d62822895be8962e4789495477233bd60afa534f465b",
-    ("integral", "third", 100.0): "99ee0d41245d92c62338d870d91c949c9351aca1c71277269997a8e82bba3c2f",
+    ("integral", "third", 10.0): "b74ae1972419fe14a836f9809f115c0825b0ee15fc38f53331222715777967a3",
+    ("integral", "third", 100.0): "33ddeb6ecc382e3688ad46e224537950932fce10b3d3fb6f447cc568af6ffdfd",
     ("integral", "third", 1000.0): "0e32639c4ed2f4d955c3d181f1aced180260ef5432dbed5e7e9c977948c1d421",
-    ("integral", "third", 10000.0): "bb772e6ccb56f5699a795f59fd73867d4e980fb65bdffb94061579793257801b",
+    ("integral", "third", 10000.0): "872f9bb1e77672847c3012a277df748e60e78af22ca4d14d2e3db24c54fa4764",
     ("integral", "third", 100000.0): "ce922333faa1f0074c28200971e1846f8fa4dd8ccb72098edbb28124eb4d3596",
-    ("integral", "small", 2.0): "598ddfb37cd3f0c9601b615bf6a944b0c3bba9b0cb7cb4dbbe759c7fffdf25ce",
-    ("integral", "small", 10.0): "2e719bcd6dbfebeac75207fad586784c8799f48d65f9248657bd9cfa775ba2c3",
-    ("integral", "small", 100.0): "020255927216c3c58b53f426af6cc9aba88def75a588db7c2795f8f0b476af21",
-    ("integral", "small", 1000.0): "118f71b4bb489ed9784bc5975dc6fd0d7912ee7bd2a954c3d797b91406711e03",
-    ("integral", "small", 10000.0): "b67cb59f64e543d5e063397867d3f10305d8d94443fa05c9f64432a11638dd13",
-    ("integral", "small", 100000.0): "ada8b9633503ba3d1f2e6aece476680e80c50723ee582772f7c78d098c3d8cff",
-    ("integral", "wide", 2.0): "c79f5146cc2a6486bb95c087afc7639baa461e0e980064009ddcef5000ada5bd",
-    ("integral", "wide", 10.0): "8aa93a53d3b5fec03cca7df3fba814ea8fe5a4e8c747ae4972c03fbf49755353",
+    ("integral", "small", 100.0): "eb6f4a0592c1cb7c8b5497046b564006f81a1cee35789264bd3b17528d7b574b",
+    ("integral", "small", 1000.0): "a5031932f3feca1bf5cdf61760e848231c085ff65f9e1aae408dc5c67e82bddf",
+    ("integral", "small", 10000.0): "d5a8cbcb3032568f4216628cfb01e087cfbb5d843ddeda436f74d6e6423d2299",
+    ("integral", "small", 100000.0): "f767380da21c837c8ce8e43e7817029b618b7fb8b6a79fade62568f42212f771",
     ("integral", "wide", 100.0): "068575819d907b8505494fc83607e0c91256ce7ab1c06bbc34708eb34542b962",
-    ("integral", "wide", 1000.0): "f84df83d08398210535a3b9bd3d410bc21ac76ad1130a980828f6a4900a680d5",
+    ("integral", "wide", 1000.0): "0c62ddbc808d124d05d7d2429ed43c3bf0c8614e3b09c6086c6a9f1feca1bf6e",
     ("integral", "wide", 10000.0): "97182437fc51d5414f758ce716ee7822489ebd1a667205d1c58cb7857c082591",
-    ("integral", "wide", 100000.0): "e4db4021d54e5ed06320b6daeaffb57d5523ce965a0f41ad728904b248918258",
-    ("integral", "edge", 2.0): "29fe8bc16bcd8ed6c905747fe36ca1e1c1c135dba2823a5da1450eda797ddecc",
-    ("integral", "edge", 10.0): "9a316ca160335f424e8e8fbd83fb97f1c8c6f1ce843fe704c77c8219ac0d5b43",
-    ("integral", "edge", 100.0): "42066c4a31831460c28c54a8536c79058dd3bca9df7c85ac216fda383c31bb7c",
+    ("integral", "wide", 100000.0): "44a2ebd9234068f7108a27cf98d2f345af738bac25e9a5105fb874f46beffba9",
+    ("integral", "edge", 100.0): "e0ab99a2c5cac52b7150d77fdb4646c41f299255e60e4de1198db0c75ec772ee",
     ("integral", "edge", 1000.0): "d27008ae0d2f5bc1e9657022030f9e95e27ca3e96adeafb8db3cdf30e898a2fa",
     ("integral", "edge", 10000.0): "30aad117dec66f485abceb689140ad17ba68572882a597ccd4bdd289e4074899",
-    ("integral", "edge", 100000.0): "13bdfe89d4ca0524c2b55efdbce6bd443aab38b0c39848009c41a089185f60a3",
+    ("integral", "edge", 100000.0): "c4b52620703ef1b62b8fb517230676b086d1201381d419badd221c4a473bc131",
 }
+# The (cells, a) of _DENSITY_CELLS x _DENSITY_A with a * min(l1, l2, l3) <= 1,
+# where the exact density is unbounded and both quadratures refuse.
+_UNBOUNDED = [("third", 2.0), ("small", 2.0), ("small", 10.0), ("wide", 2.0), ("wide", 10.0),
+              ("edge", 2.0), ("edge", 10.0)]
 _DENSITY_DIGESTS = {
     ("exact", "third", "grid", 2.0): "63e483f2335af3fa14e43d0c9cc1dbabcca18def16893d7b3ab25051ad52b43c",
     ("exact", "third", "grid", 100.0): "bcaf392dae58c110dda082eb53f473083cf8f26f4806643c9fa933fe8738b0b8",
@@ -370,7 +361,7 @@ _DENSITY_DIGESTS = {
     ("limit", "edge", "exits", 0.0): "9e90dba7a594a9f0c4fc38124cb68cc29cb18765778e856cce536b3a2c8d286d",
 }
 # tv_distance_bivariate(1/3, 1/3, 10^3) with QUAD_TOL at 1e-9: stopped by N_MAX.
-_N_MAX_DIGEST = "7e8c39dc167859f4463fba67615f09846b650e97823983e947524e8f79633b2f"
+_N_MAX_DIGEST = "cb39c92bc4faed1d591c1ab111e222076bd5fb9c7d7401245857192cf51d2a77"
 
 
 def _digest(*values) -> str:
@@ -403,6 +394,14 @@ class TestDensityNumericsPinned:
         quad = {"tv": tv_distance_bivariate, "integral": bivariate_density_integral}[fn]
         assert _quad_digest(quad(*_DENSITY_CELLS[cells], a)) == _QUAD_DIGESTS[key]
 
+    @pytest.mark.parametrize("cells, a", _UNBOUNDED)
+    @pytest.mark.parametrize(
+        "quad", [tv_distance_bivariate, bivariate_density_integral], ids=["tv", "integral"]
+    )
+    def test_unbounded_density_is_refused(self, quad, cells, a):
+        with pytest.raises(ArgumentError, match="must exceed 1"):
+            quad(*_DENSITY_CELLS[cells], a)
+
     def test_n_max_stop_is_bit_identical(self, monkeypatch):
         monkeypatch.setattr(processes, "QUAD_TOL", 1e-9)
         tv = tv_distance_bivariate(THIRD, THIRD, 1e3)
@@ -414,15 +413,23 @@ class TestDensityNumericsPinned:
         assert _digest(_density_values(*key)) == _DENSITY_DIGESTS[key]
 
 
+def _simpson_weights(n: int, h: float) -> np.ndarray:
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (h / 3.0)
+
+
 def _full_grid_ladder(f, xbox, ybox):
-    """Reference ladder: every refinement level evaluates its whole grid."""
+    """Reference ladder: every refinement level evaluates its whole grid and
+    sums it as one BLAS product."""
     n, prev = processes.N_START, None
     while True:
         x = np.linspace(xbox[0], xbox[1], n)
         y = np.linspace(ybox[0], ybox[1], n)
         vals = f(x[:, None], y[None, :])
-        wx = processes._simpson_weights(n, x[1] - x[0])
-        wy = processes._simpson_weights(n, y[1] - y[0])
+        wx = _simpson_weights(n, x[1] - x[0])
+        wy = _simpson_weights(n, y[1] - y[0])
         est = float(wx @ vals @ wy)
         settled = prev is not None and abs(est - prev) < processes.QUAD_TOL
         if settled or 2 * n - 1 > processes.N_MAX:
@@ -465,7 +472,9 @@ class TestSimpsonLadder:
         stride = (processes.N_MAX - 1) // (n_final - 1)
         assert counts.sum() == n_final**2
         assert np.all(counts[::stride, ::stride] == 1)
-        assert est.value == _full_grid_ladder(density, xbox, ybox)
+        # The ladder's sum is exactly rounded over its row sums; the BLAS
+        # product's rounding differs from it by an ulp or two.
+        assert est.value == pytest.approx(_full_grid_ladder(density, xbox, ybox), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("cells", ["third", "small", "wide", "edge"])
     @pytest.mark.parametrize("a", [2.0, 10.0, 1e2, 1e3, 1e4, 1e5])
@@ -488,7 +497,8 @@ _BOUNDARY_DIGEST = "9f82268084f56879bd209ae14bd05a6f39bef97915e14417c43364468b9b
 
 
 class TestRowBlocks:
-    """The ladder fills its grids a block of rows per kernel call."""
+    """The ladder evaluates its points a block of rows per kernel call and
+    keeps only their row sums."""
 
     @pytest.mark.parametrize(
         "block", [1, processes._BLOCK_POINTS, 1 << 30], ids=["one_row", "default", "whole_grid"]
@@ -500,6 +510,20 @@ class TestRowBlocks:
             assert _quad_digest(quad(*_DENSITY_CELLS[cells], a)) == digest, (fn, cells, a)
         monkeypatch.setattr(processes, "QUAD_TOL", 1e-9)
         assert _quad_digest(tv_distance_bivariate(THIRD, THIRD, 1e3)) == _N_MAX_DIGEST
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        """At a l = 1.5 the ladder stops at N_MAX, where the whole grid alone
+        is 8 MiB: the peak is the kernels' block temporaries and the row sums."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            est = tv_distance_bivariate(THIRD, THIRD, 4.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not est.converged
+        assert peak <= 1.5 * 2**20
 
     def test_no_kernel_call_exceeds_the_block(self, monkeypatch):
         """A default density-family run calls each kernel on at most

@@ -197,7 +197,7 @@ def _kolmogorov_pin_grid(n: int) -> list[float]:
 _KOLMOGOROV_DIGESTS = {
     3: "06b96152eb0006890565221109b5a4d023e3c879635dba335a41ccc9acbba11a",
     40: "9f99582164194513fe4455be1683070dfc1eec6442fab5d16ef3c49c52aefd23",
-    140: "e5c5797a444e842bd3780b2edaa600611dc30cb0f199924ea14eec220fda0b17",
+    140: "1dc85dfe694b1b596f198f1f8dd4d039a1df32927ae5f4f6e4d9e24820bc5418",
     141: "bef9dca7fd2add165e70f434f663527df57ccd6bbfc51423c568081a6f3f0baa",
     3000: "f44dcc6112bccb44e47e6b5680cb577036e734c3d2c1b9ae1982fff001f6a430",
     100_000: "ab292a6a74ba0ec976415a7e8be0eaf8feb75cd0ce9468e69d877f037b02941d",
