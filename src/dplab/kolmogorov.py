@@ -32,6 +32,9 @@ _SCALE_EXP = 128
 _SCALE = 2.0**_SCALE_EXP
 
 _SQRT2PI = math.sqrt(2 * math.pi)
+# log 2 as fdlibm splits it: q * _LN2_HI is exact for q < 2^20.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 _MIN_LOG = -708
 
 
@@ -156,13 +159,13 @@ def _durbin_cdf(n: int, d: float) -> float:
             H /= _SCALE
             h_expnt += _SCALE_EXP
 
-    p = float(power[k - 1, k - 1])
-    for i in range(1, n + 1):  # times n!/n^n
-        p = i * p / n
-        if abs(p) < 1.0 / _SCALE:
-            p *= _SCALE
-            expnt -= _SCALE_EXP
-    return math.ldexp(p, expnt)
+    # Times n!/n^n = sqrt(2 pi n) e^(s(n) - n) (Stirling), which underflows
+    # from n = 746 on: e^-n = 2^-q e^-r with n = q log 2 + r, the product
+    # q log 2 split in two (as in fdlibm's exp), so no digit of n is lost.
+    q = round(n / math.log(2))
+    r = (n - q * _LN2_HI) - q * _LN2_LO
+    fac = math.exp(float(stirlerr(float(n))) - r) * (_SQRT2PI * math.sqrt(n))
+    return math.ldexp(float(power[k - 1, k - 1]) * fac, expnt - q)
 
 
 def _pelz_good_cdf(n: int, d: float) -> float:

@@ -10,18 +10,18 @@ quadrature whose box, grid sizes and tolerance are the pinned constants
 HALF_WIDTH, N_START, N_MAX and QUAD_TOL.
 
 The quadrature evaluates each point of its finest grid once, a block of
-rows of about _BLOCK_POINTS points per kernel call, and keeps no grid: each
-row adds its sums over the Simpson weight classes, and a refinement
-evaluates only the new points.  Its memory does not grow with the grid
-size.  The density kernels work elementwise, with the operations and order
-of the plain array expressions, and the row sums are added exactly rounded,
-so the estimates do not depend on the blocking.  Both integrals refuse a
-concentration whose density is unbounded (check_density_concentration).
+rows of about _BLOCK_POINTS points per kernel call, and keeps no grid, only
+a table of each row's sums over the three Simpson weight classes; a
+refinement evaluates only the new points.  Its memory does not grow with
+the grid size.  The density kernels work elementwise, with the operations
+and order of the plain array expressions, each row is summed alone, and the
+table is added in a fixed order, so the estimates do not depend on the
+blocking.  Both integrals refuse a concentration whose density is unbounded
+(check_density_concentration).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -215,29 +215,24 @@ MAX_DENSITY_A = 1e20
 _BLOCK_POINTS = 1 << 15
 
 
-def _simpson_classes(n: int) -> tuple[np.ndarray, list]:
-    """The Simpson weight class of each of n axis points, 1 at the ends, 4 at
-    odd and 2 at even interior indices, and the (class, index slice) pairs
-    that pick each class out."""
-    cuts = [(1, slice(0, n, n - 1)), (4, slice(1, n, 2)), (2, slice(2, n - 1, 2))]
-    cls = np.empty(n, dtype=int)
-    for c, cut in cuts:
-        cls[cut] = c
-    return cls, cuts
+def _simpson_cuts(n: int) -> tuple:
+    """The slices of the end, odd and even interior points of an n-point
+    axis, whose Simpson weights are 1, 4 and 2."""
+    return slice(0, n, n - 1), slice(1, n, 2), slice(2, n - 1, 2)
 
 
-def _row_sums(f: Callable, x: np.ndarray, x_cls: np.ndarray, y: np.ndarray, cols: list) -> list:
+def _row_sums(f: Callable, x: np.ndarray, y: np.ndarray, cuts: tuple) -> np.ndarray:
     """Evaluate f(x[:, None], y[None, :]), a block of rows of at most
-    _BLOCK_POINTS points (or one row) per call of f.  Returns, per block and
-    per (column class, column slice) of ``cols``, the rows' classes, the
-    column class and the rows' sums over that slice."""
+    _BLOCK_POINTS points (or one row) per call of f.  Returns the table of
+    each row's sums over the column slices ``cuts``, one column per slice."""
     step = max(_BLOCK_POINTS // y.size, 1)
-    parts = []
+    sums = np.empty((x.size, len(cuts)))
     for i in range(0, x.size, step):
         vals = f(x[i : i + step, None], y[None, :])
         # Each row of a column slice is summed alone, pairwise, whatever the block.
-        parts += [(x_cls[i : i + step], c, vals[:, cut].sum(axis=1)) for c, cut in cols]
-    return parts
+        for j, cut in enumerate(cuts):
+            sums[i : i + step, j] = vals[:, cut].sum(axis=1)
+    return sums
 
 
 def _refine_simpson_2d(
@@ -249,40 +244,37 @@ def _refine_simpson_2d(
     settles within QUAD_TOL (or N_MAX is reached, reported as not
     converged).
 
-    No grid is kept, only row sums: each row of new points gives its sums
-    over the column classes, and the estimate is ``math.fsum`` of each sum
-    times its row and column weights, powers of two, so it is exactly
-    rounded over the row sums whatever their order or the blocking.  The
-    n-point grid is the even-index subgrid of the (2n - 1)-point one
-    (``linspace`` gives it bit for bit), so a refinement calls f only on
-    the odd rows and on the even rows' odd columns, and the old points all
-    become ends or even interior points, whose weights stay fixed.
+    No grid is kept, only the (n, 3) table of each row's sums over its end,
+    odd and even interior columns (``_simpson_cuts``).  The estimate weights
+    the table's columns, then its rows, the same way, in numpy sums of a
+    fixed order that does not depend on the blocking.  The n-point grid is
+    the even-index subgrid of the (2n - 1)-point one (``linspace`` gives it
+    bit for bit), so a refinement calls f only on the odd rows and on the
+    even rows' odd columns: an old row keeps its end sum, and its odd and
+    even interior sums add up to its new even interior sum.
     """
     n = N_START
     x = np.linspace(xbox[0], xbox[1], n)
     y = np.linspace(ybox[0], ybox[1], n)
-    cls, cuts = _simpson_classes(n)
-    parts = _row_sums(f, x, cls, y, cuts)
-    settled = []  # the older points' sums, times their final weights
+    s = _row_sums(f, x, y, _simpson_cuts(n))
     prev = None
     while True:
-        total = math.fsum(settled + np.concatenate([s * (r * c) for r, c, s in parts]).tolist())
+        v = s[:, 0] + 4.0 * s[:, 1] + 2.0 * s[:, 2]
+        total = (v[0] + v[-1]) + 4.0 * v[1::2].sum() + 2.0 * v[2:-1:2].sum()
         est = float(total * ((x[1] - x[0]) / 3.0) * ((y[1] - y[0]) / 3.0))
         if prev is not None and abs(est - prev) < QUAD_TOL:
             return TvEstimate(est, abs(est - prev), True)
         if 2 * n - 1 > N_MAX:
             return TvEstimate(est, abs(est - prev) if prev is not None else QUAD_TOL, False)
         prev = est
-        # min(class, 2): a point of odd index (class 4) has even index now.
-        settled += np.concatenate(
-            [s * (np.minimum(r, 2) * min(c, 2)) for r, c, s in parts]
-        ).tolist()
         n = 2 * n - 1
         x = np.linspace(xbox[0], xbox[1], n)
         y = np.linspace(ybox[0], ybox[1], n)
-        cls, cuts = _simpson_classes(n)
-        parts = _row_sums(f, x[1::2], cls[1::2], y, cuts)
-        parts += _row_sums(f, x[::2], cls[::2], y[1::2], [(4, slice(None))])
+        old, s = s, np.empty((n, 3))
+        s[1::2] = _row_sums(f, x[1::2], y, _simpson_cuts(n))
+        s[::2, 0] = old[:, 0]
+        s[::2, 1] = _row_sums(f, x[::2], y[1::2], (slice(None),))[:, 0]
+        s[::2, 2] = old[:, 1] + old[:, 2]
 
 
 def check_density_concentration(l1: float, l2: float, a: float) -> None:

@@ -246,6 +246,15 @@ class TestTvDistance:
         tv = tv_distance_bivariate(THIRD, THIRD, 1e3)
         assert not tv.converged and tv.quad_error > processes.QUAD_TOL
 
+    @pytest.mark.parametrize("a", [1e3, 4.5], ids=["converged", "n_max_stopped"])
+    @pytest.mark.parametrize(
+        "quad", [tv_distance_bivariate, bivariate_density_integral], ids=["tv", "integral"]
+    )
+    def test_results_are_python_floats(self, quad, a):
+        est = quad(THIRD, THIRD, a)
+        assert est.converged == (a == 1e3)
+        assert type(est.value) is float and type(est.quad_error) is float
+
     @pytest.mark.parametrize("a", [1e2, 1e3, 1e4])
     def test_bounded_by_one(self, a):
         est = tv_distance_bivariate(THIRD, THIRD, a)
@@ -257,7 +266,8 @@ class TestTvDistance:
 # limit densities were recorded from the implementation that evaluated the
 # whole Simpson grid at every refinement level and built each density from
 # fresh temporaries; the exact densities from the Stirling-form kernel; the
-# quadratures from that kernel and the ladder of exactly summed row sums.
+# quadratures from that kernel and the ladder's table of row sums, added in
+# a fixed order.
 # A quadrature result is hashed as (value, quad_error, converged); a density
 # as its values.  Any change to the grids, the refinement or the arithmetic
 # changes them.
@@ -271,39 +281,39 @@ _DENSITY_A = (2.0, 10.0, 1e2, 1e3, 1e4, 1e5)
 _DENSITY_GRID = np.linspace(-4.0, 4.0, 41)
 _SIMPLEX_EXITS = (np.array([-5.0, 3.0, 0.0, 0.2]), np.array([0.0, 3.0, -5.0, 0.1]))
 _QUAD_DIGESTS = {
-    ("tv", "third", 10.0): "a72ad34e90e294a67285faa2acc47727e3fe7b3c0c89ddce0a805525c0f6fd2a",
+    ("tv", "third", 10.0): "117f07dc0490723586c2a7d4c2f92890798cce641342598457562e6b9f709e52",
     ("tv", "third", 100.0): "8c6d67bb7c204a8123a1cb264206399983d8c39d4692ded8c2c15c1c19e9df6e",
-    ("tv", "third", 1000.0): "50e48a0302f8c39ba6e2be7bcd76c34922bcfac0774b18490b8d2b99d3ce16ff",
+    ("tv", "third", 1000.0): "f98be5488472654b0236f9b332c4b899a0c972cbe5eb992f011639568b3b07ba",
     ("tv", "third", 10000.0): "89f723c19484c9503c32ed097b898de86f5bc09ff33932a9a7574ed057417175",
-    ("tv", "third", 100000.0): "4689d0e40689ff0c528cc7521c304e52a515a29e2c7edb205df21ebc2442a349",
+    ("tv", "third", 100000.0): "aef1e8771fa23bd5157ffc4400ad46ee46c4c1b6389912056c53594e992bf91f",
     ("tv", "small", 100.0): "ef162deab8845aa0286442f1d273138591a1e7f9919c9a8eb7b138002d693412",
     ("tv", "small", 1000.0): "cb986b885d8c301a81224fe3c9ae299a2619fc7029c4d240187e82ba3975df84",
-    ("tv", "small", 10000.0): "be089b9ae96ecc18add35a67f4cf4724982e5bc04d7ae8c2d11dd47544900038",
-    ("tv", "small", 100000.0): "c6aee98ae5473e341b356f760132a9de3c3facf55fae682beba01c2693a746c7",
-    ("tv", "wide", 100.0): "18ecb306999682621839ef1849b30ddf8fb5de28f70d2a0db75037e7a6e35561",
+    ("tv", "small", 10000.0): "778a96f9be32b4b0952242f326d41cb562804ebe48c6436807e8e69b4196b0ea",
+    ("tv", "small", 100000.0): "e03191f137d909b77d3ee865e6cf20f4cbcd9d9dc33c8cc3b4c761884b0841e7",
+    ("tv", "wide", 100.0): "1e069e0ea7ed7f6d40da2f7851ec5e76c7554ba40c0d08090d01311a35110f9c",
     ("tv", "wide", 1000.0): "25f0a7a61934bc7e9023c9275c1cf39f8cadb069778fbfd27d354f2904ffd813",
-    ("tv", "wide", 10000.0): "de169dadc968465399bfe71b60235dbac753e2302074e4409a7fc55d9fc495e5",
-    ("tv", "wide", 100000.0): "9092b0758b16b16dfb205c00b243eaad0aed84ab6f4faf43a55e3101cdb479c6",
-    ("tv", "edge", 100.0): "7fe0657c282b8c1d59d68ac718f11f62780d00f4b123187df4708a3857fccf52",
+    ("tv", "wide", 10000.0): "d2220c6bb3fe0080016d7466a4f9dd6cc21c8b4473c4ef81a9622096d118e59c",
+    ("tv", "wide", 100000.0): "92433ede33c3e427af1f9bd8871574d4e4fac384e6dd91effbf5fb6cccc98d5f",
+    ("tv", "edge", 100.0): "0bdf05f8181681d1eb4fafb43dcfe4528ac919e7dc6f22e9e033fb44dd4f1de9",
     ("tv", "edge", 1000.0): "fafe6932fca176ce70a35a863b58ca8c805f44bc5c2ba200dfd1b2ef0476cdc2",
-    ("tv", "edge", 10000.0): "075fab40b7fd310555314a24d86f14b076a54d7f3b0c4ef2a8193bf1f1781daa",
+    ("tv", "edge", 10000.0): "37c4d09a67f39d1600063bbdf340aa6594b3e3dec30af52e883fd8cdcb1d47cc",
     ("tv", "edge", 100000.0): "7f6b6f8fe506fccad0d15aee50dd8f23340ee289823fc1981918bfb831dc0ba5",
-    ("integral", "third", 10.0): "b74ae1972419fe14a836f9809f115c0825b0ee15fc38f53331222715777967a3",
-    ("integral", "third", 100.0): "33ddeb6ecc382e3688ad46e224537950932fce10b3d3fb6f447cc568af6ffdfd",
+    ("integral", "third", 10.0): "f86cabb2069d63742ddb78de479412a3bf7472a7d3e0099baadc38dba27af2b5",
+    ("integral", "third", 100.0): "11305ea35d57a0ebd48ecf42aa0f392d264c3a8ee66bb562d488523c1d4e25f4",
     ("integral", "third", 1000.0): "0e32639c4ed2f4d955c3d181f1aced180260ef5432dbed5e7e9c977948c1d421",
     ("integral", "third", 10000.0): "872f9bb1e77672847c3012a277df748e60e78af22ca4d14d2e3db24c54fa4764",
     ("integral", "third", 100000.0): "ce922333faa1f0074c28200971e1846f8fa4dd8ccb72098edbb28124eb4d3596",
     ("integral", "small", 100.0): "eb6f4a0592c1cb7c8b5497046b564006f81a1cee35789264bd3b17528d7b574b",
-    ("integral", "small", 1000.0): "a5031932f3feca1bf5cdf61760e848231c085ff65f9e1aae408dc5c67e82bddf",
+    ("integral", "small", 1000.0): "118f71b4bb489ed9784bc5975dc6fd0d7912ee7bd2a954c3d797b91406711e03",
     ("integral", "small", 10000.0): "d5a8cbcb3032568f4216628cfb01e087cfbb5d843ddeda436f74d6e6423d2299",
     ("integral", "small", 100000.0): "f767380da21c837c8ce8e43e7817029b618b7fb8b6a79fade62568f42212f771",
     ("integral", "wide", 100.0): "068575819d907b8505494fc83607e0c91256ce7ab1c06bbc34708eb34542b962",
-    ("integral", "wide", 1000.0): "0c62ddbc808d124d05d7d2429ed43c3bf0c8614e3b09c6086c6a9f1feca1bf6e",
-    ("integral", "wide", 10000.0): "97182437fc51d5414f758ce716ee7822489ebd1a667205d1c58cb7857c082591",
+    ("integral", "wide", 1000.0): "0b0f8af1eece8239ace3560493bf673fa5a9bd3df831f27e313091fafee4ba51",
+    ("integral", "wide", 10000.0): "758496470498c86c4755dd80cb2f0f64654ea3f3f67c9bfd1fca112061984faa",
     ("integral", "wide", 100000.0): "44a2ebd9234068f7108a27cf98d2f345af738bac25e9a5105fb874f46beffba9",
     ("integral", "edge", 100.0): "e0ab99a2c5cac52b7150d77fdb4646c41f299255e60e4de1198db0c75ec772ee",
     ("integral", "edge", 1000.0): "d27008ae0d2f5bc1e9657022030f9e95e27ca3e96adeafb8db3cdf30e898a2fa",
-    ("integral", "edge", 10000.0): "30aad117dec66f485abceb689140ad17ba68572882a597ccd4bdd289e4074899",
+    ("integral", "edge", 10000.0): "e8432f07023406c1710bb8eafc233d36cd950419abdcc2d9a205296db26d8582",
     ("integral", "edge", 100000.0): "c4b52620703ef1b62b8fb517230676b086d1201381d419badd221c4a473bc131",
 }
 # The (cells, a) of _DENSITY_CELLS x _DENSITY_A with a * min(l1, l2, l3) <= 1,
@@ -472,9 +482,25 @@ class TestSimpsonLadder:
         stride = (processes.N_MAX - 1) // (n_final - 1)
         assert counts.sum() == n_final**2
         assert np.all(counts[::stride, ::stride] == 1)
-        # The ladder's sum is exactly rounded over its row sums; the BLAS
-        # product's rounding differs from it by an ulp or two.
+        # The ladder adds its row sums in another order than the BLAS
+        # product, whose rounding differs from it by an ulp or two.
         assert est.value == pytest.approx(_full_grid_ladder(density, xbox, ybox), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("cells, a", [("third", 1e3), ("edge", 1e2), ("wide", 1e5)])
+    def test_tv_gap_matches_the_full_grid(self, monkeypatch, cells, a):
+        """The |f - phi| integrand of tv_distance_bivariate, whose row sums
+        span hundreds of binades between the centre and the tails."""
+        ladders = []
+
+        def recorded(f, xbox, ybox):
+            est = _refine_simpson_2d(f, xbox, ybox)
+            ladders.append((est.value, _full_grid_ladder(f, xbox, ybox)))
+            return est
+
+        monkeypatch.setattr(processes, "_refine_simpson_2d", recorded)
+        tv_distance_bivariate(*_DENSITY_CELLS[cells], a)
+        [(value, reference)] = ladders
+        assert value == pytest.approx(reference, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("cells", ["third", "small", "wide", "edge"])
     @pytest.mark.parametrize("a", [2.0, 10.0, 1e2, 1e3, 1e4, 1e5])

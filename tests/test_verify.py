@@ -195,10 +195,10 @@ def _kolmogorov_pin_grid(n: int) -> list[float]:
 # sha256 of the little-endian float64 smirnov(n, d) values over
 # _kolmogorov_pin_grid(n), followed by the kolmogorov_sf(n, d) values.
 _KOLMOGOROV_DIGESTS = {
-    3: "06b96152eb0006890565221109b5a4d023e3c879635dba335a41ccc9acbba11a",
-    40: "9f99582164194513fe4455be1683070dfc1eec6442fab5d16ef3c49c52aefd23",
-    140: "1dc85dfe694b1b596f198f1f8dd4d039a1df32927ae5f4f6e4d9e24820bc5418",
-    141: "bef9dca7fd2add165e70f434f663527df57ccd6bbfc51423c568081a6f3f0baa",
+    3: "489f6364c6d66d360aaa34d6136a7e9a5c84e5299264e63673df6613766a8f78",
+    40: "098b8e3b33711d08b2a8e09cf68cdabe6a62b6cb207318a81166687ae6e44216",
+    140: "e8205e99f7d6d949a8b88382a1e3361530db38d5f11552be353d75a72f14aa3a",
+    141: "e318b1e4eaf58888122434ff5ecfaa6efdc0009f26572f28462da9ea7e859ed8",
     3000: "f44dcc6112bccb44e47e6b5680cb577036e734c3d2c1b9ae1982fff001f6a430",
     100_000: "ab292a6a74ba0ec976415a7e8be0eaf8feb75cd0ce9468e69d877f037b02941d",
     1_000_000: "f326facb68a06c9111bd7e738b830170bea2414c1090ea1214758f460aa41695",
