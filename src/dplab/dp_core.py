@@ -28,6 +28,12 @@ _U_HI = 1.0 - 1e-16
 # of doubles near 1, and their midpoints are exact doubles inside (0, 1).
 _MAX_BISECTION_DEPTH = 52
 
+# Part of the bisection draw layout: a bisection of at most this many splits
+# (depth * size * levels) draws them all in one sample_beta call; a larger one
+# makes one call per level.  Changing it moves the quantiles of every size in
+# between.
+_GROUPED_SPLITS = 2**15
+
 # Most sticks one stick-breaking draw may hold (256 MiB of float64): a larger
 # budget is rejected before anything is drawn, not left to fail in numpy.
 MAX_STICKS = 2**25
@@ -430,10 +436,15 @@ def bisection_quantiles(a: float, levels, rng: RngStream, size: int, epsilon: fl
     inside (0, 1).
     Quantiles in one cell share its split, so their joint law is exact too.
 
-    Draw order per stream: level k = 0..K-1 makes one ``sample_beta`` call of
-    size * len(levels) draws, rows in (replication, level) order; a level in
-    the same cell as the level before it reuses that level's draw, which is
-    why ``levels`` must be nondecreasing.
+    Draw order per stream: when K * size * len(levels) <= _GROUPED_SPLITS
+    (2^15), one ``sample_beta`` call draws every split, rows in (depth,
+    replication, level) order with per-row shapes, all alpha gammas before
+    all beta gammas; otherwise depth k = 0..K-1 makes one scalar-shape call
+    of size * len(levels) draws, rows in (replication, level) order.  Either
+    way a level in the same cell as the level before it reuses that level's
+    draw, which is why ``levels`` must be nondecreasing.  Drawing every split
+    before the descent changes no law: a split's shape depends only on its
+    depth, and all splits are independent.
     """
     check_concentration(a)
     u = np.asarray(levels, dtype=float)
@@ -447,12 +458,16 @@ def bisection_quantiles(a: float, levels, rng: RngStream, size: int, epsilon: fl
     depth = min(_MAX_BISECTION_DEPTH, int(np.ceil(np.log2(1.0 / epsilon))))
 
     n, j = int(size), u.size
+    shapes = [a * 2.0 ** -(k + 1) for k in range(depth)]
+    if depth * n * j <= _GROUPED_SPLITS:
+        rows = np.repeat(shapes, n * j)
+        shares = sample_beta(rows, rows, rng, size=rows.size).reshape(depth, n, j)
+    else:
+        shares = (sample_beta(s, s, rng, size=n * j).reshape(n, j) for s in shapes)
     idx = np.zeros((n, j), dtype=np.int64)  # dyadic cell at the current level
     before = np.zeros((n, j))  # mass left of the cell
     mass = np.ones((n, j))  # mass of the cell
-    for k in range(depth):
-        shape = a * 2.0 ** -(k + 1)
-        share = sample_beta(shape, shape, rng, size=n * j).reshape(n, j)
+    for share in shares:
         for c in range(1, j):
             share[:, c] = np.where(idx[:, c] == idx[:, c - 1], share[:, c - 1], share[:, c])
         left = share * mass

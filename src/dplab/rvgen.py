@@ -87,8 +87,21 @@ def _safe_uniform(rng: RngStream, n: int) -> np.ndarray:
     return np.maximum(u, _TINY, out=u)
 
 
-def _mt_gamma(rng: RngStream, shape: float, n: int) -> np.ndarray:
-    """Marsaglia-Tsang rejection sampler; valid for shape >= 1.
+def _check_shapes(name: str, value, size: int):
+    """A positive finite shape, or one per draw: ``size`` of them."""
+    if np.ndim(value) == 0:
+        return _check_positive(name, value)
+    values = np.asarray(value, dtype=float)
+    if values.shape != (size,):
+        raise ParameterError(f"{name} must be a scalar or hold {size} shapes, got shape {values.shape}")
+    if not np.all((values > 0.0) & (values < np.inf)):  # NaN fails too
+        raise ParameterError(f"every {name} must be a positive finite real")
+    return values
+
+
+def _mt_gamma(rng: RngStream, shape, n: int) -> np.ndarray:
+    """Marsaglia-Tsang rejection sampler; valid for shape >= 1, a scalar or
+    one per slot.
 
     Each attempt consumes one normal and one uniform; rejected slots are
     redrawn until the whole batch is filled.  A cube v <= 0 has a NaN or
@@ -97,15 +110,18 @@ def _mt_gamma(rng: RngStream, shape: float, n: int) -> np.ndarray:
     """
     d = shape - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
+    dk, ck = d, c
     out = pending = None
     while pending is None or pending.size:
         size = n if pending is None else pending.size
+        if pending is not None and np.ndim(d):
+            dk, ck = d[pending], c[pending]
         x = rng.normal(size)
         u = _safe_uniform(rng, size)
-        t = 1.0 + c * x
+        t = 1.0 + ck * x
         v = t * t * t
-        dv = d * v
-        accept = np.log(u) < 0.5 * x * x + d - dv + d * np.log(v)
+        dv = dk * v
+        accept = np.log(u) < 0.5 * x * x + dk - dv + dk * np.log(v)
         if pending is None:
             # The first round's values stay in place; its rejected slots
             # are filled by the later rounds.
@@ -116,27 +132,36 @@ def _mt_gamma(rng: RngStream, shape: float, n: int) -> np.ndarray:
     return out
 
 
-def _log_gamma_draws(rng: RngStream, shape: float, n: int) -> np.ndarray:
-    """Logarithm of Gamma(shape, 1) draws; stable for arbitrarily small shapes.
+def _log_gamma_draws(rng: RngStream, shape, n: int) -> np.ndarray:
+    """Logarithm of Gamma(shape, 1) draws, for a scalar shape or one per
+    slot; stable for arbitrarily small shapes.
 
     For shape < 1 the draw is boosted: G = G' * U^(1/shape) with
     G' ~ Gamma(shape + 1), evaluated in log space so tiny shapes (routine for
-    Dirichlet-process cells with small a*H(A)) never underflow.
+    Dirichlet-process cells with small a*H(A)) never underflow.  All n
+    Marsaglia-Tsang draws come first, then one uniform per boosted slot, in
+    slot order.  Only a scalar shape 1 takes the exponential reduction.
     """
+    per_slot = np.ndim(shape) > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        if shape == 1.0:
+        if not per_slot and shape == 1.0:
             return np.log(-np.log(_safe_uniform(rng, n)))
-        if shape >= 1.0:
-            return np.log(_mt_gamma(rng, shape, n))
-        boosted = _mt_gamma(rng, shape + 1.0, n)
-        u = _safe_uniform(rng, n)
-        return np.log(boosted) + np.log(u) / shape
+        small = shape < 1.0
+        logs = np.log(_mt_gamma(rng, shape + small, n))
+        if per_slot:
+            small = np.flatnonzero(small)
+            logs[small] += np.log(_safe_uniform(rng, small.size)) / shape[small]
+        elif small:
+            logs += np.log(_safe_uniform(rng, n)) / shape
+        return logs
 
 
-def sample_beta(alpha: float, beta: float, rng: RngStream, size: int) -> np.ndarray:
+def sample_beta(alpha, beta, rng: RngStream, size: int) -> np.ndarray:
     """``size`` draws from Beta(alpha, beta), each G1 / (G1 + G2) with
-    independent gammas.
+    independent gammas; ``alpha`` and ``beta`` are each a scalar or one
+    shape per draw.
 
+    Draw order: the ``size`` alpha gammas, then the ``size`` beta gammas.
     The ratio is formed in log space (expit of the log-gamma difference), so
     extreme parameter pairs such as (1, 1e4) or (1, 0.01) keep full precision,
     and tiny shapes such as the 3e-7 of deep bisection cells give exactly 0
@@ -145,8 +170,8 @@ def sample_beta(alpha: float, beta: float, rng: RngStream, size: int) -> np.ndar
     the quantiles of ``bisection_quantiles``, which only compare masses with
     levels, do not move.
     """
-    alpha = _check_positive("alpha", alpha)
-    beta = _check_positive("beta", beta)
+    alpha = _check_shapes("alpha", alpha, size)
+    beta = _check_shapes("beta", beta, size)
     la = _log_gamma_draws(rng, alpha, size)
     lb = _log_gamma_draws(rng, beta, size)
     return expit(la - lb)

@@ -501,7 +501,9 @@ class TestBisectionQuantiles:
         np.testing.assert_array_equal(q[:, 1], q[:, 2])
 
     def test_draw_layout(self, monkeypatch):
-        """One beta call per level, shape a 2^-(k+1), size * len(levels) draws."""
+        """At most 2^15 splits: one beta call, each level's shape
+        a 2^-(k+1) repeated size * len(levels) times.  Above: one
+        scalar-shape call per level of size * len(levels) draws."""
         calls, sample_beta = [], dp_core.sample_beta
 
         def recording_beta(alpha, beta, rng, size):
@@ -509,15 +511,47 @@ class TestBisectionQuantiles:
             return sample_beta(alpha, beta, rng, size)
 
         monkeypatch.setattr(dp_core, "sample_beta", recording_beta)
+        shapes = [1e4 * 2.0 ** -(k + 1) for k in range(34)]
         bisection_quantiles(1e4, self.LEVELS, RngStream(41, 3), 7, epsilon=1e-10)
-        assert calls == [(1e4 * 2.0 ** -(k + 1),) * 2 + (21,) for k in range(34)]
+        [(alpha, beta, size)] = calls
+        assert size == 34 * 21
+        np.testing.assert_array_equal(alpha, np.repeat(shapes, 21))
+        np.testing.assert_array_equal(beta, alpha)
 
-    @pytest.mark.parametrize("a, u", [(2.0, 0.3), (10.0, 0.5), (1e3, 0.9)])
-    def test_marginal_law_is_exact(self, a, u):
-        """P(Q(u) <= x) = P(P_a[0, x] >= u), with P_a[0, x] ~ Beta(a x, a(1 - x))."""
-        q = bisection_quantiles(a, [u], RngStream(43, 0), 3000, 1e-10)[:, 0]
-        _, p = scipy.stats.kstest(q, lambda x: scipy.stats.beta.sf(u, a * x, a * (1.0 - x)))
-        assert p > 1e-3
+        calls.clear()
+        size = dp_core._GROUPED_SPLITS // (34 * 3) + 1  # 322: just above
+        bisection_quantiles(1e4, self.LEVELS, RngStream(41, 3), size, epsilon=1e-10)
+        assert calls == [(s, s, size * 3) for s in shapes]
+
+    # (a, u, R): R = 3000 draws the splits level by level, R = 900 in one call.
+    MARGINAL_CASES = [
+        pytest.param(2.0, 0.3, 3000, id="2.0-0.3"),
+        pytest.param(10.0, 0.5, 3000, id="10.0-0.5"),
+        pytest.param(1e3, 0.9, 3000, id="1000.0-0.9"),
+        pytest.param(100.0, 0.7, 900, id="100.0-0.7-one-call"),
+    ]
+
+    @staticmethod
+    def _marginal_p(a, u, size):
+        """KS p-value of Q(u) against its exact law: P(Q(u) <= x) =
+        P(P_a[0, x] >= u), with P_a[0, x] ~ Beta(a x, a(1 - x))."""
+        q = bisection_quantiles(a, [u], RngStream(43, 0), size, 1e-10)[:, 0]
+        return scipy.stats.kstest(q, lambda x: scipy.stats.beta.sf(u, a * x, a * (1.0 - x))).pvalue
+
+    @pytest.mark.parametrize("a, u, size", MARGINAL_CASES)
+    def test_marginal_law_is_exact(self, a, u, size):
+        assert self._marginal_p(a, u, size) > 1e-3
+
+    @pytest.mark.parametrize("a, u, size", MARGINAL_CASES)
+    def test_parent_cell_shape_fails(self, a, u, size, monkeypatch):
+        """Negative control: every split drawn with its parent cell's shape
+        a 2^-k in place of a 2^-(k+1), on both draw layouts."""
+        sample_beta = dp_core.sample_beta
+        monkeypatch.setattr(
+            dp_core, "sample_beta",
+            lambda alpha, beta, rng, size: sample_beta(2.0 * alpha, 2.0 * beta, rng, size),
+        )
+        assert self._marginal_p(a, u, size) < 1e-3
 
     def test_rejects_bad_arguments(self):
         rng = RngStream(0, 0)
@@ -545,14 +579,30 @@ _BISECTION_DIGESTS = {
 }
 
 
+# The same at R = 100, whose 17,000 splits are drawn in one sample_beta call.
+_GROUPED_BISECTION_DIGESTS = {
+    10.0: "a3d218f3a75db9392ecf63b13fbfa3643cbf4ff795e4e53cd23bff0e87e19c72",
+    1e4: "505c24d30cc2d2d130eb48beb6da9305168de99845c42d16f5a27d92df34e267",
+    1e8: "04e58e4e29d54fcbbcf3524031ed84214813e5074caf23a6ffad05e6c3568e97",
+}
+
+
+def _bisection_digest(a, size):
+    h = hashlib.sha256()
+    for seed in (8809, 8810, 3):
+        q = bisection_quantiles(a, _BISECTION_LEVELS, RngStream(seed, 0), size, 1e-10)
+        h.update(np.asarray(q, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 class TestBisectionQuantilesPinned:
     @pytest.mark.parametrize("a", list(_BISECTION_DIGESTS), ids=lambda a: f"{a:g}")
     def test_quantiles_are_bit_identical(self, a):
-        h = hashlib.sha256()
-        for seed in (8809, 8810, 3):
-            q = bisection_quantiles(a, _BISECTION_LEVELS, RngStream(seed, 0), 2000, 1e-10)
-            h.update(np.asarray(q, dtype="<f8").tobytes())
-        assert h.hexdigest() == _BISECTION_DIGESTS[a]
+        assert _bisection_digest(a, 2000) == _BISECTION_DIGESTS[a]
+
+    @pytest.mark.parametrize("a", list(_GROUPED_BISECTION_DIGESTS), ids=lambda a: f"{a:g}")
+    def test_grouped_quantiles_are_bit_identical(self, a):
+        assert _bisection_digest(a, 100) == _GROUPED_BISECTION_DIGESTS[a]
 
 
 class TestPosterior:

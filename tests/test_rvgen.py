@@ -1,5 +1,8 @@
 """Variate generators: reproducibility, analytic moments, and densities."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -119,6 +122,67 @@ class TestSampleBeta:
             sample_beta(0.0, 1.0, RngStream(0, 0), size=1)
         with pytest.raises(ParameterError):
             sample_beta(1.0, -2.0, RngStream(0, 0), size=1)
+
+
+class TestSampleBetaPerSlot:
+    """Per-slot shape arrays: each slot is drawn from its own Beta law."""
+
+    SHAPES = (0.3, 0.7, 1.0, 2.5, 1e4)
+
+    def test_each_slot_follows_its_law(self):
+        """Every (alpha, beta) pair of SHAPES, interleaved slot by slot, so
+        each rejection round mixes pending slots of every shape, and the
+        boost's uniforms are shared by slots of two shapes below 1.  (Much
+        smaller shapes round a share to exactly 1 too often for a KS test.)"""
+        pairs = list(itertools.product(self.SHAPES, repeat=2))
+        alpha, beta = (np.tile(col, 2000) for col in zip(*pairs))
+        draws = sample_beta(alpha, beta, RngStream(12, 0), size=alpha.size)
+        for i, (a, b) in enumerate(pairs):
+            p = scipy.stats.kstest(draws[i :: len(pairs)], scipy.stats.beta(a, b).cdf).pvalue
+            assert p > 1e-3, (a, b, p)
+
+    def test_tiny_shapes_come_out_zero_or_one(self):
+        alpha = np.tile([3e-7, 1e-300, 3e-7, 1e-300], 2500)
+        beta = np.tile([3e-7, 1e-300, 1e-300, 2.5], 2500)
+        draws = sample_beta(alpha, beta, RngStream(12, 1), size=alpha.size)
+        assert np.all((draws == 0.0) | (draws == 1.0))
+
+    @pytest.mark.parametrize("alpha, beta", [(0.3, 2.5), (2.5, 1e4), (1e-10, 0.999)])
+    def test_constant_slots_draw_the_scalar_shape_bits(self, alpha, beta):
+        """Away from shape 1, whose scalar draw is an exponential, per-slot
+        shapes take the scalar path's draws in the scalar path's order."""
+        n = 5000
+        per_slot = sample_beta(np.full(n, alpha), np.full(n, beta), RngStream(12, 2), size=n)
+        np.testing.assert_array_equal(per_slot, sample_beta(alpha, beta, RngStream(12, 2), size=n))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_any_bad_slot_raises(self, bad):
+        shapes = np.array([1.0, 2.0, bad, 0.5])
+        with pytest.raises(ParameterError):
+            sample_beta(shapes, 1.0, RngStream(0, 0), size=4)
+        with pytest.raises(ParameterError):
+            sample_beta(np.ones(4), shapes, RngStream(0, 0), size=4)
+
+    @pytest.mark.parametrize("shapes", [np.ones(3), np.ones(5), np.ones((2, 2)), np.ones((4, 1))])
+    def test_shape_count_must_match_size(self, shapes):
+        with pytest.raises(ParameterError):
+            sample_beta(shapes, 1.0, RngStream(0, 0), size=4)
+
+
+# sha256 of the little-endian float64 scalar-shape draws of 999 slots from
+# stream i of seed 2027 for the i-th (alpha, beta) pair, in turn; recorded
+# before sample_beta took per-slot shapes, which must leave them alone.
+_SCALAR_BETA_PAIRS = [(0.3, 1.0), (1.0, 1.0), (2.5, 1e4), (1e4, 1e4), (3e-7, 3e-7),
+                      (1e-300, 0.5), (1.0, 7.0), (0.999, 1.001)]
+_SCALAR_BETA_DIGEST = "2b1bd60314d04eb31a462af181d05316a9c27f440c6a60223e8b52539858c053"
+
+
+def test_scalar_beta_draws_are_bit_identical():
+    h = hashlib.sha256()
+    for i, (alpha, beta) in enumerate(_SCALAR_BETA_PAIRS):
+        draws = sample_beta(alpha, beta, RngStream(2027, i), size=999)
+        h.update(np.asarray(draws, dtype="<f8").tobytes())
+    assert h.hexdigest() == _SCALAR_BETA_DIGEST
 
 
 class TestSampleDirichlet:
