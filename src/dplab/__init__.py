@@ -43,8 +43,6 @@ from .harness import (
     validate_config,
 )
 from .processes import (
-    BivariateGaussianSpec,
-    Grid,
     bb_cov,
     bivariate_density_integral,
     limit_bivariate_density,

@@ -45,6 +45,14 @@ def check_concentration(a: float) -> None:
         raise ParameterError("concentration a must be positive")
 
 
+def check_resolution(epsilon: float) -> float:
+    """The one rule for a bisection resolution: 0 < epsilon < 1."""
+    epsilon = float(epsilon)
+    if not 0.0 < epsilon < 1.0:
+        raise ArgumentError("bisection quantiles need 0 < epsilon < 1")
+    return epsilon
+
+
 # ---------------------------------------------------------------------------
 # Borel sets: finite disjoint unions of half-open intervals (lo, hi]
 # ---------------------------------------------------------------------------
@@ -452,9 +460,7 @@ def bisection_quantiles(a: float, levels, rng: RngStream, size: int, epsilon: fl
         raise ArgumentError("quantile levels must be a non-empty nondecreasing list inside (0, 1)")
     if int(size) < 1:
         raise ArgumentError("size must be positive")
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 1.0:
-        raise ArgumentError("epsilon must lie in (0, 1)")
+    epsilon = check_resolution(epsilon)
     depth = min(_MAX_BISECTION_DEPTH, int(np.ceil(np.log2(1.0 / epsilon))))
 
     n, j = int(size), u.size

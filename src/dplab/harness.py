@@ -35,13 +35,14 @@ from .dp_core import (
     BorelSet,
     TruncationPolicy,
     check_concentration,
+    check_resolution,
     exponential_base,
     normal_base,
     stick_budget,
     uniform_base,
 )
 from .errors import ConfigError, DplabError
-from .processes import BivariateGaussianSpec, bivariate_density_integral, limit_quantile_cov
+from .processes import bivariate_density_integral, check_density_cells, limit_quantile_cov
 from .rvgen import check_seed
 
 SCHEMA_VERSION = 1
@@ -317,8 +318,12 @@ def _quantile(f: _Fields, config_dir) -> Call:
     if not all(np.isfinite(8.0**4 * v * v) for v in variances):
         _fail(f.sub("base_measure"), "too wide: its quantile deviations' fourth powers overflow")
     r = f.read("replications", 10000, _count)
-    trunc = _read_truncation(f)
-    _make(f.sub("truncation"), verify.check_resolution, trunc)
+    # epsilon is the bisection resolution; no sticks are drawn, so no max_atoms.
+    t = f.obj("truncation")
+    epsilon = _make(t.sub("epsilon"), check_resolution, t.read("epsilon", 1e-10, _number))
+    if t.read("max_atoms", None, lambda v, p: v) is not None:
+        _fail(t.sub("max_atoms"), "has no meaning for bisection quantiles; set it to null")
+    trunc = TruncationPolicy(epsilon)
     return lambda seed, stream: verify.quantile_limit_study(
         a_values, base, u_points, r, seed, trunc=trunc, base_stream=stream
     )
@@ -327,7 +332,7 @@ def _quantile(f: _Fields, config_dir) -> Call:
 def _density(f: _Fields, config_dir) -> Call:
     d = f.obj("density")
     l1, l2 = d.read("l1", 1.0 / 3.0, _number), d.read("l2", 1.0 / 3.0, _number)
-    _make(f.sub("density"), BivariateGaussianSpec.from_cell_measures, l1, l2)
+    _make(f.sub("density"), check_density_cells, l1, l2)
     a_values = f.read("a_values", [100.0, 1000.0, 10000.0], _numbers)
     _make(f.sub("a_values"), verify.check_a_values, a_values)
     for i, a in enumerate(a_values):
@@ -336,7 +341,7 @@ def _density(f: _Fields, config_dir) -> Call:
     def run(seed: int, stream: int) -> verify.McSummary:
         # Computed here, where bench/tracing.py times them as their own layer.
         integrals = [bivariate_density_integral(l1, l2, a) for a in a_values]
-        return verify.density_convergence_study(l1, l2, a_values, verify.DENSITY_GRID, integrals)
+        return verify.density_convergence_study(l1, l2, a_values, integrals)
 
     return run
 

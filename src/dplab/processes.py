@@ -3,11 +3,12 @@
 The Brownian-bridge covariance of the centered-scaled process
 sqrt(a) (P_a - H), the Gaussian limit covariance of the quantile process
 sqrt(a) (P_a^{-1} - H^{-1}), and the exact vs limiting bivariate cell
-densities together with their total-variation gap.  The exact density is
-written in Stirling form, so its normaliser has no terms of size a log a to
-cancel in floating point.  The bivariate integrals use one tensor-Simpson
-quadrature whose box, grid sizes and tolerance are the pinned constants
-HALF_WIDTH, N_START, N_MAX and QUAD_TOL.
+densities (plain functions of the cell measures l1, l2, which
+check_density_cells validates) together with their total-variation gap.
+The exact density is written in Stirling form, so its normaliser has no
+terms of size a log a to cancel in floating point.  The bivariate integrals
+use one tensor-Simpson quadrature whose box, grid sizes and tolerance are
+the pinned constants HALF_WIDTH, N_START, N_MAX and QUAD_TOL.
 
 The quadrature evaluates each point of its finest grid once, a block of
 rows of about _BLOCK_POINTS points per kernel call, and keeps no grid, only
@@ -22,7 +23,6 @@ blocking.  Both integrals refuse a concentration whose density is unbounded
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,21 +30,6 @@ import numpy as np
 from .dp_core import BaseMeasure, BorelSet, check_concentration
 from .errors import ArgumentError, ParameterError, SingularDensityError
 from .special import stirlerr
-
-
-@dataclass(frozen=True, eq=False)
-class Grid:
-    """A strictly increasing evaluation grid."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).ravel()
-        if pts.size == 0 or not np.all(np.isfinite(pts)):
-            raise ParameterError("grid needs at least one finite point")
-        if np.any(np.diff(pts) <= 0.0):
-            raise ParameterError("grid points must be strictly increasing")
-        object.__setattr__(self, "points", pts)
 
 
 # ---------------------------------------------------------------------------
@@ -82,57 +67,35 @@ def limit_quantile_cov(u: float, v: float, base: BaseMeasure) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_cells(l1: float, l2: float) -> tuple[float, float]:
+def check_density_cells(l1: float, l2: float) -> tuple[float, float]:
+    """Two disjoint cells' measures as floats, if l1, l2 > 0 and l1 + l2 < 1."""
     l1, l2 = float(l1), float(l2)
     if not (0.0 < l1 and 0.0 < l2 and l1 + l2 < 1.0):
         raise ParameterError("cell measures need l1 > 0, l2 > 0, l1 + l2 < 1")
     return l1, l2
 
 
-@dataclass(frozen=True)
-class BivariateGaussianSpec:
-    """Covariance of the limiting pair of scaled cell masses.
-
-    Built from two disjoint cell measures (l1, l2):
-    sigma11 = l1(1-l1), sigma22 = l2(1-l2),
-    rho12 = -sqrt(l1 l2 / ((1-l1)(1-l2))).
-    """
-
-    sigma11: float
-    sigma22: float
-    rho12: float
-    covariance_det: float = field(init=False)
-
-    def __post_init__(self):
-        if self.sigma11 <= 0 or self.sigma22 <= 0:
-            raise ParameterError("variances must be positive")
-        if not -1.0 < self.rho12 < 1.0:
-            raise ParameterError("correlation must lie in (-1, 1)")
-        det = self.sigma11 * self.sigma22 * (1.0 - self.rho12**2)
-        object.__setattr__(self, "covariance_det", det)
-
-    @classmethod
-    def from_cell_measures(cls, l1: float, l2: float) -> "BivariateGaussianSpec":
-        l1, l2 = _check_cells(l1, l2)
-        rho = -np.sqrt(l1 * l2 / ((1.0 - l1) * (1.0 - l2)))
-        return cls(l1 * (1.0 - l1), l2 * (1.0 - l2), rho)
-
-
-def limit_bivariate_density(y1, y2, spec: BivariateGaussianSpec):
-    """Zero-mean bivariate normal density with the spec's covariance."""
+def limit_bivariate_density(y1, y2, l1: float, l2: float):
+    """Limit of the scaled masses of two disjoint cells: the zero-mean normal
+    density with sigma11 = l1(1-l1), sigma22 = l2(1-l2) and correlation
+    rho = -sqrt(l1 l2 / ((1-l1)(1-l2))), inside (-1, 0) as l1 + l2 < 1."""
+    l1, l2 = check_density_cells(l1, l2)
+    sigma11, sigma22 = l1 * (1.0 - l1), l2 * (1.0 - l2)
+    rho = -np.sqrt(l1 * l2 / ((1.0 - l1) * (1.0 - l2)))
+    det = sigma11 * sigma22 * (1.0 - rho**2)
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
-    z1 = y1 / np.sqrt(spec.sigma11)
-    z2 = y2 / np.sqrt(spec.sigma22)
+    z1 = y1 / np.sqrt(sigma11)
+    z2 = y2 / np.sqrt(sigma22)
     # One output buffer carries the quadratic form to the density.
     out = np.empty(np.broadcast_shapes(y1.shape, y2.shape))
-    np.multiply(2.0 * spec.rho12 * z1, z2, out=out)
+    np.multiply(2.0 * rho * z1, z2, out=out)
     np.subtract(z1 * z1, out, out=out)
     out += z2 * z2
-    out /= 1.0 - spec.rho12**2
+    out /= 1.0 - rho**2
     out *= -0.5
     np.exp(out, out=out)
-    out /= 2.0 * np.pi * np.sqrt(spec.covariance_det)
+    out /= 2.0 * np.pi * np.sqrt(det)
     return float(out) if out.ndim == 0 else out
 
 
@@ -152,7 +115,7 @@ def scaled_bivariate_density(y1, y2, l1: float, l2: float, a: float):
     whose rounding is about sqrt(a) 2^-52 relative.  The density is zero
     outside the open simplex, where some z_i <= -1.
     """
-    l1, l2 = _check_cells(l1, l2)
+    l1, l2 = check_density_cells(l1, l2)
     check_concentration(a)
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
@@ -306,13 +269,13 @@ def tv_distance_bivariate(l1: float, l2: float, a: float) -> TvEstimate:
 
     Returns the estimate together with the refinement-based error bound.
     """
-    spec = BivariateGaussianSpec.from_cell_measures(l1, l2)  # checks the cells
+    l1, l2 = check_density_cells(l1, l2)
     check_density_concentration(l1, l2, a)
     xbox, ybox = _support_box(l1, l2, a)
 
     def gap(x, y):
         out = scaled_bivariate_density(x, y, l1, l2, a)
-        out -= limit_bivariate_density(x, y, spec)
+        out -= limit_bivariate_density(x, y, l1, l2)
         return np.abs(out, out=out)
 
     est = _refine_simpson_2d(gap, xbox, ybox)
@@ -324,7 +287,7 @@ def tv_distance_bivariate(l1: float, l2: float, a: float) -> TvEstimate:
 def bivariate_density_integral(l1: float, l2: float, a: float) -> TvEstimate:
     """Quadrature of the exact scaled density over its (boxed) support;
     should be 1 up to quadrature error plus truncated tail mass."""
-    l1, l2 = _check_cells(l1, l2)
+    l1, l2 = check_density_cells(l1, l2)
     check_density_concentration(l1, l2, a)
     xbox, ybox = _support_box(l1, l2, a)
     return _refine_simpson_2d(lambda x, y: scaled_bivariate_density(x, y, l1, l2, a), xbox, ybox)

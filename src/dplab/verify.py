@@ -50,8 +50,6 @@ from .errors import ArgumentError, ConfigError, DplabError, PartitionError
 from .kolmogorov import kolmogorov_sf, two_sample_sf
 from .processes import bb_cov, limit_quantile_cov
 from .processes import (
-    BivariateGaussianSpec,
-    Grid,
     TvEstimate,
     check_density_concentration,
     limit_bivariate_density,
@@ -83,7 +81,7 @@ GC_RATE_WINDOW = (-0.6, -0.4)
 DENSITY_SLACK = 1e-3
 
 # The density family's pointwise-gap grid, per axis.
-DENSITY_GRID = Grid(np.linspace(-2.5, 2.5, 11))
+DENSITY_GRID = np.linspace(-2.5, 2.5, 11)
 
 # Smallest scratch, in doubles, that replication 0 of a map_replications loop
 # must have filled for the rest to fan out.  A stick-breaking replication's
@@ -262,14 +260,6 @@ def check_levels(u_points: Sequence[float]) -> list[float]:
     return u_points
 
 
-def check_resolution(trunc: TruncationPolicy) -> float:
-    """The quantile family's bisection resolution, ``trunc.epsilon``; a
-    ``max_atoms`` cap has no meaning there."""
-    if trunc.max_atoms is not None:
-        raise ArgumentError("max_atoms has no meaning for bisection quantiles; set it to null")
-    return trunc.epsilon
-
-
 def check_modulus_points(t1: float, t: float, t2: float) -> None:
     if not 0.0 <= t1 <= t <= t2 <= 1.0:
         raise ArgumentError("need 0 <= t1 <= t <= t2 <= 1")
@@ -426,10 +416,9 @@ def _intervals(sets: Sequence[BorelSet]) -> tuple[np.ndarray, np.ndarray]:
 
 def cut_points(sets: Sequence[BorelSet], base: BaseMeasure) -> np.ndarray:
     """The sorted distinct ends of the base's support and of the sets'
-    intervals, left ends raised to the support's left end and right ends
-    lowered to its right end: the bounds of the segments."""
-    lo, hi = base.support
-    cuts = np.sort(np.append(np.clip(_intervals(sets)[0], [lo, -np.inf], [np.inf, hi]), [lo, hi]))
+    intervals, both ends clipped into the support: the bounds of the
+    segments.  An interval outside the support adds no segment."""
+    cuts = np.sort(np.append(np.clip(_intervals(sets)[0], *base.support), base.support))
     # np.unique's result, without the 0.8 MiB of resident memory its first call adds
     return cuts[np.append(True, cuts[1:] != cuts[:-1])]
 
@@ -451,6 +440,7 @@ def refine_to_partition(sets: Sequence[BorelSet], base: BaseMeasure) -> tuple[np
     masses = np.diff(base.cdf(cuts))
     _check_masses(masses)
     ends, owner = _intervals(sets)
+    ends = np.clip(ends, *base.support)  # as cut_points does: outside, an empty interval
     # segment j lies inside (lo, hi] when lo <= cuts[j] and cuts[j + 1] <= hi
     first = np.searchsorted(cuts, ends[:, 0], side="left")
     stop = np.searchsorted(cuts, ends[:, 1], side="right") - 1
@@ -891,7 +881,9 @@ def quantile_limit_study(
     """
     a_values = check_a_values(a_values)
     u_points = check_levels(u_points)
-    epsilon = check_resolution(trunc or TruncationPolicy())
+    trunc = trunc or TruncationPolicy()
+    if trunc.max_atoms is not None:
+        raise ArgumentError("max_atoms has no meaning for bisection quantiles; set it to null")
 
     u_all = sorted(set(u_points) | {0.25, 0.5, 0.75})
     u_arr = np.array(u_all)
@@ -914,7 +906,7 @@ def quantile_limit_study(
 
     for leg, a in enumerate(a_values):
         rng = RngStream(seed, base_stream + leg)
-        q = bisection_quantiles(a, u_arr, rng, replications, epsilon)
+        q = bisection_quantiles(a, u_arr, rng, replications, trunc.epsilon)
         vals = np.sqrt(a) * (np.asarray(base.quantile(q), dtype=float) - base_quantiles)
         tag = f"a={a:g}"
 
@@ -963,12 +955,11 @@ def density_convergence_study(
     l1: float,
     l2: float,
     a_values: Sequence[float],
-    grid: Grid,
     integrals: Sequence[TvEstimate],
 ) -> McSummary:
     """Tabulate, per concentration, the max pointwise gap on the tensor grid
-    and the total-variation distance between the exact scaled bivariate
-    density and its Gaussian limit, as the ``gap`` table.  ``integrals``
+    DENSITY_GRID x DENSITY_GRID and the total-variation distance between the
+    exact scaled bivariate density and its Gaussian limit, as the ``gap`` table.  ``integrals``
     are the quadratures of the exact density, one per concentration.
     ``_density_comparisons`` gives the verdict; quadratures report their
     refinement error as their standard error.  Nothing is drawn."""
@@ -977,10 +968,9 @@ def density_convergence_study(
         check_density_concentration(l1, l2, a)
     if len(integrals) != a_values.size:
         raise ArgumentError("need one density integral per concentration")
-    spec = BivariateGaussianSpec.from_cell_measures(l1, l2)
-    g = grid.points
-    flim = limit_bivariate_density(g[:, None], g[None, :], spec)
-    origin = float(limit_bivariate_density(0.0, 0.0, spec))
+    g = DENSITY_GRID
+    flim = limit_bivariate_density(g[:, None], g[None, :], l1, l2)
+    origin = float(limit_bivariate_density(0.0, 0.0, l1, l2))
     summary = McSummary(estimates={"limit_density_at_origin": (origin, 0.0)})
     rows, tvs = [], []
     for a, integral in zip(a_values, integrals):

@@ -13,7 +13,6 @@ import pytest
 
 from dplab import (
     BorelSet,
-    Grid,
     TruncationPolicy,
     bivariate_density_integral,
     density_convergence_study,
@@ -29,7 +28,6 @@ from dplab import (
     uniform_base,
 )
 from dplab.cli import main as cli_main
-from dplab.processes import BivariateGaussianSpec
 
 THIRD = 1.0 / 3.0
 
@@ -193,14 +191,11 @@ def test_criterion_9_density_convergence():
     within 1e-6, and the exact density integrating to one within 1e-3."""
     a_values = [100.0, 1000.0, 10000.0]
     quadratures = [bivariate_density_integral(THIRD, THIRD, a) for a in a_values]
-    table = density_convergence_study(
-        THIRD, THIRD, a_values, Grid(np.linspace(-2.5, 2.5, 11)), quadratures
-    )
+    table = density_convergence_study(THIRD, THIRD, a_values, quadratures)
     tvs = [table.estimates[f"tv[a={a:g}]"][0] for a in a_values]
     tv_ok = all(b < a for a, b in zip(tvs, tvs[1:]))
 
-    spec = BivariateGaussianSpec.from_cell_measures(THIRD, THIRD)
-    origin = limit_bivariate_density(0.0, 0.0, spec)
+    origin = limit_bivariate_density(0.0, 0.0, THIRD, THIRD)
     origin_ok = abs(origin - np.sqrt(27.0) / (2.0 * np.pi)) <= 1e-6
 
     integrals = [est.value for est in quadratures]

@@ -111,8 +111,10 @@ class TestBorelSet:
 
 
 def _measures(base, cells):
-    """H-masses of the segments the cells are cut into, checked to sum to one."""
-    return refine_to_partition(cells, base)[1]
+    """The cells' H-measures: sums of the masses of the segments they are
+    cut into, which are checked to sum to one."""
+    _, masses, member = refine_to_partition(cells, base)
+    return member @ masses
 
 
 class TestSampleFidi:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from dplab import (
     ConfigError,
-    Grid,
     bivariate_density_integral,
     density_convergence_study,
     processes,
@@ -348,7 +347,7 @@ class TestRunAndEmit:
         run = run_experiment(validate_config(cfg)).results["density"]
         a_values = [1e2, 1e3, 1e4]
         direct = density_convergence_study(
-            1 / 3, 1 / 3, a_values, Grid(np.linspace(-2.5, 2.5, 11)),
+            1 / 3, 1 / 3, a_values,
             [bivariate_density_integral(1 / 3, 1 / 3, a) for a in a_values],
         )
         assert run.estimates == direct.estimates
@@ -815,7 +814,29 @@ class TestCli:
             "truncation": {"epsilon": 1e-10, "max_atoms": 1000},
         }
         rc = cli_main(["validate", "--config", self._write(tmp_path, cfg)])
-        self._assert_clean_exit_2(capsys, rc, "truncation", "max_atoms")
+        self._assert_clean_exit_2(capsys, rc, "truncation.max_atoms: has no meaning")
+
+    @pytest.mark.parametrize("max_atoms", [None, 1000])
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, 1.0])
+    def test_quantile_resolution_outside_unit_interval_exits_2(
+        self, tmp_path, capsys, epsilon, max_atoms
+    ):
+        """The quantile family's epsilon is its bisection resolution: it is
+        rejected at its own path by the bisection rule, with or without a
+        max_atoms, whose rule would otherwise contradict it."""
+        cfg = {
+            "schema_version": 1,
+            "experiment": "quantile",
+            "seed": 1,
+            "truncation": {"epsilon": epsilon, "max_atoms": max_atoms},
+        }
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.path == "truncation.epsilon"
+        rc = cli_main(["validate", "--config", self._write(tmp_path, cfg)])
+        self._assert_clean_exit_2(
+            capsys, rc, "truncation.epsilon: bisection quantiles need 0 < epsilon < 1"
+        )
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bad_thread_count_rejected_before_any_family_runs(self, family, monkeypatch):

@@ -7,9 +7,7 @@ import pytest
 
 from dplab import (
     ArgumentError,
-    BivariateGaussianSpec,
     BorelSet,
-    Grid,
     ParameterError,
     SingularDensityError,
     bb_cov,
@@ -30,14 +28,6 @@ from dplab.processes import _refine_simpson_2d
 
 THIRD = 1.0 / 3.0
 LIMIT_AT_ORIGIN = np.sqrt(27.0) / (2.0 * np.pi)
-
-
-class TestGridAndPath:
-    def test_grid_must_increase(self):
-        with pytest.raises(ParameterError):
-            Grid(np.array([0.1, 0.1, 0.5]))
-        with pytest.raises(ParameterError):
-            Grid(np.array([]))
 
 
 class TestBridgeCovariance:
@@ -126,32 +116,43 @@ class TestLimitQuantileCov:
             assert limit_quantile_cov(u, v, base) == pytest.approx(target, rel=1e-12)
 
 
-class TestBivariateGaussianSpec:
-    def test_from_cell_measures(self):
-        spec = BivariateGaussianSpec.from_cell_measures(THIRD, THIRD)
-        assert spec.rho12 == pytest.approx(-0.5)
-        assert spec.sigma11 == pytest.approx(2.0 / 9.0)
-        assert spec.covariance_det == pytest.approx(1.0 / 27.0)
-
-    def test_invalid_cells(self):
-        with pytest.raises(ParameterError):
-            BivariateGaussianSpec.from_cell_measures(0.6, 0.5)
-        with pytest.raises(ParameterError):
-            BivariateGaussianSpec.from_cell_measures(0.0, 0.5)
-
-
 class TestLimitBivariateDensity:
+    @pytest.mark.parametrize("l1, l2", [(THIRD, THIRD), (0.1, 0.2), (0.45, 0.5), (0.05, 0.9)])
+    def test_second_moments_are_the_bridge_covariance(self, l1, l2):
+        """On a fine grid over +-10 SDs the density has the covariance
+        [[l1(1-l1), -l1 l2], [-l1 l2, l2(1-l2)]] of the bridge at two
+        disjoint cells."""
+        s1, s2 = np.sqrt(l1 * (1 - l1)), np.sqrt(l2 * (1 - l2))
+        y1, y2 = np.linspace(-10 * s1, 10 * s1, 2001), np.linspace(-10 * s2, 10 * s2, 2001)
+        f = limit_bivariate_density(y1[:, None], y2[None, :], l1, l2)
+        cell = (y1[1] - y1[0]) * (y2[1] - y2[0])
+        mass = f.sum() * cell
+        moments = {
+            "11": (y1[:, None] ** 2 * f).sum() * cell,
+            "22": (y2[None, :] ** 2 * f).sum() * cell,
+            "12": (y1[:, None] * y2[None, :] * f).sum() * cell,
+        }
+        assert mass == pytest.approx(1.0, rel=1e-6)
+        assert moments["11"] == pytest.approx(l1 * (1 - l1), rel=1e-6)
+        assert moments["22"] == pytest.approx(l2 * (1 - l2), rel=1e-6)
+        assert moments["12"] == pytest.approx(-l1 * l2, rel=1e-6)
+
+    @pytest.mark.parametrize("l1, l2", [(0.6, 0.5), (0.0, 0.5), (0.5, -0.1), (0.5, 0.5)])
+    def test_invalid_cells(self, l1, l2):
+        with pytest.raises(ParameterError):
+            limit_bivariate_density(0.0, 0.0, l1, l2)
+        with pytest.raises(ParameterError):
+            processes.check_density_cells(l1, l2)
+
     def test_value_at_origin(self):
-        spec = BivariateGaussianSpec.from_cell_measures(THIRD, THIRD)
-        assert limit_bivariate_density(0.0, 0.0, spec) == pytest.approx(
+        assert limit_bivariate_density(0.0, 0.0, THIRD, THIRD) == pytest.approx(
             LIMIT_AT_ORIGIN, abs=1e-12
         )
 
     def test_symmetric_under_equal_cells(self):
-        spec = BivariateGaussianSpec.from_cell_measures(THIRD, THIRD)
         for y1, y2 in [(0.3, -0.8), (1.2, 0.4)]:
-            assert limit_bivariate_density(y1, y2, spec) == pytest.approx(
-                limit_bivariate_density(y2, y1, spec)
+            assert limit_bivariate_density(y1, y2, THIRD, THIRD) == pytest.approx(
+                limit_bivariate_density(y2, y1, THIRD, THIRD)
             )
 
 
@@ -173,9 +174,8 @@ class TestScaledBivariateDensity:
 
     def test_pointwise_gap_shrinks_with_concentration(self):
         """Max |exact - limit| over a fixed 11x11 grid decreasing in a."""
-        spec = BivariateGaussianSpec.from_cell_measures(THIRD, THIRD)
         g = np.linspace(-2.5, 2.5, 11)
-        flim = limit_bivariate_density(g[:, None], g[None, :], spec)
+        flim = limit_bivariate_density(g[:, None], g[None, :], THIRD, THIRD)
         gaps = [
             np.max(np.abs(scaled_bivariate_density(g[:, None], g[None, :], THIRD, THIRD, a) - flim))
             for a in (1e2, 1e3, 1e4)
@@ -393,7 +393,7 @@ def _density_values(kind: str, cells: str, where: str, a: float):
         "exits": _SIMPLEX_EXITS,
     }[where]
     if kind == "limit":
-        return limit_bivariate_density(y1, y2, BivariateGaussianSpec.from_cell_measures(l1, l2))
+        return limit_bivariate_density(y1, y2, l1, l2)
     return scaled_bivariate_density(y1, y2, l1, l2, a)
 
 
@@ -590,8 +590,6 @@ class TestRowBlocks:
 
 
 class TestDensityShapes:
-    SPEC = BivariateGaussianSpec.from_cell_measures(0.1, 0.2)
-
     @pytest.mark.parametrize("kind", ["exact", "limit"])
     def test_scalar_input_gives_a_float(self, kind):
         density = self._density(kind)
@@ -619,5 +617,5 @@ class TestDensityShapes:
 
     def _density(self, kind):
         if kind == "limit":
-            return lambda y1, y2: limit_bivariate_density(y1, y2, self.SPEC)
+            return lambda y1, y2: limit_bivariate_density(y1, y2, 0.1, 0.2)
         return lambda y1, y2: scaled_bivariate_density(y1, y2, 0.1, 0.2, 50.0)

@@ -18,7 +18,6 @@ from dplab import (
     ArgumentError,
     BaseMeasure,
     BorelSet,
-    Grid,
     PartitionError,
     RngStream,
     TruncationPolicy,
@@ -444,6 +443,27 @@ def _partitions(draw):
 
 
 class TestRefineToPartition:
+    @pytest.mark.parametrize(
+        "base_name, outside",
+        [
+            ("uniform", ((1.5, 2.0),)),
+            ("uniform", ((-2.0, -1.0),)),
+            ("uniform", ((-2.0, -1.0), (1.5, 2.0))),
+            ("exponential", ((-3.0, -1.0),)),
+        ],
+    )
+    def test_a_set_outside_the_support_adds_no_column(self, base_name, outside):
+        """Every cut lies inside the support, and a set wholly outside it
+        adds no segment and contains none."""
+        base = {"uniform": uniform_base, "exponential": exponential_base}[base_name]()
+        sets = [BorelSet.interval(0.0, 0.5)]
+        cuts, masses, member = refine_to_partition(sets, base)
+        got_cuts, got_masses, got_member = refine_to_partition([*sets, BorelSet(outside)], base)
+        lo, hi = base.support
+        assert np.all((lo <= got_cuts) & (got_cuts <= hi))
+        assert got_cuts.tolist() == cuts.tolist() and got_masses.tolist() == masses.tolist()
+        assert got_member[0].tolist() == member[0].tolist() and not got_member[1].any()
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.sampled_from(["uniform", "exponential", "normal"]),
@@ -902,24 +922,42 @@ class TestDensityConvergenceStudy:
     def test_columns_decrease(self):
         a_values = [100.0, 1000.0]
         integrals = [bivariate_density_integral(1 / 3, 1 / 3, a) for a in a_values]
-        out = density_convergence_study(
-            1 / 3, 1 / 3, a_values, Grid(np.linspace(-2.5, 2.5, 11)), integrals
-        )
+        out = density_convergence_study(1 / 3, 1 / 3, a_values, integrals)
         assert out.passed
         _, rows = out.tables["gap"]  # a, max_gap, tv_distance, quad_error
         assert rows[1][2] < rows[0][2]
         assert rows[1][1] < rows[0][1]
 
+    def test_max_gap_is_the_grid_maximum(self):
+        """The gap table's max_gap is max |f_a - phi| over the 11 x 11 grid
+        on [-2.5, 2.5]^2, with f_a scipy's Dirichlet(a l) density pushed
+        through y = sqrt(a)(x - l) (Jacobian 1/a, zero off the simplex) and
+        phi scipy's normal density with the bridge covariance."""
+        l1, l2, a_values = 0.1, 0.2, [100.0, 1000.0, 10000.0]
+        integrals = [bivariate_density_integral(l1, l2, a) for a in a_values]
+        _, rows = density_convergence_study(l1, l2, a_values, integrals).tables["gap"]
+        g = np.linspace(-2.5, 2.5, 11)
+        cov = [[l1 * (1 - l1), -l1 * l2], [-l1 * l2, l2 * (1 - l2)]]
+        phi = scipy.stats.multivariate_normal([0.0, 0.0], cov)
+        shapes = np.array([l1, l2, 1 - l1 - l2])
+        for a, row in zip(a_values, rows):
+            gaps = []
+            for y1 in g:
+                for y2 in g:
+                    x = shapes + np.array([y1, y2, -y1 - y2]) / np.sqrt(a)
+                    f = scipy.stats.dirichlet.pdf(x, a * shapes) / a if np.all(x > 0) else 0.0
+                    gaps.append(abs(f - phi.pdf([y1, y2])))
+            assert row[0] == a
+            assert row[1] == pytest.approx(max(gaps), rel=1e-8)
+
     def test_rejects_decreasing_a(self):
         with pytest.raises(ArgumentError):
-            density_convergence_study(
-                1 / 3, 1 / 3, [100.0, 50.0], Grid(np.linspace(-1, 1, 5)), []
-            )
+            density_convergence_study(1 / 3, 1 / 3, [100.0, 50.0], [])
 
     def test_rejects_unbounded_density(self):
         """At a * l3 <= 1 the exact density is unbounded at the l3 edge."""
         with pytest.raises(ArgumentError, match="must exceed 1"):
-            density_convergence_study(0.05, 0.9, [2.0], Grid(np.linspace(-1, 1, 5)), [])
+            density_convergence_study(0.05, 0.9, [2.0], [])
 
 
 class TestMarginalDrawLayout:
