@@ -29,10 +29,6 @@ from .errors import (
     ArgumentError,
     ConfigError,
     DplabError,
-    ParameterError,
-    PartitionError,
-    SingularDensityError,
-    TruncationError,
 )
 from .harness import (
     ExperimentConfig,

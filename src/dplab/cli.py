@@ -20,7 +20,7 @@ def _seed(text: str) -> int:
     """``--seed``, held to the rule of the config's ``seed`` field."""
     try:
         return check_seed(int(text), "seed")
-    except ValueError as exc:  # a ParameterError is a ValueError too
+    except ValueError as exc:  # an ArgumentError is a ValueError too
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ArgumentError, ParameterError, TruncationError
+from .errors import ArgumentError
 from .rvgen import RngStream, sample_beta, sample_dirichlet
 
 # Clipping window applied to uniforms before quantile transforms, so bases
@@ -42,7 +42,7 @@ MAX_STICKS = 2**25
 def check_concentration(a: float) -> None:
     """The one rule for a concentration: a positive finite real."""
     if not np.isfinite(a) or a <= 0:
-        raise ParameterError("concentration a must be positive")
+        raise ArgumentError("concentration a must be positive")
 
 
 def check_resolution(epsilon: float) -> float:
@@ -70,9 +70,9 @@ class BorelSet:
         for pair in self.intervals:
             lo, hi = (float(pair[0]), float(pair[1]))
             if np.isnan(lo) or np.isnan(hi) or not lo < hi:
-                raise ParameterError(f"interval ({lo}, {hi}] is empty or invalid")
+                raise ArgumentError(f"interval ({lo}, {hi}] is empty or invalid")
             if lo < prev_hi:
-                raise ParameterError("intervals must be sorted and pairwise disjoint")
+                raise ArgumentError("intervals must be sorted and pairwise disjoint")
             cleaned.append((lo, hi))
             prev_hi = hi
         object.__setattr__(self, "intervals", tuple(cleaned))
@@ -134,7 +134,7 @@ def uniform_base() -> BaseMeasure:
 
 def exponential_base(rate: float = 1.0) -> BaseMeasure:
     if not np.isfinite(rate) or rate <= 0:
-        raise ParameterError("exponential rate must be positive")
+        raise ArgumentError("exponential rate must be positive")
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
@@ -154,7 +154,7 @@ def exponential_base(rate: float = 1.0) -> BaseMeasure:
 
 def normal_base(mu: float = 0.0, sigma: float = 1.0) -> BaseMeasure:
     if not np.isfinite(mu) or not np.isfinite(sigma) or sigma <= 0:
-        raise ParameterError("normal base needs finite mu and positive sigma")
+        raise ArgumentError("normal base needs finite mu and positive sigma")
     # The one scipy import of a run: a normal base's atoms are scipy's ndtri.
     from scipy.special import ndtr, ndtri
 
@@ -186,16 +186,16 @@ class DpSample:
         atoms = np.asarray(self.atoms, dtype=float).ravel()
         weights = np.asarray(self.weights, dtype=float).ravel()
         if atoms.size == 0 or atoms.size != weights.size:
-            raise ParameterError("atoms and weights must be equal-length, non-empty")
+            raise ArgumentError("atoms and weights must be equal-length, non-empty")
         if not np.all(np.isfinite(atoms)):
-            raise ParameterError("atoms must be finite")
+            raise ArgumentError("atoms must be finite")
         if not np.all(weights > 0.0):  # NaN fails too
-            raise ParameterError("weights must be strictly positive")
+            raise ArgumentError("weights must be strictly positive")
         rem = float(self.truncation_remainder)
         if not 0.0 <= rem < 1.0:
-            raise ParameterError("truncation_remainder must lie in [0, 1)")
+            raise ArgumentError("truncation_remainder must lie in [0, 1)")
         if abs(weights.sum() + rem - 1.0) > 1e-12:
-            raise ParameterError("weights plus truncation remainder must sum to 1")
+            raise ArgumentError("weights plus truncation remainder must sum to 1")
         # neighbour tests on bools, a byte per atom, not on an array of gaps
         if (atoms[1:] < atoms[:-1]).any():
             order = np.argsort(atoms, kind="stable")
@@ -242,11 +242,11 @@ class TruncationPolicy:
     def __post_init__(self):
         eps = float(self.epsilon)
         if not np.isfinite(eps) or eps >= 1.0:
-            raise TruncationError("epsilon must be a real number below 1")
+            raise ArgumentError("epsilon must be a real number below 1")
         if eps <= 0.0 and self.max_atoms is None:
-            raise TruncationError("epsilon <= 0 requires max_atoms to be set")
+            raise ArgumentError("epsilon <= 0 requires max_atoms to be set")
         if self.max_atoms is not None and int(self.max_atoms) < 1:
-            raise TruncationError("max_atoms must be at least 1")
+            raise ArgumentError("max_atoms must be at least 1")
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(
             self, "max_atoms", None if self.max_atoms is None else int(self.max_atoms)
@@ -302,14 +302,14 @@ def stick_budget(a: float, trunc: TruncationPolicy) -> int:
     """Sticks a stick-breaking draw at concentration ``a`` is sized for: with
     epsilon > 0 its first block, int(a ln(1/epsilon) 1.04) + 64, capped by
     max_atoms; otherwise max_atoms.  The one rule for a draw's size: a budget
-    above MAX_STICKS raises ParameterError."""
+    above MAX_STICKS raises ArgumentError."""
     count = np.inf if trunc.max_atoms is None else trunc.max_atoms
     if trunc.epsilon > 0:
         first = a * np.log(1.0 / trunc.epsilon) * 1.04
         if first < MAX_STICKS:  # compared as a float, so a huge a never reaches int()
             count = min(count, int(first) + 64)
     if count > MAX_STICKS:
-        raise ParameterError(
+        raise ArgumentError(
             f"a stick-breaking draw at a = {a:g} needs more than MAX_STICKS = 2^25 sticks;"
             " lower a or max_atoms, or raise epsilon"
         )
@@ -346,7 +346,7 @@ def stick_breaking_sample(
     """
     check_concentration(a)
     if not isinstance(trunc, TruncationPolicy):
-        raise TruncationError("trunc must be a TruncationPolicy")
+        raise ArgumentError("trunc must be a TruncationPolicy")
     budget = stick_budget(a, trunc)
     buffers = Scratch() if scratch is None else scratch
 
@@ -526,7 +526,7 @@ def posterior_mean(a: float, base: BaseMeasure, data, s: BorelSet) -> float:
     check_concentration(a)
     data = np.asarray(data, dtype=float).ravel()
     if not np.all(np.isfinite(data)):
-        raise ParameterError("posterior data must be finite")
+        raise ArgumentError("posterior data must be finite")
     if np.any(data[1:] < data[:-1]):  # a caller with several sets sorts once
         data = np.sort(data)
     total = 0.0

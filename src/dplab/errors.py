@@ -5,24 +5,8 @@ class DplabError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParameterError(DplabError, ValueError):
-    """A distribution or process parameter is outside its valid domain."""
-
-
-class PartitionError(DplabError, ValueError):
-    """The supplied cells do not form a measurable partition of the support."""
-
-
-class TruncationError(DplabError, ValueError):
-    """The truncation policy can never terminate stick generation."""
-
-
 class ArgumentError(DplabError, ValueError):
-    """An operation argument is outside its documented domain."""
-
-
-class SingularDensityError(DplabError, ArithmeticError):
-    """The base density vanishes at a quantile where it must be positive."""
+    """An argument is outside its documented domain."""
 
 
 class ConfigError(DplabError, ValueError):

@@ -323,9 +323,8 @@ def _quantile(f: _Fields, config_dir) -> Call:
     epsilon = _make(t.sub("epsilon"), check_resolution, t.read("epsilon", 1e-10, _number))
     if t.read("max_atoms", None, lambda v, p: v) is not None:
         _fail(t.sub("max_atoms"), "has no meaning for bisection quantiles; set it to null")
-    trunc = TruncationPolicy(epsilon)
     return lambda seed, stream: verify.quantile_limit_study(
-        a_values, base, u_points, r, seed, trunc=trunc, base_stream=stream
+        a_values, base, u_points, r, seed, epsilon=epsilon, base_stream=stream
     )
 
 
@@ -473,7 +472,6 @@ class RunReport:
     family_passed: dict[str, bool]
     overall_pass: bool
     wall_clock_seconds: float
-    manifest: list[str] = field(default_factory=list)
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
@@ -520,8 +518,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def emit_report(report: RunReport, out_dir: str | Path) -> list[str]:
     """Write each result's CSV tables as ``<family>_<table>.csv`` plus the
-    JSON summary; returns the manifest of files written (also recorded in
-    the report)."""
+    JSON summary; returns the manifest of files written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest: list[str] = []
@@ -543,5 +540,4 @@ def emit_report(report: RunReport, out_dir: str | Path) -> list[str]:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     manifest.append("report.json")
-    report.manifest = manifest
     return manifest

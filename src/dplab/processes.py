@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dp_core import BaseMeasure, BorelSet, check_concentration
-from .errors import ArgumentError, ParameterError, SingularDensityError
+from .errors import ArgumentError
 from .special import stirlerr
 
 
@@ -55,7 +55,7 @@ def limit_quantile_cov(u: float, v: float, base: BaseMeasure) -> float:
     hu = float(base.density(base.quantile(u)))
     hv = float(base.density(base.quantile(v)))
     if not (hu > 0.0 and 0.0 < hu * hv < np.inf):
-        raise SingularDensityError(
+        raise ArgumentError(
             f"base density product {hu!r} * {hv!r} at the quantiles of u = {u!r} and v = {v!r} "
             "is not positive and finite"
         )
@@ -71,7 +71,7 @@ def check_density_cells(l1: float, l2: float) -> tuple[float, float]:
     """Two disjoint cells' measures as floats, if l1, l2 > 0 and l1 + l2 < 1."""
     l1, l2 = float(l1), float(l2)
     if not (0.0 < l1 and 0.0 < l2 and l1 + l2 < 1.0):
-        raise ParameterError("cell measures need l1 > 0, l2 > 0, l1 + l2 < 1")
+        raise ArgumentError("cell measures need l1 > 0, l2 > 0, l1 + l2 < 1")
     return l1, l2
 
 

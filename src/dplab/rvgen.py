@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ArgumentError
 from .special import expit
 
 # Uniform draws live in [0, 1); exact zeros (probability 2^-53) are nudged to
@@ -26,7 +26,7 @@ def check_seed(value, name: str) -> int:
     key word.  Anything wider is rejected, not reduced, because two seeds
     that agree modulo 2^64 would run the same stream."""
     if not isinstance(value, (int, np.integer)) or not 0 <= value < 1 << 64:
-        raise ParameterError(f"{name} must be an integer in [0, 2^64), got {value!r}")
+        raise ArgumentError(f"{name} must be an integer in [0, 2^64), got {value!r}")
     return int(value)
 
 
@@ -78,7 +78,7 @@ class RngStream:
 def _check_positive(name: str, value: float) -> float:
     value = float(value)
     if not np.isfinite(value) or value <= 0.0:
-        raise ParameterError(f"{name} must be a positive finite real, got {value!r}")
+        raise ArgumentError(f"{name} must be a positive finite real, got {value!r}")
     return value
 
 
@@ -93,9 +93,9 @@ def _check_shapes(name: str, value, size: int):
         return _check_positive(name, value)
     values = np.asarray(value, dtype=float)
     if values.shape != (size,):
-        raise ParameterError(f"{name} must be a scalar or hold {size} shapes, got shape {values.shape}")
+        raise ArgumentError(f"{name} must be a scalar or hold {size} shapes, got shape {values.shape}")
     if not np.all((values > 0.0) & (values < np.inf)):  # NaN fails too
-        raise ParameterError(f"every {name} must be a positive finite real")
+        raise ArgumentError(f"every {name} must be a positive finite real")
     return values
 
 
@@ -140,15 +140,12 @@ def _log_gamma_draws(rng: RngStream, shape, n: int) -> np.ndarray:
     G' ~ Gamma(shape + 1), evaluated in log space so tiny shapes (routine for
     Dirichlet-process cells with small a*H(A)) never underflow.  All n
     Marsaglia-Tsang draws come first, then one uniform per boosted slot, in
-    slot order.  Only a scalar shape 1 takes the exponential reduction.
+    slot order.
     """
-    per_slot = np.ndim(shape) > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        if not per_slot and shape == 1.0:
-            return np.log(-np.log(_safe_uniform(rng, n)))
         small = shape < 1.0
         logs = np.log(_mt_gamma(rng, shape + small, n))
-        if per_slot:
+        if np.ndim(shape):
             small = np.flatnonzero(small)
             logs[small] += np.log(_safe_uniform(rng, small.size)) / shape[small]
         elif small:
@@ -187,7 +184,7 @@ def sample_dirichlet(alphas, rng: RngStream, size: int) -> np.ndarray:
     """
     alphas = [_check_positive("a Dirichlet parameter", a) for a in alphas]
     if len(alphas) < 2:
-        raise ParameterError("a Dirichlet needs at least two parameters")
+        raise ArgumentError("a Dirichlet needs at least two parameters")
     logs = np.empty((size, len(alphas)))
     for j, alpha in enumerate(alphas):
         logs[:, j] = _log_gamma_draws(rng, alpha, size)

@@ -46,7 +46,7 @@ from .dp_core import (
     stick_breaking_sample,
     uniform_base,
 )
-from .errors import ArgumentError, ConfigError, DplabError, PartitionError
+from .errors import ArgumentError, ConfigError, DplabError
 from .kolmogorov import kolmogorov_sf, two_sample_sf
 from .processes import bb_cov, limit_quantile_cov
 from .processes import (
@@ -425,14 +425,14 @@ def cut_points(sets: Sequence[BorelSet], base: BaseMeasure) -> np.ndarray:
 
 def _check_masses(masses: np.ndarray) -> None:
     if np.any(masses < -1e-12):
-        raise PartitionError("a cell has negative measure")
+        raise ArgumentError("a cell has negative measure")
     if abs(masses.sum() - 1.0) > 1e-9:
-        raise PartitionError(f"cell measures sum to {masses.sum():.12g}, expected 1 within 1e-9")
+        raise ArgumentError(f"cell measures sum to {masses.sum():.12g}, expected 1 within 1e-9")
 
 
 def refine_to_partition(sets: Sequence[BorelSet], base: BaseMeasure) -> tuple[np.ndarray, ...]:
     """Cut the line at ``cut_points(sets, base)``.  Returns the cut points,
-    the H-masses of the segments between them (PartitionError unless they
+    the H-masses of the segments between them (ArgumentError unless they
     are non-negative and sum to one within 1e-9), and a membership matrix,
     1.0 at (i, j) when segment j lies inside set i and 0.0 elsewhere, so a
     set's mass is the sum of its segments' masses."""
@@ -451,18 +451,18 @@ def refine_to_partition(sets: Sequence[BorelSet], base: BaseMeasure) -> tuple[np
 
 
 def check_partition(cells: Sequence[BorelSet], masses: np.ndarray) -> None:
-    """PartitionError unless there is a cell, no two cells overlap (outside
+    """ArgumentError unless there is a cell, no two cells overlap (outside
     the support too) and the cells' ``masses`` are non-negative and sum to
     one within 1e-9.  Sorted by left end, an interval that overlaps an
     earlier one overlaps its neighbour, so only neighbours are compared."""
     if not len(cells):
-        raise PartitionError("partition must contain at least one cell")
+        raise ArgumentError("partition must contain at least one cell")
     ends, owner = _intervals(cells)
     order = np.argsort(ends[:, 0])
     clash = np.flatnonzero(ends[order[1:], 0] < ends[order[:-1], 1])
     if clash.size:
         i, j = sorted(owner[order[clash[0] : clash[0] + 2]])
-        raise PartitionError(f"cells {i} and {j} overlap")
+        raise ArgumentError(f"cells {i} and {j} overlap")
     _check_masses(masses)
 
 
@@ -861,7 +861,7 @@ def quantile_limit_study(
     replications: int,
     seed: int,
     *,
-    trunc: TruncationPolicy | None = None,
+    epsilon: float = 1e-10,
     base_stream: int = 0,
 ) -> McSummary:
     """Quantile-process limit checks per concentration: the covariance matrix
@@ -875,15 +875,12 @@ def quantile_limit_study(
     but the comparison target is the value implied by the limit covariance.
     Quantiles are drawn under the uniform base by ``bisection_quantiles`` and
     mapped through the base quantile, which commutes with taking quantiles;
-    ``trunc.epsilon`` is the bisection resolution (each quantile lies within
-    epsilon of the exact one in H-level), and a ``max_atoms`` cap is
-    rejected.  Leg l draws all its replications from stream base_stream + l.
+    ``epsilon`` is the bisection resolution (each quantile lies within
+    epsilon of the exact one in H-level).  Leg l draws all its replications
+    from stream base_stream + l.
     """
     a_values = check_a_values(a_values)
     u_points = check_levels(u_points)
-    trunc = trunc or TruncationPolicy()
-    if trunc.max_atoms is not None:
-        raise ArgumentError("max_atoms has no meaning for bisection quantiles; set it to null")
 
     u_all = sorted(set(u_points) | {0.25, 0.5, 0.75})
     u_arr = np.array(u_all)
@@ -906,7 +903,7 @@ def quantile_limit_study(
 
     for leg, a in enumerate(a_values):
         rng = RngStream(seed, base_stream + leg)
-        q = bisection_quantiles(a, u_arr, rng, replications, trunc.epsilon)
+        q = bisection_quantiles(a, u_arr, rng, replications, epsilon)
         vals = np.sqrt(a) * (np.asarray(base.quantile(q), dtype=float) - base_quantiles)
         tag = f"a={a:g}"
 

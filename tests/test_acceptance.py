@@ -165,10 +165,9 @@ def test_criterion_8_quantile_limits():
     interquartile-range variance within 5 SE of the limit-covariance value
     0.25, and the quantile-process covariance at {.25, .5, .75} entrywise
     within 5 SE of the limit covariance."""
-    trunc = TruncationPolicy(1e-10)
     u_points = [0.25, 0.5, 0.75]
-    uni = quantile_limit_study([1e4], uniform_base(), u_points, 10_000, 8809, trunc=trunc)
-    expo = quantile_limit_study([1e4], exponential_base(), u_points, 10_000, 8810, trunc=trunc)
+    uni = quantile_limit_study([1e4], uniform_base(), u_points, 10_000, 8809, epsilon=1e-10)
+    expo = quantile_limit_study([1e4], exponential_base(), u_points, 10_000, 8810, epsilon=1e-10)
     printed = uni.estimates["iqr_var_printed_reference"][0]
     adjudicated = uni.estimates["a=10000/iqr_var"][0]
     print(

@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 from dplab import (
     ArgumentError,
     BorelSet,
-    ParameterError,
     RngStream,
-    TruncationError,
     TruncationPolicy,
     bisection_quantiles,
     dp_cdf,
@@ -79,13 +77,13 @@ class TestBaseMeasure:
 
 class TestBorelSet:
     def test_rejects_empty_interval(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ArgumentError):
             BorelSet.interval(0.5, 0.5)
 
     def test_rejects_overlap_and_disorder(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ArgumentError):
             BorelSet(((0.0, 0.5), (0.4, 0.8)))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ArgumentError):
             BorelSet(((0.5, 0.8), (0.0, 0.2)))
 
     def test_touching_intervals_allowed(self):
@@ -144,7 +142,7 @@ class TestSampleFidi:
             assert abs(draws[:, j].mean() - 0.5) <= 3 * se
 
     def test_rejects_bad_concentration(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ArgumentError):
             sample_fidi(0.0, [0.5, 0.5], RngStream(0, 0), size=1)
 
     def test_single_cell_partition(self, uniform01):
@@ -203,15 +201,15 @@ class TestStickBreaking:
         assert np.all(s.atoms > lo) and np.all(s.atoms < hi)
 
     def test_invalid_truncation(self):
-        with pytest.raises(TruncationError):
+        with pytest.raises(ArgumentError):
             TruncationPolicy(0.0, max_atoms=None)
-        with pytest.raises(TruncationError):
+        with pytest.raises(ArgumentError):
             TruncationPolicy(-1.0)
-        with pytest.raises(TruncationError):
+        with pytest.raises(ArgumentError):
             TruncationPolicy(1e-10, max_atoms=0)
 
     def test_invalid_concentration(self, uniform01):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ArgumentError):
             stick_breaking_sample(0.0, uniform01, TruncationPolicy(), RngStream(0, 0))
 
 
@@ -310,7 +308,7 @@ class TestStickBudget:
     def test_limit_is_inclusive(self):
         limit = dp_core.MAX_STICKS
         assert dp_core.stick_budget(10.0, TruncationPolicy(0.0, max_atoms=limit)) == limit
-        with pytest.raises(ParameterError, match="MAX_STICKS"):
+        with pytest.raises(ArgumentError, match="MAX_STICKS"):
             dp_core.stick_budget(10.0, TruncationPolicy(0.0, max_atoms=limit + 1))
 
     @pytest.mark.parametrize(
@@ -324,7 +322,7 @@ class TestStickBudget:
     )
     def test_sampler_rejects_before_drawing(self, uniform01, a, trunc):
         rng = RngStream(41, 0)
-        with pytest.raises(ParameterError, match="MAX_STICKS"):
+        with pytest.raises(ArgumentError, match="MAX_STICKS"):
             stick_breaking_sample(a, uniform01, trunc, rng)
         assert rng.uniform() == RngStream(41, 0).uniform()  # nothing was drawn
 
@@ -385,11 +383,11 @@ class TestDpSampleValidation:
     def test_weights_must_be_positive(self, weights):
         """A NaN weight is not > 0: it must not slip past the positivity and
         mass checks, which both compare False against NaN."""
-        with pytest.raises(ParameterError, match="strictly positive"):
+        with pytest.raises(ArgumentError, match="strictly positive"):
             make_sample([0.1, 0.2], weights, 0.5)
 
     def test_mass_must_close_to_one(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ArgumentError):
             make_sample([0.1, 0.2], [0.5, 0.4], 0.0)
 
     def test_ties_merged_by_weight(self):
@@ -557,7 +555,7 @@ class TestBisectionQuantiles:
 
     def test_rejects_bad_arguments(self):
         rng = RngStream(0, 0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ArgumentError):
             bisection_quantiles(0.0, self.LEVELS, rng, 10, 1e-10)
         for levels in ([0.0, 0.5], [0.5, 1.0], [], [np.nan], [0.5, 0.25], [[0.5]]):
             with pytest.raises(ArgumentError):
@@ -625,9 +623,9 @@ class TestPosterior:
 
     def test_rejects_bad_concentration_and_data(self, uniform01):
         s = BorelSet.interval(0.0, 0.5)
-        with pytest.raises(ParameterError, match="concentration"):
+        with pytest.raises(ArgumentError, match="concentration"):
             posterior_mean(0.0, uniform01, self.DATA, s)
-        with pytest.raises(ParameterError, match="finite"):
+        with pytest.raises(ArgumentError, match="finite"):
             posterior_mean(2.0, uniform01, [0.2, np.nan], s)
 
 

@@ -272,11 +272,12 @@ class TestValidationProperty:
 
 class TestRunAndEmit:
     def test_summary_csv_written(self, tmp_path):
-        report = _run_to_dir(_config(), tmp_path)
+        report = run_experiment(validate_config(_config()))
+        manifest = emit_report(report, tmp_path)
         assert report.overall_pass
         text = (tmp_path / "moments_summary.csv").read_text()
         assert text.startswith("kind,name,estimate,se,target,tolerance_se,one_sided,passed")
-        assert "report.json" in report.manifest
+        assert "report.json" in manifest
 
     def test_rerun_is_byte_identical(self, tmp_path):
         _run_to_dir(_config(), tmp_path / "one")
@@ -415,9 +416,9 @@ class TestRunAndEmit:
         assert payload["pass"] is False
 
     def test_manifest_matches_written_files(self, tmp_path):
-        report = _run_to_dir(_config(), tmp_path)
+        manifest = emit_report(run_experiment(validate_config(_config())), tmp_path)
         on_disk = sorted(p.name for p in tmp_path.iterdir())
-        assert sorted(report.manifest) == on_disk
+        assert sorted(manifest) == on_disk
 
     def test_round_trip_reproduces_run(self, tmp_path):
         _run_to_dir(_config(), tmp_path / "first")

@@ -18,7 +18,6 @@ from dplab import (
     ArgumentError,
     BaseMeasure,
     BorelSet,
-    PartitionError,
     RngStream,
     TruncationPolicy,
     bisection_quantiles,
@@ -768,12 +767,12 @@ class TestRepresentationAgreement:
         ids=["no_cells", "gap", "overlap", "overlap_two_intervals", "overlap_outside_support"],
     )
     def test_non_partition_rejected(self, uniform01, cells, monkeypatch):
-        """Cells that are not a partition raise PartitionError before any
+        """Cells that are not a partition raise ArgumentError before any
         realization is drawn, also when two cells overlap only where the base
         puts no mass."""
         drawn = []
         monkeypatch.setattr(verify, "stick_breaking_sample", lambda *args: drawn.append(args))
-        with pytest.raises(PartitionError):
+        with pytest.raises(ArgumentError):
             representation_check(10.0, uniform01, cells, 10, 0)
         assert not drawn
 
@@ -788,7 +787,7 @@ class TestRepresentationAgreement:
             support=(0.0, 1.0),
         )
         cells = [BorelSet.interval(lo, hi) for lo, hi in zip(knots, knots[1:])]
-        with pytest.raises(PartitionError, match="negative"):
+        with pytest.raises(ArgumentError, match="negative"):
             representation_check(10.0, base, cells, 10, 0)
 
 
@@ -843,19 +842,12 @@ class TestQuantileLimitStudy:
             quantile_limit_study([10.0], uniform01, [0.5, 0.5], 100, 0)
         assert verify.check_levels([0.25, 0.5]) == [0.25, 0.5]
 
-    def test_rejects_an_atom_cap(self, uniform01):
-        """The truncation's epsilon is the bisection resolution; max_atoms
-        has no meaning for the quantile family."""
-        with pytest.raises(ArgumentError):
-            quantile_limit_study([10.0], uniform01, [0.5], 100, 0,
-                                 trunc=TruncationPolicy(1e-10, max_atoms=1000))
-
     def test_draw_layout(self, exp1):
         """Leg l draws all replications from stream (seed, base + l) in one
         bisection_quantiles call at the levels {u_points, .25, .5, .75}."""
         seed, base_stream, r = 77, 1000, 400
         out = quantile_limit_study([100.0, 1e6], exp1, [0.1, 0.5], r, seed,
-                                   trunc=TruncationPolicy(1e-8), base_stream=base_stream)
+                                   epsilon=1e-8, base_stream=base_stream)
         levels = [0.1, 0.25, 0.5, 0.75]
         for leg, a in enumerate([100.0, 1e6]):
             q = bisection_quantiles(a, levels, RngStream(seed, base_stream + leg), r, 1e-8)
