@@ -46,10 +46,11 @@ def check_concentration(a: float) -> None:
 
 
 def check_resolution(epsilon: float) -> float:
-    """The one rule for a bisection resolution: 0 < epsilon < 1."""
+    """The one rule for a truncation resolution, of stick-breaking and of
+    bisection quantiles alike: 0 < epsilon < 1."""
     epsilon = float(epsilon)
     if not 0.0 < epsilon < 1.0:
-        raise ArgumentError("bisection quantiles need 0 < epsilon < 1")
+        raise ArgumentError("epsilon must satisfy 0 < epsilon < 1")
     return epsilon
 
 
@@ -230,27 +231,17 @@ class DpSample:
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Stopping rule for stick-breaking: stop once the remaining stick mass
-    drops below ``epsilon``, or after ``max_atoms`` sticks, whichever is first.
+    drops below ``epsilon`` (``check_resolution``: 0 < epsilon < 1), so the
+    realization is within epsilon of an exact draw of DP(a, H).
 
     The expected remainder after N sticks is (a / (1 + a))^N, so for target
     epsilon roughly a * ln(1/epsilon) sticks are generated.
     """
 
     epsilon: float = 1e-10
-    max_atoms: int | None = None
 
     def __post_init__(self):
-        eps = float(self.epsilon)
-        if not np.isfinite(eps) or eps >= 1.0:
-            raise ArgumentError("epsilon must be a real number below 1")
-        if eps <= 0.0 and self.max_atoms is None:
-            raise ArgumentError("epsilon <= 0 requires max_atoms to be set")
-        if self.max_atoms is not None and int(self.max_atoms) < 1:
-            raise ArgumentError("max_atoms must be at least 1")
-        object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(
-            self, "max_atoms", None if self.max_atoms is None else int(self.max_atoms)
-        )
+        object.__setattr__(self, "epsilon", check_resolution(self.epsilon))
 
 
 class Scratch:
@@ -298,22 +289,19 @@ def _buffer(n: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
 
 
-def stick_budget(a: float, trunc: TruncationPolicy) -> int:
-    """Sticks a stick-breaking draw at concentration ``a`` is sized for: with
-    epsilon > 0 its first block, int(a ln(1/epsilon) 1.04) + 64, capped by
-    max_atoms; otherwise max_atoms.  The one rule for a draw's size: a budget
-    above MAX_STICKS raises ArgumentError."""
-    count = np.inf if trunc.max_atoms is None else trunc.max_atoms
-    if trunc.epsilon > 0:
-        first = a * np.log(1.0 / trunc.epsilon) * 1.04
-        if first < MAX_STICKS:  # compared as a float, so a huge a never reaches int()
-            count = min(count, int(first) + 64)
-    if count > MAX_STICKS:
+def stick_budget(a: float, epsilon: float) -> int:
+    """Sticks the first block of a stick-breaking draw at concentration ``a``
+    and resolution ``epsilon`` holds: int(a ln(1/epsilon) 1.04) + 64.  The
+    one rule for a draw's size: a budget above MAX_STICKS raises
+    ArgumentError."""
+    first = a * np.log(1.0 / epsilon) * 1.04
+    # compared as a float first, so a huge a never reaches int()
+    if not (first < MAX_STICKS and int(first) + 64 <= MAX_STICKS):
         raise ArgumentError(
             f"a stick-breaking draw at a = {a:g} needs more than MAX_STICKS = 2^25 sticks;"
-            " lower a or max_atoms, or raise epsilon"
+            " lower a or raise epsilon"
         )
-    return int(count)
+    return int(first) + 64
 
 
 def stick_breaking_sample(
@@ -347,13 +335,11 @@ def stick_breaking_sample(
     check_concentration(a)
     if not isinstance(trunc, TruncationPolicy):
         raise ArgumentError("trunc must be a TruncationPolicy")
-    budget = stick_budget(a, trunc)
+    block = stick_budget(a, trunc.epsilon)
     buffers = Scratch() if scratch is None else scratch
 
     # log of remaining mass must fall below this to stop on epsilon
-    log_target = a * np.log(trunc.epsilon) if trunc.epsilon > 0 else -np.inf
-    cap = trunc.max_atoms
-    block = budget
+    log_target = a * np.log(trunc.epsilon)
 
     # Each block is appended to "sticks", and the cumsum of every stick drawn
     # so far goes to "levels" after its first entry, which the cdf levels take
@@ -371,12 +357,10 @@ def stick_breaking_sample(
         np.cumsum(sticks, out=neg_cs)
         np.negative(neg_cs, out=neg_cs)  # -log of the mass left, increasing
         hit = np.searchsorted(neg_cs, -log_target, side="left")
-        if hit < drawn or (cap is not None and drawn >= cap):
-            n = min(hit + 1, drawn)
+        if hit < drawn:
+            n = hit + 1
             break
         block = max(block // 2, 256)
-        if cap is not None:
-            block = min(block, cap - drawn)
 
     # remaining mass after each stick; weights telescope: w_j = R_{j-1} - R_j
     remaining = neg_cs[:n]

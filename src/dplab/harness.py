@@ -33,7 +33,6 @@ from . import verify
 from .dp_core import (
     BaseMeasure,
     BorelSet,
-    TruncationPolicy,
     check_concentration,
     check_resolution,
     exponential_base,
@@ -219,11 +218,14 @@ def _check_table(f: _Fields, r: int, sets: list[BorelSet], base: BaseMeasure) ->
         _fail(f.sub("replications"), f"replications x {width} columns must be at most {_MAX_TABLE}")
 
 
-def _read_truncation(f: _Fields) -> TruncationPolicy:
+def _read_truncation(f: _Fields) -> float:
+    """The ``truncation`` object's epsilon, 0 < epsilon < 1, for both families
+    that read it; its ``max_atoms`` stays in the schema, null only."""
     t = f.obj("truncation")
-    epsilon = t.read("epsilon", 1e-10, _number)
-    max_atoms = t.read("max_atoms", None, lambda v, p: None if v is None else _int(v, p))
-    return _make(f.sub("truncation"), TruncationPolicy, epsilon, max_atoms)
+    epsilon = _make(t.sub("epsilon"), check_resolution, t.read("epsilon", 1e-10, _number))
+    if t.read("max_atoms", None, lambda v, p: v) is not None:
+        _fail(t.sub("max_atoms"), "must be null; truncation stops on epsilon alone")
+    return epsilon
 
 
 def _load_data(data_file: str, path: str, config_dir: Path | None) -> list[float]:
@@ -290,13 +292,11 @@ def _gc(f: _Fields, config_dir) -> Call:
     _make(f.sub("a_values"), verify.check_a_values, a_values, verify.MIN_GC_A_VALUES)
     r = f.read("replications", 1000, _count)
     resolution = f.read("gc_grid_resolution", 512, _count)
-    trunc = _read_truncation(f)
-    # With epsilon > 0 the stick budget grows with a; otherwise it is max_atoms.
+    epsilon = _read_truncation(f)
     for i, a in enumerate(a_values):
-        path = f"{f.sub('a_values')}[{i}]" if trunc.epsilon > 0 else f.sub("truncation")
-        _make(path, stick_budget, a, trunc)
+        _make(f"{f.sub('a_values')}[{i}]", stick_budget, a, epsilon)
     return lambda seed, stream: verify.gc_study(
-        a_values, base, r, resolution, seed, trunc=trunc, base_stream=stream
+        a_values, base, r, resolution, seed, epsilon=epsilon, base_stream=stream
     )
 
 
@@ -318,11 +318,7 @@ def _quantile(f: _Fields, config_dir) -> Call:
     if not all(np.isfinite(8.0**4 * v * v) for v in variances):
         _fail(f.sub("base_measure"), "too wide: its quantile deviations' fourth powers overflow")
     r = f.read("replications", 10000, _count)
-    # epsilon is the bisection resolution; no sticks are drawn, so no max_atoms.
-    t = f.obj("truncation")
-    epsilon = _make(t.sub("epsilon"), check_resolution, t.read("epsilon", 1e-10, _number))
-    if t.read("max_atoms", None, lambda v, p: v) is not None:
-        _fail(t.sub("max_atoms"), "has no meaning for bisection quantiles; set it to null")
+    epsilon = _read_truncation(f)
     return lambda seed, stream: verify.quantile_limit_study(
         a_values, base, u_points, r, seed, epsilon=epsilon, base_stream=stream
     )

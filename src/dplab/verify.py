@@ -687,18 +687,19 @@ def gc_study(
     grid_resolution: int,
     seed: int,
     *,
-    trunc: TruncationPolicy | None = None,
+    epsilon: float = 1e-10,
     base_stream: int = 0,
 ) -> McSummary:
     """Uniform-convergence study: per concentration, the Monte Carlo means
     of the exact sup-norm and squared-deviation integral (the ``curve``
     table), the deviation-bound sweep, and a least-squares log-log decay
     rate of the mean sup-norm; ``_gc_comparisons`` gives the verdict.
+    Stick-breaking stops once the remaining mass drops below ``epsilon``.
 
     Leg l (for a_values[l]) uses stream indices base_stream + l*replications + r.
     """
     a_values = check_a_values(a_values, MIN_GC_A_VALUES)
-    trunc = trunc or TruncationPolicy()
+    trunc = TruncationPolicy(epsilon)
     grid = np.linspace(0.0, 1.0, int(grid_resolution)) if grid_resolution else None
 
     n_samples = int(replications) * a_values.size

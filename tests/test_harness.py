@@ -6,7 +6,6 @@ import threading
 import time
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,17 +42,9 @@ def _config(**overrides):
     return cfg
 
 
-# A config whose run fails on its own: a one-stick truncation is not a DP
-# realization, so the mean sup rises with a and the fitted rate leaves the
-# gc family's window.
-FAILING = {
-    "schema_version": 1,
-    "experiment": "gc",
-    "seed": 42,
-    "a_values": [10.0, 100.0],
-    "replications": 20,
-    "truncation": {"epsilon": 0.0, "max_atoms": 1},
-}
+# A config whose run fails on its own: at a = 4.5 each default cell has
+# a * l = 1.5, and the TV quadrature stops at N_MAX.
+FAILING = {"schema_version": 1, "experiment": "density", "seed": 42, "a_values": [4.5]}
 
 
 # A density config whose third cell, 1 - 0.05 - 0.9, gives a * l3 <= 1 at
@@ -136,7 +127,7 @@ class TestConfigValidation:
             (
                 {"experiment": "gc", "a_values": [10.0, 100.0], "replications": 20,
                  "truncation": {"epsilon": 2.0}},
-                "truncation",
+                "truncation.epsilon",
                 {"truncation": {"epsilon": 1e-10}},
             ),
         ],
@@ -193,7 +184,7 @@ class TestConfigValidation:
         }
         with pytest.raises(ConfigError) as err:
             validate_config(cfg)
-        assert err.value.path == "families.gc.truncation"
+        assert err.value.path == "families.gc.truncation.epsilon"
 
     def test_settable_fields_per_family(self):
         """Every field path a family's default config echoes: a new knob
@@ -462,7 +453,7 @@ class TestCli:
         path = self._write(tmp_path, FAILING)
         rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert "[FAIL] gc" in capsys.readouterr().out
+        assert "[FAIL] density" in capsys.readouterr().out
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert payload["pass"] is False
 
@@ -746,9 +737,9 @@ class TestCli:
         "cfg, path",
         [
             ({"a_values": [10.0, 1e15]}, "a_values[1]: "),
-            ({"truncation": {"epsilon": 0.0, "max_atoms": 10**12}}, "truncation: "),
+            ({"a_values": [10.0, 1e6], "truncation": {"epsilon": 1e-300}}, "a_values[1]: "),
         ],
-        ids=["a_value", "max_atoms"],
+        ids=["a_value", "epsilon"],
     )
     def test_stick_budget_over_the_limit_exits_2(self, tmp_path, capsys, monkeypatch, cfg, path):
         """A gc draw that could not be allocated is rejected at its field, and
@@ -806,28 +797,30 @@ class TestCli:
         rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
         self._assert_clean_exit_2(capsys, rc, "DPLAB_THREADS")
 
-    def test_quantile_atom_cap_exits_2(self, tmp_path, capsys):
-        """max_atoms has no meaning for bisection quantiles."""
+    @pytest.mark.parametrize("family", ["gc", "quantile"])
+    def test_quantile_atom_cap_exits_2(self, tmp_path, capsys, family):
+        """Truncation stops on epsilon alone: a max_atoms other than null is
+        rejected by either family that reads it."""
         cfg = {
             "schema_version": 1,
-            "experiment": "quantile",
+            "experiment": family,
             "seed": 1,
             "truncation": {"epsilon": 1e-10, "max_atoms": 1000},
         }
         rc = cli_main(["validate", "--config", self._write(tmp_path, cfg)])
-        self._assert_clean_exit_2(capsys, rc, "truncation.max_atoms: has no meaning")
+        self._assert_clean_exit_2(capsys, rc, "truncation.max_atoms: must be null")
 
+    @pytest.mark.parametrize("family", ["gc", "quantile"])
     @pytest.mark.parametrize("max_atoms", [None, 1000])
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, 1.0])
     def test_quantile_resolution_outside_unit_interval_exits_2(
-        self, tmp_path, capsys, epsilon, max_atoms
+        self, tmp_path, capsys, epsilon, max_atoms, family
     ):
-        """The quantile family's epsilon is its bisection resolution: it is
-        rejected at its own path by the bisection rule, with or without a
-        max_atoms, whose rule would otherwise contradict it."""
+        """epsilon is rejected at its own path by the one resolution rule,
+        with or without a max_atoms, which no epsilon makes valid."""
         cfg = {
             "schema_version": 1,
-            "experiment": "quantile",
+            "experiment": family,
             "seed": 1,
             "truncation": {"epsilon": epsilon, "max_atoms": max_atoms},
         }
@@ -836,7 +829,7 @@ class TestCli:
         assert err.value.path == "truncation.epsilon"
         rc = cli_main(["validate", "--config", self._write(tmp_path, cfg)])
         self._assert_clean_exit_2(
-            capsys, rc, "truncation.epsilon: bisection quantiles need 0 < epsilon < 1"
+            capsys, rc, "truncation.epsilon: epsilon must satisfy 0 < epsilon < 1"
         )
 
     @pytest.mark.parametrize("family", FAMILIES)
