@@ -207,22 +207,52 @@ class TestStickBreaking:
 # of stick_breaking_sample(a, base, policy, RngStream(505, 0)), as little-endian
 # float64, recorded from the implementation that paired weights with atoms by
 # weights[permutation(n)].  Any change to the draw layout or to the arithmetic
-# changes them.
-_STICK_POLICIES = {"eps": TruncationPolicy(1e-10)}
+# changes them.  The eps_1e-2 and eps_1e-6 entries were recorded while
+# stick-breaking could still stop at a max_atoms cap: an epsilon-only draw is
+# the same with or without that cap's branches.
+_STICK_POLICIES = {
+    "eps": TruncationPolicy(1e-10),
+    "eps_1e-2": TruncationPolicy(1e-2),
+    "eps_1e-6": TruncationPolicy(1e-6),
+}
 _STICK_BASES = {"uniform": uniform_base, "exponential": exponential_base, "normal": normal_base}
 _STICK_DIGESTS = {
     ("uniform", 0.5, "eps"): "ee471dc6432e16fc16d077cd7fe7d37c10040be9cf7a4e40b0f001bd06949b4e",
+    ("uniform", 0.5, "eps_1e-2"): "950583e701628fd2f661b2f742ca717311df626f27f5ce3be956fcb560fa3cb9",
+    ("uniform", 0.5, "eps_1e-6"): "1adfc2879eaddaa38dba50538bc8fe3425bbb8ea197860891bb50b159c7ce61f",
     ("uniform", 10.0, "eps"): "e7e36597580fecd0244362468270c01b6b6fc8b24e3ad4bf7aa9253d3a7b7e3d",
+    ("uniform", 10.0, "eps_1e-2"): "f309e9d19c97a1d64261d8b9edd06153d9848f7afd59b2dad6788ce71e493505",
+    ("uniform", 10.0, "eps_1e-6"): "127fa83782c1b2f4cd341cdb0ee0b62804dfb2b2cb5de976c306519573742f0c",
     ("uniform", 100.0, "eps"): "ebd081975d585edae03181d39ca08346085d2b93f6398c239ec52b84195e7cc2",
+    ("uniform", 100.0, "eps_1e-2"): "77561123a5d70af13f60165d11d6f2001fdccea48372f822280c16aafe63dd32",
+    ("uniform", 100.0, "eps_1e-6"): "01ffd25060375ac1e4436dbe2c685ed9919bd86d9f4ddc5de565a4722008d48b",
     ("uniform", 10000.0, "eps"): "baa85b1a7d59ef5097e8f90d09294ad92525352ced37a771bc5bc776c41e6727",
+    ("uniform", 10000.0, "eps_1e-2"): "4a5a0a037e34799abd7e6174d8369846a3c0affda75762f0471ec135e17be284",
+    ("uniform", 10000.0, "eps_1e-6"): "c13c5b290fe1c878afbe655d034ebdbc64f31cc4f86b08bf79bd8c736c714dde",
     ("exponential", 0.5, "eps"): "42318ee3b58c12490b00e16e7590d57c5c713b4ac86d11ce2fbd353e10ea266a",
+    ("exponential", 0.5, "eps_1e-2"): "0002934d92e70369742720e0d87b00f43292b7751c5d1139ce4a024642d2d018",
+    ("exponential", 0.5, "eps_1e-6"): "b08672f2909a655623293904f3fac34ecf2d05555e70a6ddbc1d98680af8edc2",
     ("exponential", 10.0, "eps"): "f812d07bbdd9e365ee1e26fe7fe8d8329d9675ef7eb7e68ff0a993f9147b0a5a",
+    ("exponential", 10.0, "eps_1e-2"): "760a5db817efadb55332bd6d84b66a9a795f8fbfe1dd13fd3101bb72b91b798d",
+    ("exponential", 10.0, "eps_1e-6"): "ae178dcc92715936b6307e2d87140b4d4a703e18c3f4b9b698f8c77b0ca5bad1",
     ("exponential", 100.0, "eps"): "57c7bd2fce12a3d2bc766850a4690102d3381b894d26b526005ce735602a71bb",
+    ("exponential", 100.0, "eps_1e-2"): "400e780567703625d3447b07feec187202e99aa94d6ff04b902b5befe10f53f7",
+    ("exponential", 100.0, "eps_1e-6"): "35bc26f975ab8d0744eb0d88990652291304044a9b7a80d3e8646900212469de",
     ("exponential", 10000.0, "eps"): "159914e1b70d06970858cb9b34444b12fd2101457cd98fc534af15812e078d31",
+    ("exponential", 10000.0, "eps_1e-2"): "0e2a9f6b9fd900b9a7c0a4bd52c430d83c9bf6bb79d934db0220d7b31964040d",
+    ("exponential", 10000.0, "eps_1e-6"): "b818d89c144fd50049201d230e7eda6f7ba05fc592ca3760af17d06e651a1661",
     ("normal", 0.5, "eps"): "2f9fca74364cd4353bee064de4f7b44731fe23372cdcdd35f181eb0ceeec9873",
+    ("normal", 0.5, "eps_1e-2"): "3a05c729a593b647698d65d3ee7f71352427a1eb28fd9379e4ddbf77db7ea2ff",
+    ("normal", 0.5, "eps_1e-6"): "eab5fb3678bcd1cb1bf1fd065a1a7fbea61a5f422308c814e6e2eeaf6b99ec77",
     ("normal", 10.0, "eps"): "f67d26c452812822c706ee5ced07f316ed05abe7414fe51f9f8716a46ea3974e",
+    ("normal", 10.0, "eps_1e-2"): "181ce63cb96c310e7f33525a4c4faff4266d1720bb4d9e922f0ad5021e7aa081",
+    ("normal", 10.0, "eps_1e-6"): "a82344c40c28e02348296c111de23554098902cc124b29c5c89c7e1bcebb85b4",
     ("normal", 100.0, "eps"): "9b9ac7fcdf727d1e9d725284ac45aea21d60e29cb97ecc4ee897b0b2436b82c8",
+    ("normal", 100.0, "eps_1e-2"): "6402b506f1516b3d837b49fb37ec2cbf38e78c231f3389333aff58fa7fbb3d54",
+    ("normal", 100.0, "eps_1e-6"): "d393f51345a66b9ec3f238b207bfae1a2bfd23af6c992ea3d8cae24d23600c15",
     ("normal", 10000.0, "eps"): "4a823cffe9d2bead00f94ca633dcff2e0518f574a921a44c74bf0cff8bf969f3",
+    ("normal", 10000.0, "eps_1e-2"): "b719595c72adbf23373e2bd3f919d2190f4fadec14a00bd08bc5bc8455a0be38",
+    ("normal", 10000.0, "eps_1e-6"): "f99e1a125895f2c903676fb1f136924fad5541147e0f5ec1f797a1093bc60f6e",
 }
 # RngStream(7, 655) is the first stream of seed 7 whose first block of sticks
 # at a = 100, epsilon 1e-10 leaves more than epsilon, so it draws a second.
