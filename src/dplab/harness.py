@@ -21,7 +21,9 @@ byte-identical for any value of DPLAB_THREADS.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -504,23 +506,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 over ``path`` in place: one write, then a
+    truncate at its length.  Opening an existing file with O_TRUNC frees its
+    blocks, and ext4 (auto_da_alloc) then starts writeback when it closes, so
+    the next rewrite waits on that flush; this one keeps the blocks."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        fh.truncate()
 
 
 def emit_report(report: RunReport, out_dir: str | Path) -> list[str]:
     """Write each result's CSV tables as ``<family>_<table>.csv`` plus the
-    JSON summary; returns the manifest of files written."""
+    JSON summary, last; each file is rewritten in place (``_write_text``).
+    Returns the manifest of files written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest: list[str] = []
     for family, result in report.results.items():
         for table, (header, rows) in result.csv_tables().items():
-            _write_csv(out / f"{family}_{table}.csv", header, rows)
+            _write_text(out / f"{family}_{table}.csv", _csv_text(header, rows))
             manifest.append(f"{family}_{table}.csv")
 
     payload = {
@@ -532,8 +545,6 @@ def emit_report(report: RunReport, out_dir: str | Path) -> list[str]:
         "wall_clock_seconds": report.wall_clock_seconds,
         "manifest": manifest + ["report.json"],
     }
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(out / "report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     manifest.append("report.json")
     return manifest

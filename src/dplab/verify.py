@@ -348,7 +348,8 @@ def mc_var_se(x: np.ndarray) -> tuple[float, float]:
     n = x.size
     centered = x - x.mean()
     s2 = float(centered @ centered / (n - 1))
-    m4 = float(np.mean(centered**4))
+    squares = centered * centered
+    m4 = float(np.mean(squares * squares))
     se = float(np.sqrt(max(m4 - s2 * s2, 0.0) / n))
     return s2, se
 

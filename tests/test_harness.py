@@ -271,11 +271,24 @@ class TestRunAndEmit:
         assert "report.json" in manifest
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        _run_to_dir(_config(), tmp_path / "one")
-        _run_to_dir(_config(), tmp_path / "two")
-        a = (tmp_path / "one" / "moments_summary.csv").read_bytes()
-        b = (tmp_path / "two" / "moments_summary.csv").read_bytes()
-        assert a == b
+        """A rerun writes the same CSVs.  Into the first run's directory, with
+        each file grown with junk meanwhile, it rewrites every file in place:
+        each keeps its inode and ends up with the bytes that the same report
+        writes into a fresh directory, so no junk is left past its end."""
+        out, fresh = tmp_path / "one", tmp_path / "two"
+        _run_to_dir(_config(), out)
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        for name, data in first.items():
+            (out / name).write_bytes(b"junk," * len(data))
+        inodes = {p.name: p.stat().st_ino for p in out.iterdir()}
+        report = run_experiment(validate_config(_config()))
+        emit_report(report, out)
+        emit_report(report, fresh)
+        rerun = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert rerun == {p.name: p.read_bytes() for p in fresh.iterdir()}
+        assert {p.name: p.stat().st_ino for p in out.iterdir()} == inodes
+        csvs = [name for name in first if name.endswith(".csv")]
+        assert csvs and all(rerun[name] == first[name] for name in csvs)
 
     def test_thread_count_does_not_change_artifacts(self, tmp_path, monkeypatch):
         """A gc run whose legs both fan out writes the same artifacts on one
