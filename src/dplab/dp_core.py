@@ -414,6 +414,12 @@ def dp_quantile(sample: DpSample, u):
     return float(out) if np.isscalar(u) else out
 
 
+def bisection_depth(epsilon: float) -> int:
+    """K = min(52, ceil(log2(1/epsilon))), the levels a bisection quantile at
+    resolution ``epsilon`` descends; its deepest splits are Beta(a 2^-K, a 2^-K)."""
+    return min(_MAX_BISECTION_DEPTH, int(np.ceil(np.log2(1.0 / check_resolution(epsilon)))))
+
+
 def bisection_quantiles(a: float, levels, rng: RngStream, size: int, epsilon: float):
     """Quantiles Q(u) = inf{x : P_a[0, x] >= u} of ``size`` independent
     realizations of DP(a, U[0, 1]) at each of ``levels``; returns shape
@@ -444,8 +450,7 @@ def bisection_quantiles(a: float, levels, rng: RngStream, size: int, epsilon: fl
         raise ArgumentError("quantile levels must be a non-empty nondecreasing list inside (0, 1)")
     if int(size) < 1:
         raise ArgumentError("size must be positive")
-    epsilon = check_resolution(epsilon)
-    depth = min(_MAX_BISECTION_DEPTH, int(np.ceil(np.log2(1.0 / epsilon))))
+    depth = bisection_depth(epsilon)
 
     n, j = int(size), u.size
     shapes = [a * 2.0 ** -(k + 1) for k in range(depth)]

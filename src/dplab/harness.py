@@ -35,16 +35,18 @@ from . import verify
 from .dp_core import (
     BaseMeasure,
     BorelSet,
+    bisection_depth,
     check_concentration,
     check_resolution,
     exponential_base,
     normal_base,
+    posterior_mean,
     stick_budget,
     uniform_base,
 )
 from .errors import ConfigError, DplabError
 from .processes import bivariate_density_integral, check_density_cells, limit_quantile_cov
-from .rvgen import check_seed
+from .rvgen import check_seed, check_shape
 
 SCHEMA_VERSION = 1
 
@@ -53,9 +55,9 @@ Call = Callable[[int, int], verify.McSummary]
 
 _TOP_KEYS = {"schema_version", "experiment", "seed", "output_dir", "families"}
 
-# Largest replication count or grid resolution.  Each sizes arrays that are
-# allocated whole, so a far larger count cannot run; it is rejected at its
-# field, not inside numpy.
+# Largest count field.  A replication count sizes arrays that are allocated
+# whole, so a far larger count cannot run; it is rejected at its field, not
+# inside numpy.
 MAX_COUNT = 2**24
 # Largest draw table of the moments and fidi families: replications x its
 # columns (the segments the sets are cut into, or the sets, whichever are
@@ -213,11 +215,22 @@ def _read_sets(f: _Fields, default: list) -> list[BorelSet]:
     return [_make(f"{f.sub('sets')}[{i}]", BorelSet, s) for i, s in enumerate(sets)]
 
 
-def _check_table(f: _Fields, r: int, sets: list[BorelSet], base: BaseMeasure) -> None:
-    """Reject ``replications`` when the draw table would exceed _MAX_TABLE."""
-    width = max(verify.cut_points(sets, base).size - 1, len(sets))
+def _check_dirichlet(f: _Fields, a: float, measures) -> None:
+    """Reject ``a`` when sample_fidi, given ``a`` and these cell measures,
+    would draw a Dirichlet parameter a * H(A_j) below rvgen.MIN_SHAPE."""
+    positive = [m for m in measures if m > 0.0]
+    if len(positive) > 1:  # one positive cell draws nothing
+        _make(f.sub("a"), check_shape, "a Dirichlet parameter of the run", a * min(positive))
+
+
+def _check_cells(f: _Fields, a: float, r: int, sets: list[BorelSet], base: BaseMeasure) -> None:
+    """Reject ``replications`` when the draw table would exceed _MAX_TABLE,
+    and ``a`` when a Dirichlet parameter of its draws would be too small."""
+    cells = np.diff(base.cdf(verify.cut_points(sets, base)))  # refine_to_partition's measures
+    width = max(cells.size, len(sets))
     if r * width > _MAX_TABLE:
         _fail(f.sub("replications"), f"replications x {width} columns must be at most {_MAX_TABLE}")
+    _check_dirichlet(f, a, cells)
 
 
 def _read_truncation(f: _Fields) -> float:
@@ -261,7 +274,7 @@ def _moments(f: _Fields, config_dir) -> Call:
     sets = _read_sets(f, [[[0.0, 0.3]], [[0.3, 0.5]]])
     r = f.read("replications", 100000, _count)
     _make(f.sub("replications"), verify.check_moment_replications, r)
-    _check_table(f, r, sets, base)
+    _check_cells(f, a, r, sets, base)
     return lambda seed, stream: verify.moment_check(
         a, base, sets, r, seed, base_stream=stream
     )
@@ -271,7 +284,7 @@ def _fidi(f: _Fields, config_dir) -> Call:
     a = f.read("a", 10000.0, _concentration)
     sets = _read_sets(f, [[[0.0, 0.25]], [[0.25, 0.5]], [[0.5, 1.0]]])
     r = f.read("replications", 10000, _count)
-    _check_table(f, r, sets, uniform_base())
+    _check_cells(f, a, r, sets, uniform_base())
     return lambda seed, stream: verify.fidi_normality_check(
         a, sets, r, seed, base_stream=stream
     )
@@ -282,6 +295,8 @@ def _modulus(f: _Fields, config_dir) -> Call:
     m = f.obj("modulus")
     t1, t, t2 = (m.read(k, d, _number) for k, d in (("t1", 0.1), ("t", 0.4), ("t2", 0.9)))
     _make(f.sub("modulus"), verify.check_modulus_points, t1, t, t2)
+    w1, w2 = t - t1, t2 - t
+    _check_dirichlet(f, a, [w1, w2, 1.0 - w1 - w2])  # modulus_check's cells
     r = f.read("replications", 100000, _count)
     return lambda seed, stream: verify.modulus_check(
         a, t1, t, t2, r, seed, base_stream=stream
@@ -293,12 +308,12 @@ def _gc(f: _Fields, config_dir) -> Call:
     a_values = f.read("a_values", [10.0, 100.0, 1000.0, 10000.0], _numbers)
     _make(f.sub("a_values"), verify.check_a_values, a_values, verify.MIN_GC_A_VALUES)
     r = f.read("replications", 1000, _count)
-    resolution = f.read("gc_grid_resolution", 512, _count)
+    f.read("gc_grid_resolution", 512, _count)  # inert; read so existing configs validate and echo
     epsilon = _read_truncation(f)
     for i, a in enumerate(a_values):
         _make(f"{f.sub('a_values')}[{i}]", stick_budget, a, epsilon)
     return lambda seed, stream: verify.gc_study(
-        a_values, base, r, resolution, seed, epsilon=epsilon, base_stream=stream
+        a_values, base, r, seed, epsilon=epsilon, base_stream=stream
     )
 
 
@@ -321,6 +336,9 @@ def _quantile(f: _Fields, config_dir) -> Call:
         _fail(f.sub("base_measure"), "too wide: its quantile deviations' fourth powers overflow")
     r = f.read("replications", 10000, _count)
     epsilon = _read_truncation(f)
+    deepest = 2.0 ** -bisection_depth(epsilon)  # a * deepest: the smallest Beta shape drawn
+    for i, a in enumerate(a_values):
+        _make(f"{f.sub('a_values')}[{i}]", check_shape, "a deepest split's shape", a * deepest)
     return lambda seed, stream: verify.quantile_limit_study(
         a_values, base, u_points, r, seed, epsilon=epsilon, base_stream=stream
     )
@@ -353,6 +371,10 @@ def _posterior(f: _Fields, config_dir) -> Call:
         f.params["data"] = None  # the file is the single source
         data = _load_data(data_file, f.sub("data_file"), config_dir)
     sets = _read_sets(f, [[[0.0, 0.3]], [[0.3, 0.6]], [[0.6, 1.0]]])
+    sorted_data = np.sort(data or [])
+    for s in sets:  # set S draws Dirichlet((a + n) H*(S), (a + n) (1 - H*(S)))
+        m = posterior_mean(a, base, sorted_data, s)
+        _check_dirichlet(f, a + sorted_data.size, [m, 1.0 - m])
     r = f.read("replications", 20000, _count)
     return lambda seed, stream: verify.posterior_check(
         a, base, list(data or []), sets, r, seed, base_stream=stream

@@ -20,6 +20,11 @@ from .special import expit
 # the smallest normal double before taking logs.
 _TINY = np.finfo(np.float64).tiny
 
+# Smallest gamma shape drawn.  Below it a boosted draw's log(U) / shape (see
+# _log_gamma_draws) can overflow to -inf, as log(_TINY) / shape does for any
+# shape below 3.9e-306.
+MIN_SHAPE = 1e-305
+
 
 def check_seed(value, name: str) -> int:
     """``value`` as a stream coordinate: an integer in [0, 2^64), one Philox
@@ -75,10 +80,13 @@ class RngStream:
         self._gen.shuffle(x)
 
 
-def _check_positive(name: str, value: float) -> float:
+def check_shape(name: str, value: float) -> float:
+    """``value`` as a gamma shape: finite and at least MIN_SHAPE."""
     value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
-        raise ArgumentError(f"{name} must be a positive finite real, got {value!r}")
+    if not np.isfinite(value) or value < MIN_SHAPE:
+        raise ArgumentError(
+            f"{name} must be finite and at least MIN_SHAPE = {MIN_SHAPE:g}, got {value!r}"
+        )
     return value
 
 
@@ -88,14 +96,14 @@ def _safe_uniform(rng: RngStream, n: int) -> np.ndarray:
 
 
 def _check_shapes(name: str, value, size: int):
-    """A positive finite shape, or one per draw: ``size`` of them."""
+    """A shape as ``check_shape`` takes it, or one per draw: ``size`` of them."""
     if np.ndim(value) == 0:
-        return _check_positive(name, value)
+        return check_shape(name, value)
     values = np.asarray(value, dtype=float)
     if values.shape != (size,):
         raise ArgumentError(f"{name} must be a scalar or hold {size} shapes, got shape {values.shape}")
-    if not np.all((values > 0.0) & (values < np.inf)):  # NaN fails too
-        raise ArgumentError(f"every {name} must be a positive finite real")
+    if not np.all((values >= MIN_SHAPE) & (values < np.inf)):  # NaN fails too
+        raise ArgumentError(f"every {name} must be finite and at least MIN_SHAPE = {MIN_SHAPE:g}")
     return values
 
 
@@ -134,7 +142,7 @@ def _mt_gamma(rng: RngStream, shape, n: int) -> np.ndarray:
 
 def _log_gamma_draws(rng: RngStream, shape, n: int) -> np.ndarray:
     """Logarithm of Gamma(shape, 1) draws, for a scalar shape or one per
-    slot; stable for arbitrarily small shapes.
+    slot; stable for every shape down to MIN_SHAPE.
 
     For shape < 1 the draw is boosted: G = G' * U^(1/shape) with
     G' ~ Gamma(shape + 1), evaluated in log space so tiny shapes (routine for
@@ -182,7 +190,7 @@ def sample_dirichlet(alphas, rng: RngStream, size: int) -> np.ndarray:
     normalized by softmax, so the output sums to one and tiny parameters do
     not underflow to an all-zero vector.
     """
-    alphas = [_check_positive("a Dirichlet parameter", a) for a in alphas]
+    alphas = [check_shape("a Dirichlet parameter", a) for a in alphas]
     if len(alphas) < 2:
         raise ArgumentError("a Dirichlet needs at least two parameters")
     logs = np.empty((size, len(alphas)))

@@ -46,7 +46,7 @@ from .dp_core import (
     stick_breaking_sample,
     uniform_base,
 )
-from .errors import ArgumentError, ConfigError, DplabError
+from .errors import ArgumentError, ConfigError
 from .kolmogorov import kolmogorov_sf, two_sample_sf
 from .processes import bb_cov, limit_quantile_cov
 from .processes import (
@@ -596,27 +596,21 @@ def fidi_normality_check(
 
 
 def _deviation_stats(
-    sample: DpSample,
-    base: BaseMeasure,
-    grid: np.ndarray | None = None,
-    scratch: Scratch | None = None,
-) -> tuple[float, float, float]:
-    """Exact (sup-norm, integral of squared deviation dH) of P_a - H, and the
-    largest |P_a - H| over the H-levels in ``grid`` (0.0 without a grid).
+    sample: DpSample, base: BaseMeasure, scratch: Scratch | None = None
+) -> tuple[float, float]:
+    """Exact (sup-norm, integral of squared deviation dH) of P_a - H.
 
-    All are computed after mapping atoms through H, where P_a - H becomes a
+    Both are computed after mapping atoms through H, where P_a - H becomes a
     step function against the identity: the sup is attained at an atom (from
     the left or the right), and the integral is a closed-form sum of cubics
-    over the inter-atom segments.  The grid value can never exceed the exact
-    sup, which makes it a check on it.  The segments are worked at most
-    _CHUNK at a time, in the buffers of ``scratch`` when one is given, so no
-    array as long as the realization is made.  math.fsum adds the chunks'
-    np.sum values, exactly rounded, in no order replayed from numpy.
+    over the inter-atom segments.  The segments are worked at most _CHUNK at
+    a time, in the buffers of ``scratch`` when one is given, so no array as
+    long as the realization is made.  math.fsum adds the chunks' np.sum
+    values, exactly rounded, in no order replayed from numpy.
     """
     buffers = Scratch() if scratch is None else scratch
     atoms, lev = sample.atoms, sample.cdf_levels()
     n = atoms.size
-    counts = None if grid is None else np.zeros(grid.size, dtype=np.intp)
     sup, pieces = 0.0, []
 
     # Segment k runs from H-level s_{k-1} to s_k (s_{-1} = 0, s_n = 1) at cdf
@@ -632,8 +626,6 @@ def _deviation_stats(
         np.subtract(lev[lo:hi], s[:m], out=d)
         np.subtract(lev[lo:hi], s[1:], out=e)
         sup = max(sup, float(d.max()), float(-e.min()))
-        if counts is not None:  # atom counts at or below each grid level add up
-            counts += np.searchsorted(s[1 : last - lo + 1], grid, side="right")
         cubes = s[:m]  # the H-levels are spent; reuse their buffer
         np.multiply(d, d, out=cubes)
         cubes *= d
@@ -642,11 +634,7 @@ def _deviation_stats(
         cubes -= d
         pieces.append(float(np.sum(cubes)))
 
-    cvm = math.fsum(pieces) / 3.0
-    grid_sup = 0.0
-    if grid is not None:
-        grid_sup = float(np.max(np.abs(lev[counts] - grid)))
-    return sup, cvm, grid_sup
+    return sup, math.fsum(pieces) / 3.0
 
 
 def sup_deviation(sample: DpSample, base: BaseMeasure) -> float:
@@ -685,7 +673,6 @@ def gc_study(
     a_values: Sequence[float],
     base: BaseMeasure,
     replications: int,
-    grid_resolution: int,
     seed: int,
     *,
     epsilon: float = 1e-10,
@@ -701,7 +688,6 @@ def gc_study(
     """
     a_values = check_a_values(a_values, MIN_GC_A_VALUES)
     trunc = TruncationPolicy(epsilon)
-    grid = np.linspace(0.0, 1.0, int(grid_resolution)) if grid_resolution else None
 
     n_samples = int(replications) * a_values.size
     summary = McSummary(n_samples, seed_info=(seed, (base_stream, base_stream + n_samples - 1)))
@@ -712,13 +698,10 @@ def gc_study(
 
         def rep(rng: RngStream, scratch: Scratch, a=a) -> np.ndarray:
             sample = stick_breaking_sample(a, base, trunc, rng, scratch)
-            return np.array(_deviation_stats(sample, base, grid, scratch))
+            return np.array(_deviation_stats(sample, base, scratch))
 
         leg_stream = base_stream + leg * replications
         vals = map_replications(rep, replications, seed, leg_stream)
-        excess = float(np.max(vals[:, 2] - vals[:, 0]))
-        if excess > 1e-9:
-            raise DplabError(f"an exact sup-norm fell {excess} below its grid evaluation")
         curve[leg, 1:3] = summary.estimates[f"a={a:g}/mean_sup"] = mc_mean_se(vals[:, 0])
         curve[leg, 3:5] = summary.estimates[f"a={a:g}/mean_cvm"] = mc_mean_se(vals[:, 1])
         violations += int(np.sum(~donoho_liu_bounds(vals[:, 0], vals[:, 1])[2]))

@@ -149,7 +149,7 @@ def test_criterion_7_glivenko_cantelli():
     """Mean sup-norm strictly decreasing over a in {10,...,10^4} at R=10^3,
     fitted log-log rate inside [-0.6, -0.4], and the cubic deviation bound
     holding on every one of the >= 4*10^3 generated samples."""
-    result = gc_study([10.0, 100.0, 1000.0, 10000.0], uniform_base(), 1000, 512, 8808)
+    result = gc_study([10.0, 100.0, 1000.0, 10000.0], uniform_base(), 1000, 8808)
     curve = result.details
     _criterion(
         7,

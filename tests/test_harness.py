@@ -6,6 +6,7 @@ import threading
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -671,9 +672,35 @@ class TestCli:
                 _config(base_measure={"label": "exponential", "rate": 10**400}),
                 "base_measure.rate: must be finite",
             ),
+            # a gamma shape below rvgen.MIN_SHAPE, whose boosted log draw
+            # would overflow to -inf: a Dirichlet parameter a H(A) ...
+            *(
+                (
+                    {"schema_version": 1, "seed": 1, "experiment": family, "a": a},
+                    "a: a Dirichlet parameter of the run must be finite and at least MIN_SHAPE",
+                )
+                for family in ("moments", "fidi", "modulus", "posterior")
+                for a in (1e-320, 1e-310)
+            ),
+            (
+                {"schema_version": 1, "seed": 1, "experiment": "all",
+                 "families": {"posterior": {"a": 1e-320}}},
+                "families.posterior.a: a Dirichlet parameter",
+            ),
+            # ... or a deepest bisection split's a 2^-K, K = 34 at epsilon 1e-10
+            *(
+                (
+                    {"schema_version": 1, "seed": 1, "experiment": "quantile", "a_values": a},
+                    "a_values[0]: a deepest split's shape must be finite and at least MIN_SHAPE",
+                )
+                for a in ([1e-320, 1e-310], [1e-300, 1e-290])
+            ),
         ],
         ids=["not_an_object", "no_seed", "output_dir_empty", "output_dir_number",
-             "families_list", "families_bogus", "a", "a_values", "rate"],
+             "families_list", "families_bogus", "a", "a_values", "rate",
+             *(f"{family}_a_{a:g}" for family in ("moments", "fidi", "modulus", "posterior")
+               for a in (1e-320, 1e-310)),
+             "all_posterior_a_1e-320", "quantile_a_1e-320", "quantile_a_1e-300"],
     )
     def test_config_fault_exits_2(self, tmp_path, capsys, cfg, path):
         path_arg = self._write(tmp_path, cfg)
@@ -770,6 +797,26 @@ class TestCli:
         rc = cli_main(["run", "--config", path_arg, "--out", str(tmp_path / "out")])
         self._assert_clean_exit_2(capsys, rc, path, "MAX_STICKS")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "family, fields",
+        [
+            ("moments", {"a": 1e-300}),
+            ("fidi", {"a": 1e-300}),
+            ("modulus", {"a": 1e-300}),
+            ("posterior", {"a": 1e-300}),
+            ("quantile", {"a_values": [1e-290, 1e-280]}),
+            # one positive cell draws nothing, so no shape is checked
+            ("moments", {"a": 1e-320, "sets": [[[0.0, 1.0]]]}),
+        ],
+    )
+    def test_smallest_drawable_concentrations_run_finite(self, family, fields):
+        """Above the floor every estimate is finite."""
+        cfg = {"schema_version": 1, "seed": 1, "experiment": family, "replications": 1000,
+               **fields}
+        report = run_experiment(validate_config(cfg))
+        estimates = report.results[family].estimates.values()
+        assert all(np.isfinite(v) and np.isfinite(se) for v, se in estimates)
 
     @pytest.mark.parametrize(
         "cfg, path",

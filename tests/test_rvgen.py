@@ -8,7 +8,7 @@ import pytest
 import scipy.stats
 
 from dplab import ArgumentError, RngStream
-from dplab.rvgen import _log_gamma_draws, sample_beta, sample_dirichlet
+from dplab.rvgen import MIN_SHAPE, _log_gamma_draws, sample_beta, sample_dirichlet
 
 
 class TestRngStream:
@@ -69,13 +69,26 @@ class TestSampleGamma:
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - shape) <= 4 * se
 
-    @pytest.mark.parametrize("shape", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("shape", [0.0, -1.0, np.nan, np.inf, 1e-306])
     def test_invalid_shape(self, shape):
         """The public gamma-based samplers reject the shape before drawing."""
         with pytest.raises(ArgumentError):
             sample_beta(shape, 1.0, RngStream(0, 0), size=1)
         with pytest.raises(ArgumentError):
             sample_dirichlet((shape, 1.0), RngStream(0, 0), size=1)
+
+    def test_min_shape_draws_stay_finite(self):
+        """A boosted draw adds log(U) / shape, U >= the smallest normal
+        double: finite at MIN_SHAPE, -inf below 3.9e-306.  At MIN_SHAPE beta
+        shares are exactly 0 or 1, and Dirichlet vectors sum to one."""
+        log_tiny = np.log(np.finfo(np.float64).tiny)
+        assert np.isfinite(log_tiny / MIN_SHAPE)
+        with np.errstate(over="ignore"):
+            assert log_tiny / 3.9e-306 == -np.inf
+        shares = sample_beta(MIN_SHAPE, MIN_SHAPE, RngStream(13, 0), size=1000)
+        assert np.all((shares == 0.0) | (shares == 1.0))
+        vectors = sample_dirichlet((MIN_SHAPE, MIN_SHAPE, 1.0), RngStream(13, 1), size=1000)
+        np.testing.assert_allclose(vectors.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
 
 class TestSampleBeta:
@@ -151,7 +164,7 @@ class TestSampleBetaPerSlot:
         per_slot = sample_beta(np.full(n, alpha), np.full(n, beta), RngStream(12, 2), size=n)
         np.testing.assert_array_equal(per_slot, sample_beta(alpha, beta, RngStream(12, 2), size=n))
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, 1e-306])
     def test_any_bad_slot_raises(self, bad):
         shapes = np.array([1.0, 2.0, bad, 0.5])
         with pytest.raises(ArgumentError):

@@ -307,7 +307,7 @@ class TestReplicationEngine:
         curves = []
         for threads in ("1", "2"):
             monkeypatch.setenv("DPLAB_THREADS", threads)
-            curves.append(gc_study([100.0, 1000.0], uniform01, 6, 64, 17))
+            curves.append(gc_study([100.0, 1000.0], uniform01, 6, 17))
         assert curves[0].to_json() == curves[1].to_json()
 
     def test_thread_count_is_at_most_one_per_cpu(self, monkeypatch):
@@ -403,8 +403,8 @@ def _brute_force_sup(sample, base):
     return np.max(np.abs(dp_cdf(sample, xs) - np.asarray(base.cdf(xs))))
 
 
-def _exact_deviation(atoms, weights, grid):
-    """(sup, cvm, grid sup) of F - x on [0, 1] in rational arithmetic, from
+def _exact_deviation(atoms, weights):
+    """(sup, cvm) of F - x on [0, 1] in rational arithmetic, from
     the raw atoms and weights; F(t) is the weight of the atoms <= t."""
     pairs = [(Fraction(t), Fraction(w)) for t, w in zip(atoms, weights)]
 
@@ -418,8 +418,7 @@ def _exact_deviation(atoms, weights, grid):
     cvm = sum(
         ((cdf(lo) - lo) ** 3 - (cdf(lo) - hi) ** 3) / 3 for lo, hi in zip(cuts, cuts[1:])
     )
-    grid_sup = max(abs(cdf(Fraction(g)) - Fraction(g)) for g in grid)
-    return float(max(candidates)), float(cvm), float(grid_sup)
+    return float(max(candidates)), float(cvm)
 
 
 _unit_atoms = st.one_of(st.sampled_from([0.0, 0.125, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
@@ -536,10 +535,9 @@ class TestExactDeviationStats:
         atoms = np.array([t for t, _ in pairs])
         weights = np.array([w for _, w in pairs])
         weights *= (1.0 - remainder) / weights.sum()
-        grid = np.linspace(0.0, 1.0, 17)
         s = make_sample(atoms, weights, remainder)
-        got = verify._deviation_stats(s, uniform_base(), grid)
-        want = _exact_deviation(atoms, weights, grid)
+        got = verify._deviation_stats(s, uniform_base())
+        want = _exact_deviation(atoms, weights)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_sup_against_brute_force(self, uniform01):
@@ -582,12 +580,13 @@ class TestExactDeviationStats:
         assert abs(exact - quad) <= 1e-8
 
 
-# sha256 of the little-endian float64 (sup, cvm, grid_sup) triples that
-# _deviation_stats gives for streams 0, 1 and 2 of seed 1616, each drawn by
-# stick-breaking at epsilon 1e-10 into one scratch that the statistics share,
-# as a gc replication does: the uniform base with the 512-point H-level grid,
-# the unit-rate exponential base without a grid.  At a = 10^4 a realization
-# has about 230k atoms.
+# sha256 of the little-endian float64 (sup, cvm, grid_sup) triples for
+# streams 0, 1 and 2 of seed 1616, each drawn by stick-breaking at epsilon
+# 1e-10 into one scratch that _deviation_stats then shares, as a gc
+# replication does.  (sup, cvm) is _deviation_stats's; grid_sup is
+# max |P_a - H| over a 512-point H-level grid on the uniform base, from
+# dp_cdf, and 0.0 on the unit-rate exponential base.  At a = 10^4 a
+# realization has about 230k atoms.
 _DEVIATION_DIGESTS = {
     ("uniform", 10.0): "41aa46084fbf3b4b4fd8d408332ae8e320771c2196127377024a446dd604dc25",
     ("uniform", 1000.0): "98769f7a32ce598a66810349c618a8e57a9dba22bbd2bb4d6bc462f0e8fbbfb1",
@@ -600,12 +599,13 @@ _DEVIATION_DIGESTS = {
 
 def _deviation_triples(base_name: str, a: float) -> np.ndarray:
     base = {"uniform": uniform_base(), "exponential": exponential_base(1.0)}[base_name]
-    grid = np.linspace(0.0, 1.0, 512) if base_name == "uniform" else None
+    grid = np.linspace(0.0, 1.0, 512)
     scratch = dp_core.Scratch()
     triples = []
     for r in range(3):
         s = stick_breaking_sample(a, base, TruncationPolicy(1e-10), RngStream(1616, r), scratch)
-        triples.append(verify._deviation_stats(s, base, grid, scratch))
+        grid_sup = np.max(np.abs(dp_cdf(s, grid) - grid)) if base_name == "uniform" else 0.0
+        triples.append((*verify._deviation_stats(s, base, scratch), grid_sup))
     return np.array(triples, dtype="<f8")
 
 
@@ -634,18 +634,17 @@ class TestDeviationStatsChunks:
 
     def test_chunk_size_moves_only_the_last_bits_of_cvm(self, uniform01, monkeypatch):
         """One piece (np.sum over the whole array), 1,000-segment pieces and
-        the default: the sups are the same numbers, and the integral moves
+        the default: the sup is the same number, and the integral moves
         by rounding only."""
         s = stick_breaking_sample(1e4, uniform01, TruncationPolicy(1e-10), RngStream(8808, 0))
         assert s.n_atoms > 3 * verify._CHUNK
-        grid = np.linspace(0.0, 1.0, 512)
         stats = []
         for chunk in (1 << 30, 1000, verify._CHUNK):
             monkeypatch.setattr(verify, "_CHUNK", chunk)
-            stats.append(verify._deviation_stats(s, uniform01, grid))
-        (sup, cvm, grid_sup), *others = stats
-        for other_sup, other_cvm, other_grid_sup in others:
-            assert (other_sup, other_grid_sup) == (sup, grid_sup)
+            stats.append(verify._deviation_stats(s, uniform01))
+        (sup, cvm), *others = stats
+        for other_sup, other_cvm in others:
+            assert other_sup == sup
             assert abs(other_cvm - cvm) <= 1e-14 * cvm
 
     def test_only_the_realization_is_realization_long(self, uniform01):
@@ -653,7 +652,7 @@ class TestDeviationStatsChunks:
         sample's own three arrays is chunk-sized."""
         scratch = _RecordingScratch()
         s = stick_breaking_sample(1e4, uniform01, TruncationPolicy(1e-10), RngStream(8808, 0), scratch)
-        verify._deviation_stats(s, uniform01, np.linspace(0.0, 1.0, 512), scratch)
+        verify._deviation_stats(s, uniform01, scratch)
         assert s.n_atoms > 3 * verify._CHUNK
         chunked = {role: n for role, n in scratch.most.items()
                    if role not in ("sticks", "levels", "atoms")}
@@ -693,7 +692,7 @@ class TestDeviationBound:
 
 class TestGcStudy:
     def test_decay_and_rate(self, uniform01):
-        out = gc_study([10.0, 100.0, 1000.0], uniform01, 300, 256, 141)
+        out = gc_study([10.0, 100.0, 1000.0], uniform01, 300, 141)
         assert np.all(np.diff(out.details["mean_sup"]) < 0.0)
         assert -0.6 <= out.details["fitted_rate"] <= -0.4
         assert out.details["dl_violations"] == 0
@@ -706,7 +705,7 @@ class TestGcStudy:
         1/(6(1 + a)) for continuous H, which follows from
         Var P_a(t) = H(t)(1 - H(t))/(1 + a) (Ferguson 1973), in SE units."""
         a_values = [1.0, 10.0, 100.0]
-        out = gc_study(a_values, base, 2000, 64, 8808)
+        out = gc_study(a_values, base, 2000, 8808)
         z = []
         for a in a_values:
             est, se = out.estimates[f"a={a:g}/mean_cvm"]
@@ -732,7 +731,7 @@ class TestGcStudy:
 
     def test_requires_increasing_a_values(self, uniform01):
         with pytest.raises(ArgumentError):
-            gc_study([100.0, 10.0], uniform01, 10, 64, 0)
+            gc_study([100.0, 10.0], uniform01, 10, 0)
 
     @pytest.mark.parametrize("a_values", [[10.0, np.nan], [np.nan, 10.0], [10.0, np.inf]])
     def test_rejects_non_finite_a_values_before_drawing(self, uniform01, a_values, monkeypatch):
@@ -741,7 +740,7 @@ class TestGcStudy:
         drawn = []
         monkeypatch.setattr(verify, "stick_breaking_sample", lambda *args: drawn.append(args))
         with pytest.raises(ArgumentError, match="finite"):
-            gc_study(a_values, uniform01, 10, 64, 0)
+            gc_study(a_values, uniform01, 10, 0)
         assert not drawn
         with pytest.raises(ArgumentError, match="finite"):
             quantile_limit_study(a_values, uniform01, [0.5], 10, 0)
@@ -1032,7 +1031,7 @@ class TestGcDrawLayout:
     def test_leg_mean_sup_from_its_streams(self, uniform01):
         seed, base_stream, r = 77, 1000, 6
         a_values = [10.0, 100.0]
-        out = gc_study(a_values, uniform01, r, 64, seed, base_stream=base_stream)
+        out = gc_study(a_values, uniform01, r, seed, base_stream=base_stream)
         for leg, a in enumerate(a_values):
             sups = [
                 sup_deviation(
