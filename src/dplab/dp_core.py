@@ -17,12 +17,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import ArgumentError
-from .rvgen import RngStream, sample_beta, sample_dirichlet
+from .rvgen import RngStream, check_shape, sample_beta, sample_dirichlet
 
-# Clipping window applied to uniforms before quantile transforms, so bases
-# with unbounded support never produce infinite atoms.
+# Floor applied to uniforms before quantile transforms: the normal base's
+# ndtri(0) is -inf.  No cap is needed, as RngStream.uniform is below 1.
 _U_LO = 1e-300
-_U_HI = 1.0 - 1e-16
 
 # Deepest bisection level: dyadic cells of width 2^-52 are at the resolution
 # of doubles near 1, and their midpoints are exact doubles inside (0, 1).
@@ -292,8 +291,10 @@ def _buffer(n: int) -> np.ndarray:
 def stick_budget(a: float, epsilon: float) -> int:
     """Sticks the first block of a stick-breaking draw at concentration ``a``
     and resolution ``epsilon`` holds: int(a ln(1/epsilon) 1.04) + 64.  The
-    one rule for a draw's size: a budget above MAX_STICKS raises
-    ArgumentError."""
+    one rule for a draw: ``a`` below rvgen.MIN_SHAPE, where the sticks'
+    log(U) / a can overflow as a boosted gamma draw's does, or a budget
+    above MAX_STICKS raises ArgumentError."""
+    check_shape("a stick-breaking concentration", a)
     first = a * np.log(1.0 / epsilon) * 1.04
     # compared as a float first, so a huge a never reaches int()
     if not (first < MAX_STICKS and int(first) + 64 <= MAX_STICKS):
@@ -374,7 +375,7 @@ def stick_breaking_sample(
     atoms = buffers.take("atoms", n)
     rng.uniform(n, out=atoms)
     atoms.sort()
-    np.clip(atoms, _U_LO, _U_HI, out=atoms)
+    np.maximum(atoms, _U_LO, out=atoms)
     atoms = np.asarray(base.quantile(atoms), dtype=float)
     rng.shuffle(weights)
     if weights.min() <= 0.0:

@@ -695,12 +695,19 @@ class TestCli:
                 )
                 for a in ([1e-320, 1e-310], [1e-300, 1e-290])
             ),
+            # ... or a stick-breaking concentration, whose sticks' log(U) / a
+            # would overflow
+            (
+                {"schema_version": 1, "seed": 1, "experiment": "gc", "a_values": [1e-320, 1e-310]},
+                "a_values[0]: a stick-breaking concentration must be finite and at least MIN_SHAPE",
+            ),
         ],
         ids=["not_an_object", "no_seed", "output_dir_empty", "output_dir_number",
              "families_list", "families_bogus", "a", "a_values", "rate",
              *(f"{family}_a_{a:g}" for family in ("moments", "fidi", "modulus", "posterior")
                for a in (1e-320, 1e-310)),
-             "all_posterior_a_1e-320", "quantile_a_1e-320", "quantile_a_1e-300"],
+             "all_posterior_a_1e-320", "quantile_a_1e-320", "quantile_a_1e-300",
+             "gc_a_1e-320"],
     )
     def test_config_fault_exits_2(self, tmp_path, capsys, cfg, path):
         path_arg = self._write(tmp_path, cfg)
@@ -806,6 +813,7 @@ class TestCli:
             ("modulus", {"a": 1e-300}),
             ("posterior", {"a": 1e-300}),
             ("quantile", {"a_values": [1e-290, 1e-280]}),
+            ("gc", {"a_values": [1e-305, 1e-300]}),
             # one positive cell draws nothing, so no shape is checked
             ("moments", {"a": 1e-320, "sets": [[[0.0, 1.0]]]}),
         ],

@@ -10,6 +10,7 @@ mark goes.  The assertion message lists every check's margin (a
 comparison's gap in standard errors, or a level check's p-value).
 """
 
+import numpy as np
 import pytest
 
 from dplab import processes, verify
@@ -24,6 +25,23 @@ def _scaled(factor):
     """A sampler patch: the sampler at ``factor`` times its concentration,
     its first argument."""
     return lambda fn: lambda a, *args, **kwargs: fn(factor * a, *args, **kwargs)
+
+
+def _shifted(delta):
+    """A sampler patch: the sampler at its concentration plus ``delta``."""
+    return lambda fn: lambda a, *args, **kwargs: fn(a + delta, *args, **kwargs)
+
+
+def _gaussian_cells(fn):
+    """Gaussian cell masses with the Dirichlet mean m and covariance
+    (diag(m) - m m^T) / (a + 1), drawn from the sampler's stream."""
+
+    def draw(a, measures, rng, size):
+        m = np.asarray(measures, dtype=float)
+        y = np.sqrt(m) * rng.normal(size * m.size).reshape(size, m.size)
+        return m + (y - np.outer(y.sum(axis=1), m)) / np.sqrt(a + 1.0)
+
+    return draw
 
 
 def _kernel_at_a_plus_1(fn):
@@ -46,6 +64,8 @@ def _uncaught(item: str, why: str):
 _GC_GAP = _uncaught("1", "gc judges a rate window, not the exact mean CvM 1/(6(1 + a))")
 _POSTERIOR_GAP = _uncaught("2", "posterior draws and judges at the same mean, right or wrong")
 _DENSITY_GAP = _uncaught("4", "density compares a + 1's kernel with the same Gaussian limit")
+_A_STAR_GAP = _uncaught("2", "the a_star row compares a + n with itself, whatever a draw used")
+_MODULUS_GAP = _uncaught("12", "modulus checks a second moment, which Gaussian cells match")
 
 # (family, config fields, [(module, name, patch of the original)])
 _MUTANTS = [
@@ -57,6 +77,11 @@ _MUTANTS = [
                  marks=_POSTERIOR_GAP, id="posterior-prior-mean"),
     pytest.param("posterior", {}, [(verify, "posterior_mean", _half_mean)],
                  marks=_POSTERIOR_GAP, id="posterior-half-mean"),
+    # the default data holds n = 3 points, so this draws at a, not a + n
+    pytest.param("posterior", {}, [(verify, "sample_fidi", _shifted(-3.0))],
+                 marks=_A_STAR_GAP, id="posterior-at-a"),
+    pytest.param("modulus", {}, [(verify, "sample_fidi", _gaussian_cells)],
+                 marks=_MODULUS_GAP, id="modulus-gaussian"),
     pytest.param("density", {}, [(processes, "scaled_bivariate_density", _kernel_at_a_plus_1),
                                  (verify, "scaled_bivariate_density", _kernel_at_a_plus_1)],
                  marks=_DENSITY_GAP, id="density-kernel-a+1"),
