@@ -61,9 +61,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 2
 
     if args.command == "validate":
         print(f"config OK: experiment={config.experiment} seed={config.seed}")
@@ -77,11 +74,8 @@ def main(argv=None) -> int:
     try:
         report = run_experiment(config)
         emit_report(report, config.output_dir)
-    except DplabError as exc:
+    except (DplabError, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cannot write results: {exc}", file=sys.stderr)
         return 2
 
     for family, ok in report.family_passed.items():

@@ -333,7 +333,6 @@ def stick_breaking_sample(
     scratch makes every array the sample's own.  Either way the draws and
     the arithmetic are the same.
     """
-    check_concentration(a)
     if not isinstance(trunc, TruncationPolicy):
         raise ArgumentError("trunc must be a TruncationPolicy")
     block = stick_budget(a, trunc.epsilon)

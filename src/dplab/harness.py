@@ -294,9 +294,8 @@ def _modulus(f: _Fields, config_dir) -> Call:
     a = f.read("a", 1.0, _concentration)
     m = f.obj("modulus")
     t1, t, t2 = (m.read(k, d, _number) for k, d in (("t1", 0.1), ("t", 0.4), ("t2", 0.9)))
-    _make(f.sub("modulus"), verify.check_modulus_points, t1, t, t2)
-    w1, w2 = t - t1, t2 - t
-    _check_dirichlet(f, a, [w1, w2, 1.0 - w1 - w2])  # modulus_check's cells
+    cells = _make(f.sub("modulus"), verify.check_modulus_points, t1, t, t2)
+    _check_dirichlet(f, a, cells)
     r = f.read("replications", 100000, _count)
     return lambda seed, stream: verify.modulus_check(
         a, t1, t, t2, r, seed, base_stream=stream
@@ -468,11 +467,14 @@ def validate_config(raw: dict, config_dir: Path | None = None) -> ExperimentConf
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The validated config at ``path``; an unreadable file is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError("", f"not valid UTF-8 JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError("", f"cannot read: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError("", f"not valid UTF-8 JSON: {exc}") from exc
     return validate_config(raw, Path(path).resolve().parent)
 
 

@@ -260,9 +260,12 @@ def check_levels(u_points: Sequence[float]) -> list[float]:
     return u_points
 
 
-def check_modulus_points(t1: float, t: float, t2: float) -> None:
+def check_modulus_points(t1: float, t: float, t2: float) -> list[float]:
+    """Require 0 <= t1 <= t <= t2 <= 1; the cells modulus_check draws."""
     if not 0.0 <= t1 <= t <= t2 <= 1.0:
         raise ArgumentError("need 0 <= t1 <= t <= t2 <= 1")
+    w1, w2 = t - t1, t2 - t
+    return [w1, w2, 1.0 - w1 - w2]
 
 
 def check_moment_replications(replications: int) -> None:
@@ -537,11 +540,9 @@ def modulus_check(
     base, compare it with the exact a/(a+1) (t - t1)(t2 - t), and assert the
     quadratic modulus bound a/(a+1) (t2 - t1)^2.  All replications come from
     stream base_stream; an empty increment is exactly zero in every one."""
-    check_modulus_points(t1, t, t2)
-    w1, w2 = t - t1, t2 - t
-    exact = a / (a + 1.0) * w1 * w2
+    measures = check_modulus_points(t1, t, t2)
+    exact = a / (a + 1.0) * measures[0] * measures[1]
     bound = a / (a + 1.0) * (t2 - t1) ** 2
-    measures = [w1, w2, 1.0 - w1 - w2]
     p = sample_fidi(a, measures, RngStream(seed, base_stream), size=replications)
     mean, se = mc_mean_se(p[:, 0] * p[:, 1])
     summary = McSummary(replications, seed_info=(seed, (base_stream, base_stream)))

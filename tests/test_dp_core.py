@@ -145,6 +145,10 @@ class TestSampleFidi:
         with pytest.raises(ArgumentError):
             sample_fidi(0.0, [0.5, 0.5], RngStream(0, 0), size=1)
 
+    def test_rejects_empty_size(self):
+        with pytest.raises(ArgumentError, match="size must be positive"):
+            sample_fidi(1.0, [0.5, 0.5], RngStream(0, 0), size=0)
+
     def test_single_cell_partition(self, uniform01):
         cells = [BorelSet.interval(*uniform01.support)]
         draws = sample_fidi(1.0, _measures(uniform01, cells), RngStream(0, 0), size=5)
@@ -201,6 +205,34 @@ class TestStickBreaking:
     def test_invalid_concentration(self, uniform01):
         with pytest.raises(ArgumentError):
             stick_breaking_sample(0.0, uniform01, TruncationPolicy(), RngStream(0, 0))
+
+    def test_truncation_must_be_a_policy(self, uniform01):
+        with pytest.raises(ArgumentError, match="TruncationPolicy"):
+            stick_breaking_sample(10.0, uniform01, 1e-10, RngStream(0, 0))
+
+    def test_zero_weights_are_dropped(self, uniform01):
+        """A stick uniform of 1 - 2^-53 leaves the running remainder as it
+        was, so that stick's weight telescopes to exactly 0; the sample keeps
+        the other two, and its mass still closes to 1 exactly."""
+
+        class FirstSticks(RngStream):
+            head = [0.5, 1.0 - 2.0**-53, 1e-300]  # the third stick ends the draw
+
+            def uniform(self, size=None, out=None):
+                u = super().uniform(size, out=out)
+                if self.head:
+                    u[: len(self.head)], self.head = self.head, []
+                return u
+
+            def shuffle(self, x):
+                self.weights = x.copy()
+                super().shuffle(x)
+
+        rng = FirstSticks(3, 0)
+        s = stick_breaking_sample(10.0, uniform01, TruncationPolicy(1e-10), rng)
+        assert np.sort(rng.weights)[0] == 0.0 and rng.weights.size == 3
+        assert s.n_atoms == 2 and np.all(s.weights > 0.0)
+        assert s.weights.sum() + s.truncation_remainder == 1.0
 
 
 # sha256 of (atoms, weights, truncation remainder, the stream's next uniform)
@@ -369,6 +401,24 @@ class TestDpSampleValidation:
         mass checks, which both compare False against NaN."""
         with pytest.raises(ArgumentError, match="strictly positive"):
             make_sample([0.1, 0.2], weights, 0.5)
+
+    @pytest.mark.parametrize(
+        "atoms, weights, remainder, match",
+        [
+            ([], [], 0.0, "equal-length, non-empty"),
+            ([0.1, 0.2], [1.0], 0.0, "equal-length, non-empty"),
+            ([0.1, np.inf], [0.5, 0.5], 0.0, "atoms must be finite"),
+            ([0.1, np.nan], [0.5, 0.5], 0.0, "atoms must be finite"),
+            ([0.1], [0.5], 1.0, r"truncation_remainder must lie in \[0, 1\)"),
+            ([0.1], [0.5], -0.5, r"truncation_remainder must lie in \[0, 1\)"),
+            ([0.1], [0.5], np.nan, r"truncation_remainder must lie in \[0, 1\)"),
+        ],
+        ids=["empty", "lengths", "inf_atom", "nan_atom", "remainder_1", "remainder_negative",
+             "remainder_nan"],
+    )
+    def test_rejects_malformed_arrays(self, atoms, weights, remainder, match):
+        with pytest.raises(ArgumentError, match=match):
+            make_sample(atoms, weights, remainder)
 
     def test_mass_must_close_to_one(self):
         with pytest.raises(ArgumentError):
@@ -611,6 +661,11 @@ class TestPosterior:
             posterior_mean(0.0, uniform01, self.DATA, s)
         with pytest.raises(ArgumentError, match="finite"):
             posterior_mean(2.0, uniform01, [0.2, np.nan], s)
+
+    def test_unsorted_data_counts_as_sorted(self, uniform01):
+        s = BorelSet.interval(0.0, 0.5)
+        unsorted = posterior_mean(2.0, uniform01, [0.6, 0.2, 0.4], s)
+        assert unsorted == posterior_mean(2.0, uniform01, self.DATA, s)
 
 
 class TestClosedFormMoments:

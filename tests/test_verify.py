@@ -310,6 +310,10 @@ class TestReplicationEngine:
             curves.append(gc_study([100.0, 1000.0], uniform01, 6, 17))
         assert curves[0].to_json() == curves[1].to_json()
 
+    def test_rejects_no_replications(self):
+        with pytest.raises(ArgumentError, match="replications must be positive"):
+            map_replications(lambda rng, scratch: rng.uniform(1), 0, 1)
+
     def test_thread_count_is_at_most_one_per_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         for env, threads in (("100000", 3), ("2", 2), ("0", 3), ("", 3), ("-5", 3)):
@@ -944,6 +948,10 @@ class TestDensityConvergenceStudy:
     def test_rejects_decreasing_a(self):
         with pytest.raises(ArgumentError):
             density_convergence_study(1 / 3, 1 / 3, [100.0, 50.0], [])
+
+    def test_rejects_an_integral_count_other_than_the_a_values(self):
+        with pytest.raises(ArgumentError, match="one density integral per concentration"):
+            density_convergence_study(1 / 3, 1 / 3, [100.0, 1000.0], [])
 
     def test_rejects_unbounded_density(self):
         """At a * l3 <= 1 the exact density is unbounded at the l3 edge."""
