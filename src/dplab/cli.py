@@ -4,24 +4,33 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
+from typing import Callable
 
 from .errors import ConfigError, DplabError
 from .harness import (
     FAMILIES,
     SCHEMA_VERSION,
+    check_output_dir,
     emit_report,
     load_config,
     run_experiment,
 )
 from .rvgen import check_seed
+from .verify import resolve_threads
 
 
-def _seed(text: str) -> int:
-    """``--seed``, held to the rule of the config's ``seed`` field."""
-    try:
-        return check_seed(int(text), "seed")
-    except ValueError as exc:  # an ArgumentError is a ValueError too
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _held(rule: Callable[[str], object]) -> Callable[[str], object]:
+    """An argparse type that holds a flag to the rule of the config field it
+    overrides, so a value the field would reject exits 2 at the flag."""
+
+    def parse(text: str):
+        try:
+            return rule(text)
+        except ValueError as exc:  # an ArgumentError is a ValueError too
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,8 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run an experiment config and emit artifacts")
     run_p.add_argument("--config", required=True, help="path to a JSON config")
-    run_p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
-    run_p.add_argument("--out", default=None, help="override the output directory")
+    run_p.add_argument("--seed", type=_held(lambda text: check_seed(int(text), "seed")),
+                       default=None, help="override the config seed")
+    run_p.add_argument("--out", type=_held(check_output_dir), default=None,
+                       help="override the output directory")
 
     val_p = sub.add_parser("validate", help="validate a config without running it")
     val_p.add_argument("--config", required=True, help="path to a JSON config")
@@ -72,6 +83,8 @@ def main(argv=None) -> int:
         config.output_dir = args.out
 
     try:
+        resolve_threads()  # a bad DPLAB_THREADS makes nothing under --out
+        Path(config.output_dir).mkdir(parents=True, exist_ok=True)  # before anything is drawn
         report = run_experiment(config)
         emit_report(report, config.output_dir)
     except (DplabError, OSError) as exc:

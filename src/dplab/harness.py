@@ -44,7 +44,7 @@ from .dp_core import (
     stick_budget,
     uniform_base,
 )
-from .errors import ConfigError, DplabError
+from .errors import ArgumentError, ConfigError, DplabError
 from .processes import bivariate_density_integral, check_density_cells, limit_quantile_cov
 from .rvgen import check_seed, check_shape
 
@@ -153,12 +153,6 @@ def _data(value, path: str):
     return value and _numbers(value, path)  # None or [] as given
 
 
-def _file(value, path: str):
-    if value is not None and not isinstance(value, str):
-        _fail(path, "expected a path string or null")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Reading a config object
 # ---------------------------------------------------------------------------
@@ -243,33 +237,13 @@ def _read_truncation(f: _Fields) -> float:
     return epsilon
 
 
-def _load_data(data_file: str, path: str, config_dir: Path | None) -> list[float]:
-    file = Path(data_file)
-    if config_dir is not None and not file.is_absolute():
-        file = config_dir / file
-    try:
-        lines = file.read_text().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        _fail(path, f"cannot read: {exc}")
-    values = []
-    for number, line in enumerate(lines, start=1):
-        try:
-            row = [float(token) for token in line.split()]
-        except ValueError:
-            row = [np.nan]  # reported below, like a non-finite value
-        if not np.all(np.isfinite(row)):
-            _fail(path, f"line {number}: expected finite numbers, got {line.strip()!r}")
-        values += row
-    return values
-
-
 # ---------------------------------------------------------------------------
 # Builders: one per family, reading its own fields in echo order; value
 # ranges are checked by the constructors and verify argument rules they call
 # ---------------------------------------------------------------------------
 
 
-def _moments(f: _Fields, config_dir) -> Call:
+def _moments(f: _Fields) -> Call:
     base, a = _read_base(f), f.read("a", 10.0, _concentration)
     sets = _read_sets(f, [[[0.0, 0.3]], [[0.3, 0.5]]])
     r = f.read("replications", 100000, _count)
@@ -280,7 +254,7 @@ def _moments(f: _Fields, config_dir) -> Call:
     )
 
 
-def _fidi(f: _Fields, config_dir) -> Call:
+def _fidi(f: _Fields) -> Call:
     a = f.read("a", 10000.0, _concentration)
     sets = _read_sets(f, [[[0.0, 0.25]], [[0.25, 0.5]], [[0.5, 1.0]]])
     r = f.read("replications", 10000, _count)
@@ -290,7 +264,7 @@ def _fidi(f: _Fields, config_dir) -> Call:
     )
 
 
-def _modulus(f: _Fields, config_dir) -> Call:
+def _modulus(f: _Fields) -> Call:
     a = f.read("a", 1.0, _concentration)
     m = f.obj("modulus")
     t1, t, t2 = (m.read(k, d, _number) for k, d in (("t1", 0.1), ("t", 0.4), ("t2", 0.9)))
@@ -302,7 +276,7 @@ def _modulus(f: _Fields, config_dir) -> Call:
     )
 
 
-def _gc(f: _Fields, config_dir) -> Call:
+def _gc(f: _Fields) -> Call:
     base = _read_base(f)
     a_values = f.read("a_values", [10.0, 100.0, 1000.0, 10000.0], _numbers)
     _make(f.sub("a_values"), verify.check_a_values, a_values, verify.MIN_GC_A_VALUES)
@@ -316,7 +290,7 @@ def _gc(f: _Fields, config_dir) -> Call:
     )
 
 
-def _quantile(f: _Fields, config_dir) -> Call:
+def _quantile(f: _Fields) -> Call:
     base = _read_base(f)
     a_values = f.read("a_values", [10000.0, 1000000.0, 100000000.0], _numbers)
     _make(f.sub("a_values"), verify.check_a_values, a_values)
@@ -343,7 +317,7 @@ def _quantile(f: _Fields, config_dir) -> Call:
     )
 
 
-def _density(f: _Fields, config_dir) -> Call:
+def _density(f: _Fields) -> Call:
     d = f.obj("density")
     l1, l2 = d.read("l1", 1.0 / 3.0, _number), d.read("l2", 1.0 / 3.0, _number)
     _make(f.sub("density"), check_density_cells, l1, l2)
@@ -360,15 +334,11 @@ def _density(f: _Fields, config_dir) -> Call:
     return run
 
 
-def _posterior(f: _Fields, config_dir) -> Call:
+def _posterior(f: _Fields) -> Call:
     base, a = _read_base(f), f.read("a", 2.0, _concentration)
     data = f.read("data", [0.2, 0.4, 0.6], _data)
-    data_file = f.read("data_file", None, _file)
-    if data_file:
-        if f.raw.get("data") is not None:
-            _fail(f.sub("data_file"), "give either data or data_file, not both")
-        f.params["data"] = None  # the file is the single source
-        data = _load_data(data_file, f.sub("data_file"), config_dir)
+    if f.read("data_file", None, lambda v, p: v) is not None:  # in the schema, null only
+        _fail(f.sub("data_file"), "must be null; give the data inline under data")
     sets = _read_sets(f, [[[0.0, 0.3]], [[0.3, 0.6]], [[0.6, 1.0]]])
     sorted_data = np.sort(data or [])
     for s in sets:  # set S draws Dirichlet((a + n) H*(S), (a + n) (1 - H*(S)))
@@ -380,9 +350,9 @@ def _posterior(f: _Fields, config_dir) -> Call:
     )
 
 
-# One builder per family: (the family's fields, config directory) -> its
-# run.  validate_config runs it and keeps the call for the run.
-_BUILDERS: dict[str, Callable[[_Fields, Path | None], Call]] = {
+# One builder per family: the family's fields -> its run.  validate_config
+# runs it and keeps the call for the run.
+_BUILDERS: dict[str, Callable[[_Fields], Call]] = {
     "moments": _moments,
     "fidi": _fidi,
     "modulus": _modulus,
@@ -424,10 +394,18 @@ class ExperimentConfig:
         return out
 
 
-def validate_config(raw: dict, config_dir: Path | None = None) -> ExperimentConfig:
-    """Validate a raw config dict by building every object a run would;
-    raises ConfigError with the field path.  A relative ``data_file`` is
-    read from ``config_dir`` (the working directory when None)."""
+def check_output_dir(value) -> str:
+    """``value`` as an output directory (``output_dir``, ``--out``): a
+    non-empty string."""
+    if not isinstance(value, str) or not value:
+        raise ArgumentError("expected a non-empty string")
+    return value
+
+
+def validate_config(raw: dict) -> ExperimentConfig:
+    """Validate a raw config dict by building every object a run would, from
+    the dict alone (no file is read); raises ConfigError with the field
+    path."""
     if not isinstance(raw, dict):
         _fail("", "config must be a JSON object")
     version = raw.get("schema_version")
@@ -439,9 +417,7 @@ def validate_config(raw: dict, config_dir: Path | None = None) -> ExperimentConf
     if "seed" not in raw:
         _fail("seed", "required")
     seed = _make("seed", check_seed, _int(raw["seed"], "seed"), "seed")
-    output_dir = raw.get("output_dir", "dplab-out")
-    if not isinstance(output_dir, str) or not output_dir:
-        _fail("output_dir", "expected a non-empty string")
+    output_dir = _make("output_dir", check_output_dir, raw.get("output_dir", "dplab-out"))
 
     if experiment == "all":
         for key in raw:
@@ -461,7 +437,7 @@ def validate_config(raw: dict, config_dir: Path | None = None) -> ExperimentConf
     config = ExperimentConfig(experiment, seed, output_dir, {})
     for name, (family_raw, path) in sources.items():
         f = _Fields(family_raw, path)
-        config.calls[name] = _BUILDERS[name](f, config_dir)
+        config.calls[name] = _BUILDERS[name](f)
         config.family_params[name] = f.done()  # with defaults filled in
     return config
 
@@ -475,7 +451,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("", f"cannot read: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError("", f"not valid UTF-8 JSON: {exc}") from exc
-    return validate_config(raw, Path(path).resolve().parent)
+    return validate_config(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 import json
 import os
+import re
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +140,14 @@ class TestConfigValidation:
     def test_largest_seed_validates(self):
         assert validate_config(_config(seed=2**64 - 1)).seed == 2**64 - 1
 
+    def test_readme_configs_validate(self):
+        """Every ```json block of README.md is a config that validates."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```json\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+        assert blocks
+        for block in blocks:
+            validate_config(json.loads(block))
+
 
 def _family(experiment, **fields):
     return {"schema_version": 1, "seed": 1, "experiment": experiment, **fields}
@@ -234,8 +244,10 @@ CONFIG_FAULTS = [
                  "need 0 <= t1 <= t <= t2 <= 1", id="modulus_points"),
     pytest.param(_family("posterior", a=0.0), "a", "concentration a must be positive",
                  id="posterior_a_0"),
-    pytest.param(_family("posterior", data=[0.1], data_file="x.txt"), "data_file",
-                 "give either data or data_file, not both", id="data_and_data_file"),
+    # The posterior's data is given inline: data_file stays in the schema,
+    # null only, so a config carries everything its run reads.
+    pytest.param(_family("posterior", data=None, data_file="x.txt"), "data_file",
+                 "must be null; give the data inline under data", id="posterior_data_file"),
     # A gamma shape below rvgen.MIN_SHAPE, whose boosted log draw would
     # overflow to -inf: a Dirichlet parameter a H(A) ...
     *(pytest.param(_family(family, a=a), "a", f"a Dirichlet parameter of the run {_MIN_SHAPE}",
@@ -320,16 +332,16 @@ CONFIG_FAULTS = [
 ]
 
 
+def _no_stream(*args):
+    raise AssertionError("a random stream was opened")
+
+
 @pytest.mark.parametrize("cfg, field, message", CONFIG_FAULTS)
 def test_config_fault_exits_2(tmp_path, capsys, monkeypatch, cfg, field, message):
     """The exit-2 contract: validation raises ConfigError at ``field``;
     ``dplab validate`` and ``dplab run`` exit 2 with ``field: message`` on
     stderr and no traceback; no stream is opened and nothing is written."""
-
-    def no_stream(*args):
-        raise AssertionError("a random stream was opened")
-
-    monkeypatch.setattr(verify, "RngStream", no_stream)
+    monkeypatch.setattr(verify, "RngStream", _no_stream)
     with pytest.raises(ConfigError) as err:
         validate_config(cfg)
     assert err.value.path == field and message in str(err.value)
@@ -365,10 +377,9 @@ class TestValidationProperty:
     @pytest.mark.parametrize("family", FAMILIES)
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_only_config_errors_at_the_field(self, family, data, tmp_path_factory):
+    def test_only_config_errors_at_the_field(self, family, data):
         """One arbitrary JSON value in one field of a family's default config
         either validates or raises ConfigError at that field's top-level key."""
-        config_dir = tmp_path_factory.getbasetemp()
         cfg = validate_config({"schema_version": 1, "experiment": family, "seed": 1}).echo()
         fields = validate_config(cfg).family_params[family]
         path = data.draw(st.sampled_from(list(_field_paths(fields))))
@@ -377,12 +388,24 @@ class TestValidationProperty:
             holder = holder[key]
         holder[path[-1]] = data.draw(_json_values)
         try:
-            validate_config(cfg, config_dir)
+            validate_config(cfg)
         except ConfigError as err:
             # The density family's joint rule on a cell measure and a
             # concentration names the concentration, whichever field broke it.
             joint = err.path.startswith("a_values[") and "min(l1, l2, 1 - l1 - l2)" in str(err)
             assert err.path.startswith(path[0]) or joint, (err.path, path)
+
+
+# A small config per family, for the round trip.
+_ROUND_TRIP = {
+    "moments": {"replications": 1000},
+    "fidi": {"a": 100.0, "replications": 500},
+    "modulus": {"replications": 1000},
+    "gc": {"a_values": [10.0, 100.0], "replications": 20},
+    "quantile": {"a_values": [100.0], "replications": 200},
+    "density": {"a_values": [100.0, 1000.0]},
+    "posterior": {"data": [0.2, 0.4, 0.6], "replications": 1000},
+}
 
 
 class TestRunAndEmit:
@@ -548,13 +571,21 @@ class TestRunAndEmit:
         on_disk = sorted(p.name for p in tmp_path.iterdir())
         assert sorted(manifest) == on_disk
 
-    def test_round_trip_reproduces_run(self, tmp_path):
-        _run_to_dir(_config(), tmp_path / "first")
-        payload = json.loads((tmp_path / "first" / "report.json").read_text())
-        _run_to_dir(payload["config"], tmp_path / "second")
-        a = (tmp_path / "first" / "moments_summary.csv").read_bytes()
-        b = (tmp_path / "second" / "moments_summary.csv").read_bytes()
-        assert a == b
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_round_trip_reproduces_run(self, tmp_path, monkeypatch, family):
+        """report.json's config, saved beside its report, reruns from another
+        directory to the same CSVs, byte for byte."""
+        fields = _ROUND_TRIP[family]
+        path, first, second = tmp_path / "config.json", tmp_path / "first", tmp_path / "second"
+        path.write_text(json.dumps({"schema_version": 1, "experiment": family, "seed": 7,
+                                    **fields}))
+        rc = cli_main(["run", "--config", str(path), "--out", str(first)])
+        echo = json.loads((first / "report.json").read_text())["config"]
+        (first / "config.json").write_text(json.dumps(echo))
+        monkeypatch.chdir(first)
+        assert cli_main(["run", "--config", "config.json", "--out", str(second)]) == rc
+        csvs = {p.name: p.read_bytes() for p in first.glob("*.csv")}
+        assert csvs and csvs == {p.name: p.read_bytes() for p in second.glob("*.csv")}
 
 
 class TestCli:
@@ -597,24 +628,6 @@ class TestCli:
         b = (tmp_path / "b" / "moments_summary.csv").read_bytes()
         assert a != b
 
-    def test_posterior_data_file(self, tmp_path, capsys):
-        data = tmp_path / "points.txt"
-        data.write_text("0.2\n0.4\n0.6\n")
-        cfg = {
-            "schema_version": 1,
-            "experiment": "posterior",
-            "seed": 3,
-            "a": 2.0,
-            "data": None,
-            "data_file": "points.txt",
-            "replications": 2000,
-        }
-        path = self._write(tmp_path, cfg)
-        rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
-        assert rc == 0
-        payload = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert payload["results"]["posterior"]["estimates"]["a_star"][0] == 5.0
-
     def _assert_clean_exit_2(self, capsys, rc, *needles):
         err = capsys.readouterr().err
         assert rc == 2
@@ -649,8 +662,9 @@ class TestCli:
             self._assert_clean_exit_2(capsys, rc, "config error: cannot read: ")
         assert not (tmp_path / "out").exists()
 
-    def test_unwritable_output_dir_exits_2(self, tmp_path, capsys):
-        """An output_dir under a regular file fails the run, after it drew."""
+    def test_unwritable_output_dir_exits_2(self, tmp_path, capsys, monkeypatch):
+        """An output_dir under a regular file fails the run before it draws."""
+        monkeypatch.setattr(verify, "RngStream", _no_stream)
         (tmp_path / "file").write_text("")
         path = self._write(tmp_path, _config(output_dir=str(tmp_path / "file" / "out")))
         rc = cli_main(["run", "--config", path])
@@ -717,11 +731,22 @@ class TestCli:
         self._assert_clean_exit_2(capsys, exit_.value.code, "--seed")
         assert not (tmp_path / "out").exists()
 
+    def test_empty_out_flag_exits_2(self, tmp_path, capsys, monkeypatch):
+        """--out obeys the output_dir rule: an empty one writes nothing into
+        the working directory."""
+        path = self._write(tmp_path, _config())
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["run", "--config", path, "--out", ""])
+        self._assert_clean_exit_2(capsys, exit_.value.code, "--out", "expected a non-empty string")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch):
         path = self._write(tmp_path, _config())
         monkeypatch.setenv("DPLAB_THREADS", "abc")
         rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
         self._assert_clean_exit_2(capsys, rc, "DPLAB_THREADS")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bad_thread_count_rejected_before_any_family_runs(self, family, monkeypatch):
@@ -732,19 +757,3 @@ class TestCli:
         with pytest.raises(ConfigError) as err:
             run_experiment(config)
         assert err.value.path == "DPLAB_THREADS"
-
-    @pytest.mark.parametrize("contents, needle", [("0.2\nabc\n0.6\n", "line 2"), (None, "")])
-    def test_bad_or_missing_data_file_exits_2(self, tmp_path, capsys, contents, needle):
-        if contents is not None:
-            (tmp_path / "points.txt").write_text(contents)
-        cfg = {
-            "schema_version": 1,
-            "experiment": "posterior",
-            "seed": 3,
-            "data": None,
-            "data_file": "points.txt",
-        }
-        path = self._write(tmp_path, cfg)
-        rc = cli_main(["run", "--config", path, "--out", str(tmp_path / "out")])
-        self._assert_clean_exit_2(capsys, rc, "data_file", needle)
-        assert cli_main(["validate", "--config", path]) == 2
